@@ -551,15 +551,18 @@ pub struct RuntimeElasticityResult {
     /// ledger (virtual time) — the pay-as-you-go figure the elasticity bin
     /// prints next to the reconfiguration counts.
     pub vm_seconds: f64,
-    /// Median end-to-end sink latency over the whole run (ms).
+    /// Median per-tuple processing latency over the whole run (ms), probed
+    /// at the stateful word counter: the sink only receives window results,
+    /// and the 30 s window outlasts a smoke run. `None` (JSON `null`) when no
+    /// tuple was sampled — never a made-up 0.
     #[serde(default)]
-    pub latency_p50_ms: f64,
-    /// 95th-percentile end-to-end sink latency (ms).
+    pub latency_p50_ms: Option<f64>,
+    /// 95th-percentile processing latency (ms), as above.
     #[serde(default)]
-    pub latency_p95_ms: f64,
-    /// 99th-percentile end-to-end sink latency (ms).
+    pub latency_p95_ms: Option<f64>,
+    /// 99th-percentile processing latency (ms), as above.
     #[serde(default)]
-    pub latency_p99_ms: f64,
+    pub latency_p99_ms: Option<f64>,
 }
 
 /// Drive the threaded runtime's word-count query through a trapezoid rate
@@ -587,6 +590,7 @@ pub fn runtime_elasticity(
     policy.scale_in_reports = 3;
     let config = RuntimeConfig {
         scaling_policy: policy,
+        latency_probe_at_stateful: true,
         ..RuntimeConfig::default()
     };
     // Fusion stays on but the planner's fused-edge batch heuristic is pinned
@@ -637,7 +641,8 @@ pub fn runtime_elasticity(
         }
     };
     let vm_seconds = h.handle.provider().total_vm_hours(h.handle.now_ms()) * 3_600.0;
-    let latency = metrics.snapshot();
+    let percentile_ms =
+        |p: f64| (metrics.latency_samples() > 0).then(|| metrics.latency_percentile_ms(p));
     RuntimeElasticityResult {
         phases,
         scale_outs: outs.len(),
@@ -647,9 +652,9 @@ pub fn runtime_elasticity(
         peak_vms,
         final_vms: h.handle.vm_count(),
         vm_seconds,
-        latency_p50_ms: latency.latency_p50_ms,
-        latency_p95_ms: latency.latency_p95_ms,
-        latency_p99_ms: latency.latency_p99_ms,
+        latency_p50_ms: percentile_ms(50.0),
+        latency_p95_ms: percentile_ms(95.0),
+        latency_p99_ms: percentile_ms(99.0),
     }
 }
 
@@ -849,6 +854,10 @@ mod tests {
         let tail = &result.phases[3];
         assert!(plateau.end_parallelism > 1, "plateau runs partitioned");
         assert!(tail.end_parallelism < plateau.end_parallelism);
+        // The word counter is probed: a run this short never closes a window,
+        // so a sink-only probe would have nothing to report.
+        assert!(result.latency_p50_ms.is_some(), "no latency samples");
+        assert!(result.latency_p99_ms >= result.latency_p50_ms);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Tuple batches: the unit of transport and processing on the batched data
-//! plane.
+//! Tuple batches: the unit of transport and processing on the data plane.
 //!
 //! The paper's per-tuple model (§2.2) stays the *semantic* contract — a batch
 //! is nothing more than a run of consecutive tuples from one producer, sent
-//! in one envelope and processed in one operator call. Batching amortises the
-//! per-tuple costs of the hot path (channel serialisation, dedup probes,
-//! clock bumps, dispatch bookkeeping) without changing any observable
-//! behaviour: a batch size of 1 reproduces the seed per-tuple path exactly,
-//! and `tests/batch_equivalence.rs` holds every batch size to the same sink
-//! outputs, counts and emit clocks as the per-tuple run.
+//! in one envelope and processed in one operator call; a single tuple is a
+//! batch of one. Batching amortises the per-tuple costs of the hot path
+//! (channel hops, dedup probes, clock bumps, routing bookkeeping) without
+//! changing any observable behaviour: `tests/batch_equivalence.rs` holds
+//! every batch size to the same sink outputs, counts and emit clocks, all
+//! equal to an expectation recomputed from the input.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,8 +77,7 @@ impl TupleBatch {
 ///
 /// The attribution is what keeps end-to-end latency per-tuple-accurate on the
 /// batched plane: the runtime maps an output back to its input's source emit
-/// time when forwarding, exactly as the per-tuple path threads
-/// `emitted_at_us` through `process`.
+/// time when forwarding.
 #[derive(Debug, Default)]
 pub struct BatchOutput {
     items: Vec<(usize, OutputTuple)>,

@@ -59,8 +59,8 @@ pub struct DataReceiver {
     queued_tuples: Arc<AtomicU64>,
 }
 
-/// In-queue weight of an envelope: data tuples it carries, with control
-/// messages still counting as one so `queued() == 0` keeps meaning "empty".
+/// In-queue weight of an envelope: data tuples it carries, with an empty
+/// batch still counting as one so `queued() == 0` keeps meaning "empty".
 fn envelope_tuples(envelope: &Envelope) -> u64 {
     envelope.message.tuple_count().max(1) as u64
 }
@@ -162,8 +162,8 @@ impl DataReceiver {
         out
     }
 
-    /// Number of data tuples currently queued (control messages count as
-    /// one each, so non-zero always means "something to process").
+    /// Number of data tuples currently queued (an empty batch counts as
+    /// one, so non-zero always means "something to process").
     pub fn queued(&self) -> usize {
         self.queued_tuples.load(Ordering::Relaxed) as usize
     }
@@ -178,13 +178,15 @@ impl DataReceiver {
 mod tests {
     use super::*;
     use crate::message::Message;
-    use seep_core::{Key, OperatorId, StreamId, Tuple};
+    use seep_core::{Key, OperatorId, StreamId, Tuple, TupleBatch};
 
     fn envelope(ts: u64) -> Envelope {
+        let mut batch = TupleBatch::new();
+        batch.push(Tuple::new(ts, Key(ts), vec![0u8; 16]), 0);
         Envelope::new(
             OperatorId::new(1),
             OperatorId::new(2),
-            Message::data(StreamId(0), Tuple::new(ts, Key(ts), vec![0u8; 16])),
+            Message::data_batch(StreamId(0), batch),
         )
     }
 
@@ -195,10 +197,7 @@ mod tests {
         tx.send(envelope(2)).unwrap();
         assert_eq!(rx.queued(), 2);
         let first = rx.recv_timeout(Duration::from_millis(10)).unwrap().unwrap();
-        match first.message {
-            Message::Data { tuple, .. } => assert_eq!(tuple.ts, 1),
-            _ => panic!("expected data"),
-        }
+        assert_eq!(first.message.batch.tuples[0].ts, 1);
         assert_eq!(rx.drain().len(), 1);
         assert_eq!(rx.stats().messages(), 2);
         assert!(rx.stats().bytes() > 32);
@@ -210,22 +209,14 @@ mod tests {
     fn local_hop_shares_the_payload_allocation() {
         let (tx, rx) = DataChannel::new(8);
         let env = envelope(1);
-        let payload = match &env.message {
-            Message::Data { tuple, .. } => tuple.payload.clone(),
-            _ => unreachable!(),
-        };
+        let payload = env.message.batch.tuples[0].payload.clone();
         tx.send(env).unwrap();
         let received = rx.recv_timeout(Duration::from_millis(10)).unwrap().unwrap();
-        match received.message {
-            Message::Data { tuple, .. } => {
-                assert_eq!(
-                    tuple.payload.as_ptr(),
-                    payload.as_ptr(),
-                    "payload must be refcount-shared, not re-encoded"
-                );
-            }
-            _ => panic!("expected data"),
-        }
+        assert_eq!(
+            received.message.batch.tuples[0].payload.as_ptr(),
+            payload.as_ptr(),
+            "payload must be refcount-shared, not re-encoded"
+        );
     }
 
     /// The byte counter records exactly what the wire encoding of the same
@@ -244,7 +235,6 @@ mod tests {
 
     #[test]
     fn queued_counts_tuples_inside_batches() {
-        use seep_core::TupleBatch;
         let (tx, rx) = DataChannel::new(8);
         let mut batch = TupleBatch::new();
         for ts in 1..=5u64 {

@@ -9,8 +9,7 @@
 //!
 //! * messages crossing a [`channel::DataChannel`] move as values — tuple
 //!   payloads are refcounted buffers, so a local hop is zero-copy; the wire
-//!   encoding a process boundary would pay lives in [`wire`] and stays
-//!   byte-identical to what the serialising channels used to ship,
+//!   encoding a process boundary pays lives in [`wire`],
 //! * channels are bounded, providing the back-pressure that output buffers
 //!   compensate for,
 //! * the [`network::Network`] registry models node-granularity connectivity:
@@ -37,7 +36,7 @@ pub mod wire;
 pub use channel::{DataChannel, DataReceiver, DataSender, TransportStats};
 pub use frame::{read_frame, write_frame, FrameReader, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 pub use latency::LatencyModel;
-pub use message::{ControlMessage, Envelope, Message};
+pub use message::{Envelope, Message};
 pub use network::{Network, SendError};
 pub use tcp::{TcpIngress, TcpTransport};
 pub use transport::{ConnectionStats, RemoteRoute, Transport};

@@ -1,94 +1,38 @@
 //! Messages exchanged between operator workers.
 //!
-//! Two kinds of traffic cross the network: **data** (stream tuples, including
-//! replayed tuples after a restore) and **control** (the runtime stopping,
-//! starting or re-configuring operators during scale out — Algorithm 3 stops
-//! upstream operators, repartitions their routing and buffer state, then
-//! restarts them).
+//! One kind of traffic crosses the data plane: runs of stream tuples,
+//! including replayed tuples after a restore. Coordinators do not send
+//! in-band control messages — the in-process runtime manipulates worker
+//! state directly against a quiesced plane, and `seep-node` speaks its own
+//! framed control protocol — so a [`Message`] is always data.
 
 use serde::{Deserialize, Serialize};
 
-use seep_core::{OperatorId, RoutingState, StreamId, Timestamp, Tuple, TupleBatch};
+use seep_core::{OperatorId, StreamId, TupleBatch};
 
-/// Control messages used by the scale-out / recovery coordinators.
+/// A run of consecutive stream tuples from one producer, sent in one
+/// envelope. A single tuple travels as a batch of one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ControlMessage {
-    /// Pause tuple processing (Algorithm 3, line 10).
-    StopProcessing,
-    /// Resume tuple processing (Algorithm 3, line 14).
-    StartProcessing,
-    /// Replace the routing state towards a logical downstream operator.
-    UpdateRouting {
-        /// The logical downstream operator whose partitioning changed.
-        logical_downstream: u32,
-        /// The new routing state.
-        routing: RoutingState,
-    },
-    /// Trim the output buffer towards `downstream` up to `ts` (issued after a
-    /// downstream checkpoint was backed up — Algorithm 1, line 4).
-    TrimBuffer {
-        /// The downstream operator whose tuples may be discarded.
-        downstream: OperatorId,
-        /// Discard tuples with timestamps `<= ts`.
-        ts: Timestamp,
-    },
-    /// Replay the output buffer towards `downstream` (Algorithm 1, line 10).
-    ReplayBuffer {
-        /// The operator to replay to.
-        downstream: OperatorId,
-    },
-    /// Orderly shutdown of the worker.
-    Shutdown,
-}
-
-/// A message on the wire: either a data tuple on a stream or a control message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Message {
-    /// A stream tuple.
-    Data {
-        /// The stream the tuple belongs to (identified by the logical
-        /// producer operator).
-        stream: StreamId,
-        /// The tuple itself.
-        tuple: Tuple,
-    },
-    /// A control message from a coordinator.
-    Control(ControlMessage),
-    /// A run of consecutive stream tuples from one producer, sent in one
-    /// envelope on the batched data plane. Appended after `Control` so the
-    /// wire encoding of the seed's two variants is unchanged.
-    DataBatch {
-        /// The stream the tuples belong to (identified by the logical
-        /// producer operator).
-        stream: StreamId,
-        /// The tuples with their per-tuple source emit times.
-        batch: TupleBatch,
-    },
+pub struct Message {
+    /// The stream the tuples belong to (identified by the logical producer
+    /// operator).
+    pub stream: StreamId,
+    /// The tuples with their per-tuple source emit times (µs since an
+    /// arbitrary epoch; zero when unknown or unsampled). Operators propagate
+    /// them from input to output so sinks can measure end-to-end processing
+    /// latency, the metric reported throughout §6.
+    pub batch: TupleBatch,
 }
 
 impl Message {
-    /// Convenience constructor for data messages.
-    pub fn data(stream: StreamId, tuple: Tuple) -> Self {
-        Message::Data { stream, tuple }
-    }
-
-    /// Convenience constructor for batched data messages.
+    /// A data message carrying `batch` on `stream`.
     pub fn data_batch(stream: StreamId, batch: TupleBatch) -> Self {
-        Message::DataBatch { stream, batch }
-    }
-
-    /// Whether this carries data tuples (single or batched).
-    pub fn is_data(&self) -> bool {
-        matches!(self, Message::Data { .. } | Message::DataBatch { .. })
+        Message { stream, batch }
     }
 
     /// Number of data tuples this message carries.
     pub fn tuple_count(&self) -> usize {
-        match self {
-            Message::Data { .. } => 1,
-            Message::DataBatch { batch, .. } => batch.len(),
-            Message::Control(_) => 0,
-        }
+        self.batch.len()
     }
 }
 
@@ -101,54 +45,19 @@ pub struct Envelope {
     pub to: OperatorId,
     /// The payload.
     pub message: Message,
-    /// Wall-clock time (µs since an arbitrary epoch) at which the *source*
-    /// tuple this message descends from was emitted. Operators propagate it
-    /// from input to output so sinks can measure end-to-end processing
-    /// latency, the metric reported throughout §6. Zero when unknown (e.g.
-    /// control messages or window-triggered emissions).
-    #[serde(default)]
-    pub emitted_at_us: u64,
 }
 
 impl Envelope {
     /// Wrap a message with its addressing information.
     pub fn new(from: OperatorId, to: OperatorId, message: Message) -> Self {
-        Envelope {
-            from,
-            to,
-            message,
-            emitted_at_us: 0,
-        }
-    }
-
-    /// Attach the source emit time used for end-to-end latency measurement.
-    pub fn with_emit_time(mut self, emitted_at_us: u64) -> Self {
-        self.emitted_at_us = emitted_at_us;
-        self
-    }
-
-    /// Serialised size of the envelope in bytes (what would cross the wire).
-    pub fn wire_size(&self) -> usize {
-        bincode::serialized_size(self).unwrap_or(0) as usize
+        Envelope { from, to, message }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seep_core::Key;
-
-    #[test]
-    fn data_message_roundtrip() {
-        let msg = Message::data(StreamId(1), Tuple::new(3, Key(9), vec![1, 2, 3]));
-        assert!(msg.is_data());
-        let env = Envelope::new(OperatorId::new(1), OperatorId::new(2), msg.clone());
-        let bytes = bincode::serialize(&env).unwrap();
-        let back: Envelope = bincode::deserialize(&bytes).unwrap();
-        assert_eq!(back.message, msg);
-        assert_eq!(back.from, OperatorId::new(1));
-        assert!(env.wire_size() > 3);
-    }
+    use seep_core::{Key, Tuple};
 
     #[test]
     fn data_batch_roundtrip_and_counts() {
@@ -156,41 +65,11 @@ mod tests {
         batch.push(Tuple::new(5, Key(1), vec![1]), 100);
         batch.push(Tuple::new(6, Key(2), vec![2]), 0);
         let msg = Message::data_batch(StreamId(3), batch);
-        assert!(msg.is_data());
         assert_eq!(msg.tuple_count(), 2);
-        let bytes = bincode::serialize(&msg).unwrap();
-        let back: Message = bincode::deserialize(&bytes).unwrap();
-        assert_eq!(back, msg);
-        // The seed variants' wire encodings are unchanged by the new variant.
-        let single = Message::data(StreamId(1), Tuple::new(3, Key(9), vec![1, 2, 3]));
-        assert_eq!(single.tuple_count(), 1);
-        assert_eq!(Message::Control(ControlMessage::Shutdown).tuple_count(), 0);
-    }
-
-    #[test]
-    fn control_messages_roundtrip() {
-        let msgs = vec![
-            ControlMessage::StopProcessing,
-            ControlMessage::StartProcessing,
-            ControlMessage::TrimBuffer {
-                downstream: OperatorId::new(5),
-                ts: 99,
-            },
-            ControlMessage::ReplayBuffer {
-                downstream: OperatorId::new(5),
-            },
-            ControlMessage::UpdateRouting {
-                logical_downstream: 2,
-                routing: RoutingState::single(OperatorId::new(7)),
-            },
-            ControlMessage::Shutdown,
-        ];
-        for m in msgs {
-            let wrapped = Message::Control(m.clone());
-            assert!(!wrapped.is_data());
-            let bytes = bincode::serialize(&wrapped).unwrap();
-            let back: Message = bincode::deserialize(&bytes).unwrap();
-            assert_eq!(back, wrapped);
-        }
+        let env = Envelope::new(OperatorId::new(1), OperatorId::new(2), msg.clone());
+        let bytes = bincode::serialize(&env).unwrap();
+        let back: Envelope = bincode::deserialize(&bytes).unwrap();
+        assert_eq!(back.message, msg);
+        assert_eq!(back.from, OperatorId::new(1));
     }
 }

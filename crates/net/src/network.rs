@@ -17,10 +17,10 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
-use seep_core::{OperatorId, StreamId, Tuple};
+use seep_core::{OperatorId, StreamId, Tuple, TupleBatch};
 
 use crate::channel::{ChannelSendError, DataChannel, DataReceiver, DataSender};
-use crate::message::{ControlMessage, Envelope, Message};
+use crate::message::{Envelope, Message};
 use crate::transport::Transport;
 
 /// Error returned when a send cannot be delivered.
@@ -166,7 +166,8 @@ impl Network {
         })
     }
 
-    /// Convenience: send a data tuple from `from` to `to` on `stream`.
+    /// Convenience: send one data tuple from `from` to `to` on `stream`, as
+    /// a batch of one with no source emit time.
     pub fn send_tuple(
         &self,
         from: OperatorId,
@@ -174,14 +175,9 @@ impl Network {
         stream: StreamId,
         tuple: Tuple,
     ) -> Result<(), SendError> {
-        self.send(Envelope::new(from, to, Message::data(stream, tuple)))
-    }
-
-    /// Convenience: send a control message from a coordinator (addressed from
-    /// the target itself, the "from" field is informational for control
-    /// traffic).
-    pub fn send_control(&self, to: OperatorId, control: ControlMessage) -> Result<(), SendError> {
-        self.send(Envelope::new(to, to, Message::Control(control)))
+        let mut batch = TupleBatch::with_capacity(1);
+        batch.push(tuple, 0);
+        self.send(Envelope::new(from, to, Message::data_batch(stream, batch)))
     }
 }
 
@@ -196,27 +192,30 @@ mod tests {
     use super::*;
     use seep_core::Key;
 
+    fn send_one(net: &Network, to: u64) -> Result<(), SendError> {
+        net.send_tuple(
+            OperatorId::new(1),
+            OperatorId::new(to),
+            StreamId(0),
+            Tuple::new(1, Key(1), vec![1]),
+        )
+    }
+
     #[test]
     fn register_send_receive() {
         let net = Network::new(16);
         let rx = net.register(OperatorId::new(2));
         assert!(net.is_connected(OperatorId::new(2)));
-        net.send_tuple(
-            OperatorId::new(1),
-            OperatorId::new(2),
-            StreamId(0),
-            Tuple::new(1, Key(1), vec![1]),
-        )
-        .unwrap();
+        send_one(&net, 2).unwrap();
         let env = recv_next(&rx, Duration::from_millis(20)).unwrap();
         assert_eq!(env.from, OperatorId::new(1));
-        assert!(env.message.is_data());
+        assert_eq!(env.message.tuple_count(), 1);
     }
 
     #[test]
     fn unknown_destination_errors() {
         let net = Network::new(4);
-        let err = net.send_control(OperatorId::new(9), ControlMessage::StopProcessing);
+        let err = send_one(&net, 9);
         assert_eq!(err, Err(SendError::UnknownDestination(OperatorId::new(9))));
     }
 
@@ -227,8 +226,10 @@ mod tests {
         assert_eq!(net.connected(), vec![OperatorId::new(1)]);
         net.disconnect(OperatorId::new(1));
         assert!(!net.is_connected(OperatorId::new(1)));
-        let err = net.send_control(OperatorId::new(1), ControlMessage::Shutdown);
-        assert!(matches!(err, Err(SendError::UnknownDestination(_))));
+        assert!(matches!(
+            send_one(&net, 1),
+            Err(SendError::UnknownDestination(_))
+        ));
     }
 
     #[test]
@@ -236,8 +237,10 @@ mod tests {
         let net = Network::new(4);
         let rx = net.register(OperatorId::new(3));
         drop(rx);
-        let err = net.send_control(OperatorId::new(3), ControlMessage::Shutdown);
-        assert_eq!(err, Err(SendError::Disconnected(OperatorId::new(3))));
+        assert_eq!(
+            send_one(&net, 3),
+            Err(SendError::Disconnected(OperatorId::new(3)))
+        );
     }
 
     #[test]
@@ -247,7 +250,7 @@ mod tests {
         let env = Envelope::new(
             OperatorId::new(0),
             OperatorId::new(4),
-            Message::Control(ControlMessage::StopProcessing),
+            Message::data_batch(StreamId(0), TupleBatch::new()),
         );
         net.try_send(env.clone()).unwrap();
         assert_eq!(
@@ -284,7 +287,7 @@ mod tests {
 
         // No route yet: still an unknown destination.
         assert_eq!(
-            net.send_control(remote_op, ControlMessage::StopProcessing),
+            send_one(&net, 7),
             Err(SendError::UnknownDestination(remote_op))
         );
 
@@ -293,17 +296,11 @@ mod tests {
             net.remote_routes(),
             vec![(remote_op, "10.0.0.2:7000".into())]
         );
-        net.send_tuple(
-            OperatorId::new(1),
-            remote_op,
-            StreamId(0),
-            Tuple::new(1, Key(1), vec![1]),
-        )
-        .unwrap();
+        send_one(&net, 7).unwrap();
         net.try_send(Envelope::new(
             OperatorId::new(1),
             remote_op,
-            Message::Control(ControlMessage::StartProcessing),
+            Message::data_batch(StreamId(0), TupleBatch::new()),
         ))
         .unwrap();
         assert_eq!(transport.sent.lock().len(), 2);
@@ -311,8 +308,7 @@ mod tests {
 
         // Registering the operator locally shadows the remote route.
         let rx = net.register(remote_op);
-        net.send_control(remote_op, ControlMessage::Shutdown)
-            .unwrap();
+        send_one(&net, 7).unwrap();
         assert_eq!(rx.queued(), 1);
         assert_eq!(transport.sent.lock().len(), 2, "local endpoint must win");
 
@@ -325,8 +321,7 @@ mod tests {
         let net = Network::new(4);
         let old_rx = net.register(OperatorId::new(5));
         let new_rx = net.register(OperatorId::new(5));
-        net.send_control(OperatorId::new(5), ControlMessage::StartProcessing)
-            .unwrap();
+        send_one(&net, 5).unwrap();
         assert_eq!(old_rx.queued(), 0);
         assert_eq!(new_rx.queued(), 1);
     }

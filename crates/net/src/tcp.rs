@@ -243,10 +243,12 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn data_envelope(ts: u64) -> Envelope {
+        let mut batch = TupleBatch::new();
+        batch.push(Tuple::new(ts, Key(ts), vec![7u8; 32]), 0);
         Envelope::new(
             OperatorId::new(1),
             OperatorId::new(2),
-            Message::data(StreamId(0), Tuple::new(ts, Key(ts), vec![7u8; 32])),
+            Message::data_batch(StreamId(0), batch),
         )
     }
 

@@ -38,7 +38,7 @@ pub struct ConnectionStats {
     pub bytes: u64,
     /// Complete frames shipped or reassembled.
     pub frames: u64,
-    /// Data tuples carried (control frames count zero).
+    /// Data tuples carried.
     pub tuples: u64,
     /// Times the connection was re-dialled after a failure.
     pub reconnects: u64,

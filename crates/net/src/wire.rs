@@ -2,19 +2,17 @@
 //!
 //! The in-process channels move [`Envelope`] values directly: tuple payloads
 //! are refcounted byte buffers, so a local hop is a pointer move plus a
-//! refcount bump instead of a serialise/deserialise round-trip. Serialisation
-//! has not disappeared — a process boundary still pays it — it has moved
-//! here, behind the transport boundary, so a future TCP transport encodes
-//! with exactly the bytes every hop used to produce and the encoding stays
-//! one testable definition instead of a side effect of every channel send.
+//! refcount bump instead of a serialise/deserialise round-trip. Only a
+//! process boundary pays for serialisation, and it pays it here: the TCP
+//! transport ships exactly [`encode`]'s bytes, and the in-process channels
+//! account [`encoded_size`] for the same traffic, so the encoding is one
+//! testable definition rather than a side effect of every channel send.
 
 use seep_core::{Tuple, TupleBatch};
 
 use crate::message::{Envelope, Message};
 
-/// Encode an envelope exactly as it would cross a process boundary — the
-/// same bincode bytes every in-process hop paid for before the zero-copy
-/// channels.
+/// Encode an envelope as it crosses a process boundary.
 pub fn encode(envelope: &Envelope) -> Vec<u8> {
     bincode::serialize(envelope).expect("envelope serialises")
 }
@@ -86,82 +84,57 @@ fn batch_size(batch: &TupleBatch) -> usize {
 
 /// Exact size in bytes of [`encode`]'s output, computed arithmetically —
 /// no allocation, no serialisation walk — so every data-plane hop can
-/// account its true wire bytes. Data messages (the hot path) are costed by
-/// mirroring the encoder's layout field by field; the rare control messages
-/// fall back to a real `serialized_size` walk rather than mirroring the
-/// whole routing-state encoding here.
+/// account its true wire bytes. Mirrors the encoder's layout field by field.
 pub fn encoded_size(envelope: &Envelope) -> usize {
-    let message = match &envelope.message {
-        // variant tag + name + two-field record body.
-        Message::Data { stream, tuple } => {
-            2 + "Data".len()
-                + 2
-                + field("stream")
-                + newtype_u64_size(u64::from(stream.0))
-                + field("tuple")
-                + tuple_size(tuple)
-        }
-        Message::DataBatch { stream, batch } => {
-            2 + "DataBatch".len()
-                + 2
-                + field("stream")
-                + newtype_u64_size(u64::from(stream.0))
-                + field("batch")
-                + batch_size(batch)
-        }
-        Message::Control(_) => return bincode::serialized_size(envelope).unwrap_or(0) as usize,
-    };
-    // envelope record: four named fields.
+    let Message { stream, batch } = &envelope.message;
+    // message record: two named fields.
+    let message = 2
+        + field("stream")
+        + newtype_u64_size(u64::from(stream.0))
+        + field("batch")
+        + batch_size(batch);
+    // envelope record: three named fields.
     2 + field("from")
         + newtype_u64_size(envelope.from.0)
         + field("to")
         + newtype_u64_size(envelope.to.0)
         + field("message")
         + message
-        + field("emitted_at_us")
-        + u64_size(envelope.emitted_at_us)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{ControlMessage, Message};
     use seep_core::{Key, OperatorId, StreamId, Tuple, TupleBatch};
 
     fn envelopes() -> Vec<Envelope> {
         let mut batch = TupleBatch::new();
         batch.push(Tuple::new(5, Key(1), vec![1, 2, 3]), 100);
         batch.push(Tuple::new(6, Key(2), vec![4]), 0);
+        let mut single = TupleBatch::new();
+        single.push(Tuple::new(3, Key(9), vec![7, 8]), 42);
         vec![
             Envelope::new(
                 OperatorId::new(1),
                 OperatorId::new(2),
-                Message::data(StreamId(0), Tuple::new(3, Key(9), vec![7, 8])),
-            )
-            .with_emit_time(42),
+                Message::data_batch(StreamId(0), single),
+            ),
             Envelope::new(
                 OperatorId::new(3),
                 OperatorId::new(4),
                 Message::data_batch(StreamId(1), batch),
             ),
-            Envelope::new(
-                OperatorId::new(5),
-                OperatorId::new(5),
-                Message::Control(ControlMessage::StopProcessing),
-            ),
         ]
     }
 
-    /// The transport-boundary encoding is byte-identical to what the
-    /// serialising channels used to put on the wire (a direct
-    /// `bincode::serialize` of the envelope), for every message kind.
+    /// The transport-boundary encoding is a direct `bincode::serialize` of
+    /// the envelope: nothing is added or reordered on the way to the wire.
     #[test]
-    fn encoding_is_byte_identical_to_the_serialising_channel() {
+    fn encoding_is_the_bincode_serialisation_of_the_envelope() {
         for envelope in envelopes() {
             let wire = encode(&envelope);
-            let legacy = bincode::serialize(&envelope).unwrap();
-            assert_eq!(wire, legacy, "encoding drifted for {envelope:?}");
-            assert_eq!(wire.len(), envelope.wire_size());
+            let direct = bincode::serialize(&envelope).unwrap();
+            assert_eq!(wire, direct, "encoding drifted for {envelope:?}");
         }
     }
 
@@ -179,32 +152,22 @@ mod tests {
     }
 
     /// The arithmetic size mirror matches the encoder byte for byte across
-    /// every message kind and across varint length boundaries.
+    /// batch lengths (empty, one tuple, several) and across varint length
+    /// boundaries.
     #[test]
     fn encoded_size_is_exact() {
         // Values straddling every LEB128 length boundary.
         let edges = [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
         let mut corpus = envelopes();
         for &v in &edges {
-            corpus.push(
-                Envelope::new(
-                    OperatorId::new(v),
-                    OperatorId::new(v.wrapping_add(1)),
-                    Message::data(
-                        StreamId(v as u32),
-                        Tuple::new(v, Key(v), vec![0u8; (v % 300) as usize]),
-                    ),
-                )
-                .with_emit_time(v),
-            );
             let mut batch = TupleBatch::new();
             for i in 0..(v % 5) + 1 {
-                batch.push(Tuple::new(v, Key(v ^ i), vec![1u8; 130]), v);
+                batch.push(Tuple::new(v, Key(v ^ i), vec![1u8; (v % 300) as usize]), v);
             }
             corpus.push(Envelope::new(
-                OperatorId::new(2),
                 OperatorId::new(v),
-                Message::data_batch(StreamId(7), batch),
+                OperatorId::new(v.wrapping_add(1)),
+                Message::data_batch(StreamId(v as u32), batch),
             ));
         }
         // An empty batch exercises the zero-length sequence headers.

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use seep_core::{Checkpoint, Key, LogicalOpId, OperatorId, RoutingState, TimestampVec};
 use seep_net::{FrameReader, Network, TcpIngress, TcpTransport, Transport};
 use seep_runtime::worker::SharedClock;
-use seep_runtime::{Metrics, WorkerCore};
+use seep_runtime::{Metrics, WorkerCore, STEP_BUDGET};
 
 use crate::jobs;
 use crate::protocol::{
@@ -406,7 +406,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
         });
         let mut stepped = 0;
         for core in state.cores.values_mut() {
-            stepped += core.step(network, metrics, epoch, 256);
+            stepped += core.step(network, metrics, epoch, STEP_BUDGET);
         }
 
         if last_heartbeat.elapsed() >= heartbeat_every {

@@ -304,11 +304,11 @@ impl JobBuilder {
         self
     }
 
-    /// Drain the data plane across `threads` OS threads: workers are sharded
-    /// by their placement VM and stepped in parallel, while every
-    /// reconfiguration, checkpoint and window tick keeps the single-threaded
-    /// world (the drain's barrier is their quiesce point). 1 — the default —
-    /// is the cooperative seed stepper.
+    /// Drain the data plane across up to `threads` OS threads: workers are
+    /// sharded by their placement VM and the shards stepped in parallel, while
+    /// every reconfiguration, checkpoint and window tick keeps the
+    /// single-threaded world (the drain's barrier is their quiesce point). At
+    /// 1 — the default — the one shard runs on the calling thread.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.config.worker_threads = threads;
         self

@@ -15,10 +15,12 @@ use crate::recovery::RecoveryStrategy;
 /// Output batch sizes on the data plane, per producing logical operator.
 ///
 /// A producer's batch size is the number of output tuples grouped into one
-/// envelope towards each downstream target. Size 1 — the default — is the
-/// seed per-tuple path, bit for bit. Larger sizes amortise channel
-/// serialisation, dedup probes and clock updates; the `batch_equivalence`
-/// suite pins every size to identical observable behaviour.
+/// envelope towards a downstream target before it ships. At size 1 — the
+/// default — every output ships the moment it is produced, as a batch of
+/// one; it is a value like any other, served by the same code. Larger sizes
+/// amortise channel hops, dedup probes and clock updates; the
+/// `batch_equivalence` suite pins every size to identical observable
+/// behaviour.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig {
     /// Batch size for every producer without an explicit override.
@@ -93,9 +95,6 @@ pub struct RuntimeConfig {
     pub provider: ProviderConfig,
     /// VM pool configuration (§5.2).
     pub pool: VmPoolConfig,
-    /// Maximum envelopes a worker drains per step, bounding the work done
-    /// before other workers get a turn.
-    pub worker_batch: usize,
     /// Record end-to-end latency samples at stateful operators as well as at
     /// sinks. Used by the state-management overhead experiments (§6.3), where
     /// the query's sink only receives window results but the per-tuple
@@ -111,15 +110,17 @@ pub struct RuntimeConfig {
     /// checkpoint sample when the sampled imbalance exceeds a threshold.
     #[serde(default)]
     pub split: SplitPolicy,
-    /// Output batch sizes on the data plane (1 = the seed per-tuple path).
+    /// Output batch sizes on the data plane (default 1: every output ships
+    /// at once).
     #[serde(default)]
     pub batch: BatchConfig,
-    /// OS threads `drain` shards live workers across. 0 and 1 both select the
-    /// cooperative single-threaded stepper (the default and the seed
-    /// behaviour); above 1, the parallel executor groups workers by placement
-    /// VM and steps the groups on separate threads, quiescing to a barrier
-    /// before anything the single-threaded world owns (ticks, checkpoints,
-    /// reconfiguration plans, utilisation reports).
+    /// OS threads `drain` may shard live workers across (0 counts as 1, the
+    /// default). Workers are grouped by placement VM (`vm % threads`); when
+    /// all of them fall into one group — always the case at 1 — the drain
+    /// runs on the calling thread, otherwise each group gets a scoped thread
+    /// and the drain quiesces to a barrier before anything the
+    /// single-threaded world owns (ticks, checkpoints, reconfiguration
+    /// plans, utilisation reports). The loop is the same either way.
     #[serde(default)]
     pub worker_threads: usize,
     /// Record one end-to-end latency sample per this many eligible tuples.
@@ -146,7 +147,6 @@ impl Default for RuntimeConfig {
             scaling_policy: ScalingPolicy::default(),
             provider: ProviderConfig::instant(),
             pool: VmPoolConfig::default(),
-            worker_batch: 512,
             latency_probe_at_stateful: false,
             store: StoreConfig::default(),
             split: SplitPolicy::default(),
@@ -185,14 +185,14 @@ impl RuntimeConfig {
     }
 
     /// A configuration batching every producer's outputs into runs of `size`
-    /// tuples per envelope (1 = the seed per-tuple path).
+    /// tuples per envelope (1 = every output ships at once).
     pub fn with_batch_size(mut self, size: usize) -> Self {
         self.batch = BatchConfig::uniform(size);
         self
     }
 
-    /// A configuration draining the data plane across `threads` OS threads
-    /// (1 = the cooperative single-threaded stepper).
+    /// A configuration draining the data plane across up to `threads` OS
+    /// threads (1 = on the calling thread).
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
         self
@@ -246,7 +246,11 @@ mod tests {
     fn batch_sizes_default_to_per_tuple_and_resolve_overrides() {
         let c = RuntimeConfig::default();
         assert_eq!(c.batch, BatchConfig::default());
-        assert_eq!(c.batch.size_for(LogicalOpId(3)), 1, "seed path by default");
+        assert_eq!(
+            c.batch.size_for(LogicalOpId(3)),
+            1,
+            "batches of one by default"
+        );
 
         let batch = BatchConfig::uniform(64).with_producer(LogicalOpId(2), 8);
         assert_eq!(batch.size_for(LogicalOpId(1)), 64);
@@ -278,7 +282,7 @@ mod tests {
     #[test]
     fn parallelism_and_sampling_default_to_seed_behaviour() {
         let c = RuntimeConfig::default();
-        assert_eq!(c.worker_threads, 1, "cooperative stepper by default");
+        assert_eq!(c.worker_threads, 1, "one thread by default");
         assert_eq!(c.latency_sample_every, 1, "full stamping by default");
 
         let c = RuntimeConfig::default()

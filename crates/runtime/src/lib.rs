@@ -19,7 +19,7 @@
 //! advances virtual time with [`runtime::Runtime::advance_to`] (which triggers
 //! checkpoints, window ticks, utilisation reports and the scaling policy) and
 //! drains the data plane with [`runtime::Runtime::drain`]. Tuples really flow
-//! through serialising [`seep_net`] channels and operators really execute, so
+//! through bounded [`seep_net`] channels and operators really execute, so
 //! wall-clock measurements of checkpoint cost, processing latency and
 //! recovery time are meaningful; virtual time only controls *when* periodic
 //! actions happen, which lets experiments with 30-second windows and
@@ -60,7 +60,7 @@ pub use plan::{FusionPolicy, PhysicalPlan, PlanManifest};
 pub use reconfig::{ReconfigKind, ReconfigPlan, SplitPolicy};
 pub use recovery::RecoveryStrategy;
 pub use runtime::{ConsolidateOutcome, RebalanceOutcome, Runtime, ScaleInOutcome, ScaleOutOutcome};
-pub use worker::WorkerCore;
+pub use worker::{WorkerCore, STEP_BUDGET};
 
 // Re-exported so experiment drivers can configure the checkpoint-store
 // subsystem without depending on `seep-store` directly.

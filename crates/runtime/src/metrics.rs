@@ -287,12 +287,8 @@ impl Metrics {
         *self.inner.lock().processed.entry(operator).or_insert(0) += n;
     }
 
-    /// Record a send that failed because the destination is gone.
-    pub fn record_dropped_send(&self) {
-        self.inner.lock().dropped_sends += 1;
-    }
-
-    /// Record `n` tuples dropped by one failed batch send.
+    /// Record `n` tuples dropped by one batch send that failed because the
+    /// destination is gone.
     pub fn record_dropped_sends(&self, n: u64) {
         self.inner.lock().dropped_sends += n;
     }
@@ -505,7 +501,7 @@ mod tests {
         m.record_processed(OperatorId::new(1), 10);
         m.record_processed(OperatorId::new(1), 5);
         m.record_processed(OperatorId::new(2), 1);
-        m.record_dropped_send();
+        m.record_dropped_sends(1);
         assert_eq!(m.processed_by(OperatorId::new(1)), 15);
         assert_eq!(m.processed_by(OperatorId::new(9)), 0);
         assert_eq!(m.snapshot().total_processed, 16);

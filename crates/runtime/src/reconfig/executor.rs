@@ -32,16 +32,19 @@
 //! Per-phase wall-clock durations are recorded in
 //! [`ReconfigTiming`](crate::metrics::ReconfigTiming).
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use seep_core::primitives::partition_checkpoint;
-use seep_core::{Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, TimestampVec};
+use seep_core::{
+    Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, TimestampVec, Tuple,
+};
 
 use crate::metrics::{ReconfigTiming, SplitKind};
 use crate::placement::first_fit_decreasing;
 use crate::reconfig::plan::{ReconfigKind, ReconfigPlan, SplitDecision};
 use crate::runtime::Runtime;
-use crate::worker::WorkerCore;
+use crate::worker::{WorkerCore, STEP_BUDGET};
 
 /// The result of executing a reconfiguration plan.
 #[derive(Debug, Clone)]
@@ -627,10 +630,9 @@ impl Runtime {
         let network = self.network.clone();
         let metrics = self.metrics.clone();
         let epoch = self.epoch;
-        let batch = self.config.worker_batch;
         for id in ops {
             if let Some(worker) = self.workers.get_mut(id) {
-                while worker.step(&network, &metrics, epoch, batch) > 0 {}
+                while worker.step(&network, &metrics, epoch, STEP_BUDGET) > 0 {}
             }
         }
     }
@@ -764,9 +766,7 @@ impl Runtime {
         reflected: &TimestampVec,
     ) -> Result<usize> {
         let new_routing = self.graph().routing(logical)?.clone();
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let mut replayed = 0;
+        let mut streams: BTreeMap<LogicalOpId, Vec<OperatorId>> = BTreeMap::new();
         for up in upstream_instances {
             let Some(worker) = self.workers.get_mut(up) else {
                 continue;
@@ -784,10 +784,38 @@ impl Runtime {
                     }
                 }
             }
-            for instance in new_instances {
-                replayed += worker.replay_to(instance.id, reflected, &network, &metrics);
+            streams.entry(worker.logical).or_default().push(*up);
+        }
+        // Sibling partitions of one upstream operator share an output stream
+        // and its clock, and the receiver's duplicate filter is a per-stream
+        // high watermark: what the siblings replay must arrive merged in
+        // timestamp order, or the later sibling's older tuples are dropped as
+        // duplicates. Each run of the merge is re-sent by the sibling that
+        // buffered it.
+        let mut replayed = 0;
+        for instance in new_instances {
+            for siblings in streams.values() {
+                let mut tuples: Vec<(OperatorId, Tuple)> = Vec::new();
+                for up in siblings {
+                    let unreflected = self.workers[up].unreflected(instance.id, reflected);
+                    tuples.extend(unreflected.into_iter().map(|tuple| (*up, tuple)));
+                }
+                tuples.sort_by_key(|(_, tuple)| tuple.ts);
+                replayed += tuples.len();
+                for run in tuples.chunk_by(|(a, _), (b, _)| a == b) {
+                    self.workers[&run[0].0].resend(
+                        instance.id,
+                        run.iter().map(|(_, tuple)| tuple.clone()),
+                        &self.network,
+                        &self.metrics,
+                    );
+                }
             }
-            worker.set_paused(false);
+        }
+        for up in upstream_instances {
+            if let Some(worker) = self.workers.get_mut(up) {
+                worker.set_paused(false);
+            }
         }
         Ok(replayed)
     }

@@ -419,48 +419,22 @@ impl Runtime {
     /// Process pending tuples until every worker's inbound channel is empty.
     /// Returns the total number of tuples processed.
     ///
-    /// With `worker_threads > 1` the drain runs on the parallel executor
-    /// (workers sharded across threads by placement VM); otherwise it is the
-    /// seed's cooperative single-threaded pass over the topological order.
-    /// Either way the plane is quiescent when this returns, which is the
-    /// barrier every checkpoint, tick and reconfiguration plan relies on.
+    /// Live workers are sharded across `worker_threads` OS threads by
+    /// placement VM and stepped in topological order until a full pass makes
+    /// no progress (`parallel.rs`). The plane is quiescent when this returns,
+    /// which is the barrier every checkpoint, tick and reconfiguration plan
+    /// relies on.
     pub fn drain(&mut self) -> u64 {
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let epoch = self.epoch;
-        let batch = self.config.worker_batch;
-        let threads = self
-            .config
-            .worker_threads
-            .max(1)
-            .min(self.workers.len().max(1));
-        let total = if threads > 1 {
-            crate::parallel::drain_parallel(
-                &mut self.workers,
-                &self.placement,
-                &network,
-                &metrics,
-                epoch,
-                batch,
-                threads,
-            )
-        } else {
-            let order: Vec<OperatorId> = self.topological_instances();
-            let mut total = 0u64;
-            loop {
-                let mut progressed = 0usize;
-                for id in &order {
-                    if let Some(worker) = self.workers.get_mut(id) {
-                        progressed += worker.step(&network, &metrics, epoch, batch);
-                    }
-                }
-                total += progressed as u64;
-                if progressed == 0 {
-                    break;
-                }
-            }
-            total
-        };
+        let order = self.topological_instances();
+        let total = crate::parallel::drain(
+            &mut self.workers,
+            &order,
+            &self.placement,
+            &self.network,
+            &self.metrics,
+            self.epoch,
+            self.config.worker_threads,
+        );
         self.refresh_obs();
         total
     }

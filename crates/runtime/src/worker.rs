@@ -24,6 +24,12 @@ use seep_net::{DataReceiver, Envelope, Message, Network};
 
 use crate::metrics::Metrics;
 
+/// Maximum envelopes a worker drains per [`WorkerCore::step`], bounding the
+/// work done before other workers get a turn. One value for every stepper:
+/// `Runtime::drain`, the reconfiguration executor and `seep-node`'s worker
+/// loop.
+pub const STEP_BUDGET: usize = 512;
+
 /// A logical-operator output clock shared by all partitions of that operator.
 ///
 /// Sharing the counter keeps timestamps unique and monotonic within one
@@ -32,11 +38,11 @@ use crate::metrics::Metrics;
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
     last: Arc<AtomicU64>,
-    /// Serialises [stamp + channel push] across sibling partitions when they
-    /// emit from different worker threads: downstream duplicate filters are
-    /// per-stream high watermarks, so a logical stream's timestamps must
-    /// reach each receiver in monotonic order. The cooperative stepper never
-    /// locks it.
+    /// Serialises [stamp + replay-buffer push + channel push] across sibling
+    /// partitions, which may ship from different worker threads: downstream
+    /// duplicate filters are per-stream high watermarks, so a logical
+    /// stream's timestamps must reach each receiver in monotonic order.
+    /// Every flush takes it; with one thread it is never contended.
     emit_gate: Arc<Mutex<()>>,
 }
 
@@ -46,16 +52,10 @@ impl SharedClock {
         Self::default()
     }
 
-    /// Advance the clock and return the new timestamp.
-    pub fn tick(&self) -> Timestamp {
-        self.last.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Reserve a contiguous block of `n` timestamps with one atomic bump and
-    /// return the first; the block is `first..first + n`. This is the batched
-    /// plane's amortisation of the per-output [`tick`](Self::tick): a batch of
-    /// outputs pays one clock update instead of one per tuple, and the
-    /// timestamps stay exactly the sequence per-tuple ticking would assign.
+    /// return the first; the block is `first..first + n`. A shipped batch
+    /// pays one clock update, not one per tuple, and the timestamps are
+    /// exactly the sequence one-at-a-time reservation would assign.
     pub fn tick_many(&self, n: u64) -> Timestamp {
         self.last.fetch_add(n, Ordering::Relaxed) + 1
     }
@@ -70,13 +70,6 @@ impl SharedClock {
     /// downstream (§3.2).
     pub fn reset_to(&self, ts: Timestamp) {
         self.last.store(ts, Ordering::Relaxed);
-    }
-
-    /// The gate a parallel dispatcher holds while stamping outputs and
-    /// pushing them onto downstream channels. Cloned out so the caller can
-    /// lock it while still mutating the worker that owns the clock.
-    pub(crate) fn emit_gate(&self) -> Arc<Mutex<()>> {
-        Arc::clone(&self.emit_gate)
     }
 }
 
@@ -97,31 +90,24 @@ pub struct WorkerCore {
     /// Whether this worker keeps output buffers for replay (disabled for
     /// intermediate operators under the source-replay baseline).
     pub keep_buffers: bool,
-    /// Output batch size towards downstream operators. 1 (the default)
-    /// reproduces the seed per-tuple path exactly: every output is sent as
-    /// its own `Message::Data` envelope the moment it is produced. Above 1,
-    /// outputs accumulate in per-target pending batches that are sent when
-    /// full and flushed at every step/tick boundary (and before any
-    /// reconfiguration pauses the worker).
+    /// Output batch size towards downstream operators: outputs accumulate in
+    /// per-target pending batches that all ship once one of them reaches
+    /// this size, and at every step/tick boundary (and before any
+    /// reconfiguration pauses the worker). At 1 (the default) every output
+    /// ships the moment it is produced, as a batch of one.
     pub out_batch: usize,
     /// Stamp a source emit time onto one in this many emitted tuples.
-    /// 1 — the default — stamps every tuple (the seed behaviour); larger
+    /// 1 — the default — stamps every tuple; larger
     /// values thin the sampling **at the stamp site**: unsampled tuples
     /// never acquire a timestamp at all (emit time 0), so they skip both
     /// `Instant::now` reads — the one here and the one the probe would have
     /// paid — and every probe downstream records exactly the tuples that
     /// carry a stamp.
     pub latency_sample_every: u64,
-    /// Position in the 1-in-N stamping sequence; advances only for tuples
-    /// that would have been stamped at N=1, so N=1 is bit-identical to full
-    /// stamping. Persistent across steps and ticks: hit counts stay exact
-    /// (⌈eligible/N⌉), not probabilistic.
+    /// Position in the 1-in-N stamping sequence; advances once per emitted
+    /// source or tick output. Persistent across steps and ticks: hit counts
+    /// stay exact (⌈eligible/N⌉), not probabilistic.
     latency_seq: u64,
-    /// Whether the worker is currently stepped by the parallel executor.
-    /// Dispatch then serialises [stamp + push] per logical operator through
-    /// the shared clock's emit gate, and batched outputs defer stamping to
-    /// ship time so sibling partitions interleave whole batches.
-    parallel: bool,
     operator: Box<dyn StatefulOperator>,
     receiver: DataReceiver,
     buffer: BufferState,
@@ -133,12 +119,13 @@ pub struct WorkerCore {
     /// in checkpoints so distribution-guided splits weight keys by the load
     /// they actually receive, not by their state footprint.
     traffic: TrafficStats,
-    /// Partially filled output batches per downstream target. In cooperative
-    /// mode tuples here are already stamped and in the output buffer (pushed
-    /// at route time); in parallel mode they are unstamped and buffered only
-    /// at ship time, under the emit gate. Either way a crash before the flush
-    /// loses nothing the replay protocol cannot restore.
+    /// Partially filled output batches per downstream target. Tuples here
+    /// are unstamped and not yet in the output buffer: both happen when they
+    /// are flushed, under the emit gate. They never outlive the step or tick
+    /// that produced them, except on a source between `emit_source` calls.
     pending: BTreeMap<OperatorId, TupleBatch>,
+    /// Routed copies across all of `pending`.
+    pending_copies: u64,
     paused: bool,
     failed: bool,
     processed: u64,
@@ -176,7 +163,6 @@ impl WorkerCore {
             out_batch: 1,
             latency_sample_every: 1,
             latency_seq: 0,
-            parallel: false,
             operator,
             receiver,
             buffer,
@@ -186,6 +172,7 @@ impl WorkerCore {
             ts: TimestampVec::new(),
             traffic: TrafficStats::new(),
             pending: BTreeMap::new(),
+            pending_copies: 0,
             paused: false,
             failed: false,
             processed: 0,
@@ -216,13 +203,13 @@ impl WorkerCore {
     }
 
     /// Crash-stop the worker: it stops processing and its in-memory state is
-    /// considered lost — including any partially filled output batches, which
-    /// only the replay protocol can regenerate (in cooperative mode they were
-    /// pushed to the output buffer at route time; parallel pending batches
-    /// never outlive the drain that produced them).
+    /// considered lost — including any partially filled output batches. Only
+    /// a source can hold any at this point (injected, not yet drained), and
+    /// sources are assumed reliable.
     pub fn mark_failed(&mut self) {
         self.failed = true;
         self.pending.clear();
+        self.pending_copies = 0;
     }
 
     /// Tuples processed so far.
@@ -238,7 +225,7 @@ impl WorkerCore {
     /// Number of output tuples sitting in partially filled batches, not yet
     /// sent downstream.
     pub fn pending_tuples(&self) -> usize {
-        self.pending.values().map(TupleBatch::len).sum()
+        self.pending_copies as usize
     }
 
     /// Immutable access to the hosted operator (for assertions and result
@@ -300,15 +287,6 @@ impl WorkerCore {
         &self.traffic
     }
 
-    /// Switch the worker between cooperative stepping (the default) and
-    /// parallel-executor stepping. Callers must flush pending batches before
-    /// turning parallel mode on: cooperative pending tuples are already
-    /// stamped, while parallel pending tuples take their timestamps at ship
-    /// time.
-    pub(crate) fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
     /// Advance the 1-in-N stamping sequence and report whether this emitted
     /// tuple should carry a source emit time (and hence be latency-probed
     /// downstream).
@@ -334,59 +312,25 @@ impl WorkerCore {
         (delta.as_secs_f64() * 1_000.0 / interval_ms as f64).min(1.0)
     }
 
-    /// Drain and process up to `batch` inbound envelopes. Returns the number
+    /// Drain and process up to `budget` inbound envelopes. Returns the number
     /// of data tuples processed.
     pub fn step(
         &mut self,
         network: &Network,
         metrics: &Metrics,
         epoch: Instant,
-        batch: usize,
+        budget: usize,
     ) -> usize {
         if self.failed || self.paused {
             return 0;
         }
         let mut processed = 0;
-        for _ in 0..batch {
+        for _ in 0..budget {
             let Ok(Some(envelope)) = self.receiver.recv_timeout(Duration::ZERO) else {
                 break;
             };
-            let Envelope {
-                message,
-                emitted_at_us,
-                ..
-            } = envelope;
-            match message {
-                Message::Data { stream, tuple } => {
-                    if !self.dedup.accept(stream, &tuple) {
-                        continue;
-                    }
-                    let started = Instant::now();
-                    let mut out = Vec::new();
-                    self.operator.process(stream, &tuple, &mut out);
-                    self.ts.advance(stream, tuple.ts);
-                    self.traffic.record(tuple.key);
-                    self.busy += started.elapsed();
-                    self.processed += 1;
-                    processed += 1;
-                    self.dispatch(out, emitted_at_us, network, metrics);
-                    // Sampling is thinned at the stamp site: every tuple that
-                    // carries a stamp is recorded (`emitted_at_us > 0`), so a
-                    // second 1-in-N gate here would square the thinning.
-                    if self.latency_probe && emitted_at_us > 0 {
-                        let now_us = epoch.elapsed().as_micros() as u64;
-                        metrics.record_latency_us(now_us.saturating_sub(emitted_at_us));
-                    }
-                }
-                Message::Control(_) => {
-                    // Coordinators manipulate worker state directly in this
-                    // controller-driven runtime; control envelopes are kept
-                    // for the wire protocol but are no-ops here.
-                }
-                Message::DataBatch { stream, batch } => {
-                    processed += self.process_data_batch(stream, batch, network, metrics, epoch);
-                }
-            }
+            let Message { stream, batch } = envelope.message;
+            processed += self.process_data_batch(stream, batch, network, metrics, epoch);
         }
         // Step boundaries are flush points: partial batches never outlive the
         // scheduling round that produced them, so `drain()` converges and
@@ -442,12 +386,17 @@ impl WorkerCore {
         }
         let count = accepted.len();
         self.processed += count as u64;
-        self.dispatch_batch(out, &emit_us, network, metrics);
+        // Each output inherits the source emit time of the input tuple that
+        // produced it.
+        let outputs = out
+            .into_items()
+            .into_iter()
+            .map(|(source, output)| (output, emit_us.get(source).copied().unwrap_or(0)));
+        self.emit(outputs, network, metrics);
         if self.latency_probe {
             // The clock read is deferred until the batch proves to contain a
             // stamped tuple; a batch of unstamped tuples costs no `Instant`
-            // read at all. All samples of one batch share one reading, as the
-            // seed's per-batch acquisition did.
+            // read at all. All samples of one batch share one reading.
             let mut now_us = None;
             for &emit in &emit_us {
                 if emit > 0 {
@@ -460,7 +409,8 @@ impl WorkerCore {
     }
 
     /// Inject a source tuple: the worker behaves as the data feeder, emitting
-    /// a tuple stamped by its logical clock towards its downstream operators.
+    /// a tuple towards its downstream operators (stamped by its logical clock
+    /// when its batch is flushed).
     pub fn emit_source(
         &mut self,
         key: Key,
@@ -475,14 +425,14 @@ impl WorkerCore {
         // The stamp site of 1-in-N latency sampling: tuples the sampler will
         // discard skip the `epoch.elapsed()` acquisition entirely and travel
         // with emit time 0, which every probe downstream ignores. At N=1 the
-        // gate always hits, reproducing the seed's stamp-every-tuple path.
+        // gate always hits.
         let emitted_at_us = if self.stamp_gate() {
             epoch.elapsed().as_micros() as u64
         } else {
             0
         };
-        let outputs = vec![OutputTuple::new(key, payload)];
-        self.dispatch(outputs, emitted_at_us, network, metrics);
+        let output = OutputTuple::new(key, payload);
+        self.emit([(output, emitted_at_us)], network, metrics);
     }
 
     /// Trigger time-based operator behaviour (window closes). Emitted tuples
@@ -497,205 +447,79 @@ impl WorkerCore {
         self.busy += started.elapsed();
         if !out.is_empty() {
             // Window emissions are stamp sites too: the clock is read once
-            // per tick (as the seed did) and the 1-in-N gate runs per output,
-            // so sampled tick emissions stay exactly ⌈emitted/N⌉.
+            // per tick and the 1-in-N gate runs per output, so sampled tick
+            // emissions stay exactly ⌈emitted/N⌉.
             let now_us = epoch.elapsed().as_micros() as u64;
-            if self.latency_sample_every > 1 {
-                for output in out {
-                    let emitted_at_us = if self.stamp_gate() { now_us } else { 0 };
-                    self.dispatch(vec![output], emitted_at_us, network, metrics);
-                }
-            } else {
-                self.dispatch(out, now_us, network, metrics);
-            }
+            let outputs: Vec<(OutputTuple, u64)> = out
+                .into_iter()
+                .map(|output| (output, if self.stamp_gate() { now_us } else { 0 }))
+                .collect();
+            self.emit(outputs, network, metrics);
         }
         // Window emissions must not linger in partial batches until the next
         // data tuple happens to arrive.
         self.flush_pending(network, metrics);
     }
 
-    fn dispatch(
+    /// Route each output to the pending batch of every downstream target its
+    /// key maps to. Once any pending batch reaches `out_batch`, all of them
+    /// ship (see [`flush_pending`](Self::flush_pending)).
+    fn emit(
         &mut self,
-        outputs: Vec<OutputTuple>,
-        emitted_at_us: u64,
+        outputs: impl IntoIterator<Item = (OutputTuple, u64)>,
         network: &Network,
         metrics: &Metrics,
     ) {
-        if outputs.is_empty() {
-            return;
-        }
-        if self.parallel {
-            if self.out_batch > 1 {
-                // Defer stamping to ship time: whole batches take contiguous
-                // timestamp blocks under the emit gate, so sibling partitions
-                // interleave batch-monotonically on the shared stream.
-                for output in outputs {
-                    self.enqueue_routed(output.with_ts(0), emitted_at_us, network, metrics);
-                }
-            } else {
-                let gate = self.clock.emit_gate();
-                let _stamping = gate.lock();
-                for output in outputs {
-                    let ts = self.clock.tick();
-                    self.route_immediate(output.with_ts(ts), emitted_at_us, network, metrics);
-                }
+        for (output, emitted_at_us) in outputs {
+            let mut filled = false;
+            for routing in self.routing.values() {
+                let Some(target) = routing.route(output.key) else {
+                    continue;
+                };
+                // Until the flush the timestamp field holds the copy's
+                // position among the pending copies.
+                let tuple = output.clone().with_ts(self.pending_copies);
+                self.pending_copies += 1;
+                let slot = self.pending.entry(target).or_default();
+                slot.push(tuple, emitted_at_us);
+                filled |= slot.len() >= self.out_batch;
             }
-            return;
-        }
-        for output in outputs {
-            let ts = self.clock.tick();
-            let tuple = output.with_ts(ts);
-            if self.out_batch > 1 {
-                self.enqueue_routed(tuple, emitted_at_us, network, metrics);
-            } else {
-                self.route_immediate(tuple, emitted_at_us, network, metrics);
+            if filled {
+                self.flush_pending(network, metrics);
             }
         }
     }
 
-    /// Route the outputs of a `process_batch` call, reserving the whole
-    /// timestamp block with one clock bump and mapping each output back to
-    /// its input tuple's source emit time.
-    fn dispatch_batch(
-        &mut self,
-        out: BatchOutput,
-        input_emit_us: &[u64],
-        network: &Network,
-        metrics: &Metrics,
-    ) {
-        if out.is_empty() {
-            return;
+    /// Stamp, buffer and send every pending output batch. Called when a
+    /// batch fills, at step and tick boundaries and by the reconfiguration
+    /// executor before any plan pauses or captures state, so batch boundaries
+    /// are invisible to the drain/pause/capture/replay protocol. Returns the
+    /// tuples flushed.
+    ///
+    /// All pending copies take one contiguous timestamp block **in the order
+    /// they were routed**, whichever target they go to, so the n-th copy an
+    /// operator routes after clock value `c` is always stamped `c + n`, however
+    /// the copies are grouped into batches and flushes. Recovery depends on
+    /// it: a restored operator re-emits in one replayed step what it first
+    /// emitted over many, and downstream duplicate filters recognise the
+    /// re-emissions by timestamp. (A fan-out output gets one timestamp per
+    /// target; buffers, trim and dedup are all per (stream, target), so
+    /// nothing depends on the copies sharing one.)
+    ///
+    /// Stamping, the replay-buffer push and the send happen under the emit
+    /// gate, so sibling partitions flushing concurrently each deliver a whole
+    /// block before the other's, and every receiver sees the shared logical
+    /// stream's timestamps increase.
+    pub fn flush_pending(&mut self, network: &Network, metrics: &Metrics) -> usize {
+        let copies = std::mem::take(&mut self.pending_copies);
+        if copies == 0 {
+            return 0;
         }
-        if self.parallel {
-            if self.out_batch > 1 {
-                for (source, output) in out.into_items() {
-                    let emitted_at_us = input_emit_us.get(source).copied().unwrap_or(0);
-                    // Unstamped until ship time (see `ship_batch`).
-                    self.enqueue_routed(output.with_ts(0), emitted_at_us, network, metrics);
-                }
-            } else {
-                let gate = self.clock.emit_gate();
-                let _stamping = gate.lock();
-                for (source, output) in out.into_items() {
-                    let emitted_at_us = input_emit_us.get(source).copied().unwrap_or(0);
-                    let tuple = output.with_ts(self.clock.tick());
-                    self.route_immediate(tuple, emitted_at_us, network, metrics);
-                }
-            }
-            return;
-        }
-        if self.out_batch > 1 {
-            let first = self.clock.tick_many(out.len() as u64);
-            for (offset, (source, output)) in out.into_items().into_iter().enumerate() {
-                let emitted_at_us = input_emit_us.get(source).copied().unwrap_or(0);
-                let tuple = output.with_ts(first + offset as u64);
-                self.enqueue_routed(tuple, emitted_at_us, network, metrics);
-            }
-        } else {
-            for (source, output) in out.into_items() {
-                let emitted_at_us = input_emit_us.get(source).copied().unwrap_or(0);
-                let tuple = output.with_ts(self.clock.tick());
-                self.route_immediate(tuple, emitted_at_us, network, metrics);
-            }
-        }
-    }
-
-    /// The seed per-tuple send: one `Message::Data` envelope per routed copy,
-    /// buffered for replay at route time.
-    fn route_immediate(
-        &mut self,
-        tuple: Tuple,
-        emitted_at_us: u64,
-        network: &Network,
-        metrics: &Metrics,
-    ) {
-        for routing in self.routing.values() {
-            let Some(target) = routing.route(tuple.key) else {
-                continue;
-            };
-            if self.keep_buffers {
-                self.buffer.push(target, tuple.clone());
-            }
-            let envelope = Envelope::new(
-                self.id,
-                target,
-                Message::data(StreamId(self.logical.0), tuple.clone()),
-            )
-            .with_emit_time(emitted_at_us);
-            if network.send(envelope).is_err() {
-                // The destination VM is gone; the tuple stays in the
-                // output buffer and will be replayed after recovery.
-                metrics.record_dropped_send();
-            }
-        }
-    }
-
-    /// The batched send: the routed copy joins the target's pending batch and
-    /// the batch ships as one envelope once it reaches `out_batch`. In
-    /// cooperative mode the tuple is buffered for replay at route time,
-    /// exactly like the immediate path; in parallel mode it is unstamped here
-    /// and both stamping and buffering happen at ship time, under the emit
-    /// gate.
-    fn enqueue_routed(
-        &mut self,
-        tuple: Tuple,
-        emitted_at_us: u64,
-        network: &Network,
-        metrics: &Metrics,
-    ) {
-        let mut filled = false;
-        for routing in self.routing.values() {
-            let Some(target) = routing.route(tuple.key) else {
-                continue;
-            };
-            if !self.parallel && self.keep_buffers {
-                self.buffer.push(target, tuple.clone());
-            }
-            let slot = self.pending.entry(target).or_default();
-            slot.push(tuple.clone(), emitted_at_us);
-            filled |= slot.len() >= self.out_batch;
-        }
-        if filled {
-            self.ship_full_slots(network, metrics);
-        }
-    }
-
-    /// Ship every pending batch that reached `out_batch`. Runs at most once
-    /// per `out_batch` enqueued tuples, so the slot scan amortises to nothing.
-    fn ship_full_slots(&mut self, network: &Network, metrics: &Metrics) {
-        let full: Vec<OperatorId> = self
-            .pending
-            .iter()
-            .filter(|(_, batch)| batch.len() >= self.out_batch)
-            .map(|(target, _)| *target)
-            .collect();
-        for target in full {
-            let batch = std::mem::take(self.pending.get_mut(&target).expect("slot exists"));
-            self.ship_batch(target, batch, network, metrics);
-        }
-    }
-
-    /// Put one batch on the wire. The cooperative path sends it as-is (its
-    /// tuples were stamped and buffered at route time). The parallel path
-    /// stamps the whole batch with one contiguous timestamp block and pushes
-    /// it into the replay buffer here, under the emit gate, so concurrent
-    /// sibling partitions emit monotonically on the shared logical stream.
-    fn ship_batch(
-        &mut self,
-        target: OperatorId,
-        mut batch: TupleBatch,
-        network: &Network,
-        metrics: &Metrics,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        if self.parallel {
-            let gate = self.clock.emit_gate();
-            let _stamping = gate.lock();
-            let first = self.clock.tick_many(batch.len() as u64);
-            for (offset, tuple) in batch.tuples.iter_mut().enumerate() {
-                tuple.ts = first + offset as u64;
+        let _stamping = self.clock.emit_gate.lock();
+        let first = self.clock.tick_many(copies);
+        for (target, mut batch) in std::mem::take(&mut self.pending) {
+            for tuple in &mut batch.tuples {
+                tuple.ts += first;
             }
             if self.keep_buffers {
                 for tuple in &batch.tuples {
@@ -703,35 +527,42 @@ impl WorkerCore {
                 }
             }
             send_batch(network, metrics, self.id, self.logical, target, batch);
-        } else {
+        }
+        copies as usize
+    }
+
+    /// Buffered tuples towards `target` that are newer than the timestamp
+    /// reflected for this worker's output stream in `reflected`
+    /// (`replay-buffer-state`, Algorithm 1 line 10), in timestamp order.
+    pub fn unreflected(&self, target: OperatorId, reflected: &TimestampVec) -> Vec<Tuple> {
+        let stream = StreamId(self.logical.0);
+        seep_core::primitives::replay_buffer_state(&self.buffer, target, stream, reflected)
+    }
+
+    /// Re-send already stamped and buffered `tuples` to `target` in
+    /// `out_batch`-sized batches. They keep their timestamps and carry no
+    /// source emit time, so they add no latency samples; the receiver's
+    /// duplicate filter drops whatever part of a batch it already saw.
+    pub fn resend(
+        &self,
+        target: OperatorId,
+        tuples: impl IntoIterator<Item = Tuple>,
+        network: &Network,
+        metrics: &Metrics,
+    ) {
+        let mut tuples = tuples.into_iter().peekable();
+        while tuples.peek().is_some() {
+            let tuples: Vec<Tuple> = tuples.by_ref().take(self.out_batch.max(1)).collect();
+            let batch = TupleBatch {
+                emitted_at_us: vec![0; tuples.len()],
+                tuples,
+            };
             send_batch(network, metrics, self.id, self.logical, target, batch);
         }
     }
 
-    /// Send every partially filled output batch downstream. Called at step
-    /// and tick boundaries and by the reconfiguration executor before any
-    /// plan pauses or captures state, so batch boundaries are invisible to
-    /// the drain/pause/capture/replay protocol. Returns the tuples flushed.
-    pub fn flush_pending(&mut self, network: &Network, metrics: &Metrics) -> usize {
-        if self.pending.is_empty() {
-            return 0;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let mut flushed = 0;
-        for (target, batch) in pending {
-            if batch.is_empty() {
-                continue;
-            }
-            flushed += batch.len();
-            self.ship_batch(target, batch, network, metrics);
-        }
-        flushed
-    }
-
-    /// Re-send buffered tuples towards `target` that are newer than the
-    /// timestamp reflected for this worker's output stream in `reflected`
-    /// (`replay-buffer-state`, Algorithm 1 line 10). Returns the number of
-    /// tuples replayed.
+    /// Replay to `target` everything [`unreflected`](Self::unreflected) by
+    /// it. Returns the number of tuples replayed.
     pub fn replay_to(
         &self,
         target: OperatorId,
@@ -739,16 +570,9 @@ impl WorkerCore {
         network: &Network,
         metrics: &Metrics,
     ) -> usize {
-        let stream = StreamId(self.logical.0);
-        let tuples =
-            seep_core::primitives::replay_buffer_state(&self.buffer, target, stream, reflected);
+        let tuples = self.unreflected(target, reflected);
         let count = tuples.len();
-        for tuple in tuples {
-            let envelope = Envelope::new(self.id, target, Message::data(stream, tuple));
-            if network.send(envelope).is_err() {
-                metrics.record_dropped_send();
-            }
-        }
+        self.resend(target, tuples, network, metrics);
         count
     }
 
@@ -756,6 +580,14 @@ impl WorkerCore {
     /// reflected-timestamp vector attached), output buffers, the value of
     /// the logical output clock and the decayed traffic counters (so
     /// distribution-guided splits can weight keys by observed load).
+    ///
+    /// Pending output batches are not part of it: they are unstamped and not
+    /// yet in the output buffer. That is sound because no checkpoint is ever
+    /// taken while a worker holds any — every step and tick ends with
+    /// [`flush_pending`](Self::flush_pending), every reconfiguration plan
+    /// flushes all workers first, and the only worker that can hold pending
+    /// tuples between steps is a source (after `emit_source`), which never
+    /// takes periodic checkpoints.
     pub fn take_checkpoint(&self, sequence: u64) -> Checkpoint {
         let mut processing = self.operator.get_processing_state();
         *processing.timestamps_mut() = self.ts.clone();
@@ -784,7 +616,7 @@ impl WorkerCore {
     }
 }
 
-/// Ship a full batch as one envelope. A failed send counts every tuple the
+/// Ship a batch as one envelope. A failed send counts every tuple the
 /// batch carried as dropped; they stay in the output buffer for replay.
 fn send_batch(
     network: &Network,
@@ -808,7 +640,7 @@ fn send_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seep_core::{KeyRange, StatelessFn, Tuple};
+    use seep_core::{KeyRange, StatelessFn};
 
     fn network() -> Network {
         Network::new(1024)
@@ -852,11 +684,11 @@ mod tests {
     fn shared_clock_is_monotonic_and_resettable() {
         let clock = SharedClock::new();
         let sibling = clock.clone();
-        assert_eq!(clock.tick(), 1);
-        assert_eq!(sibling.tick(), 2);
-        assert_eq!(clock.last(), 2);
+        assert_eq!(clock.tick_many(1), 1);
+        assert_eq!(sibling.tick_many(3), 2);
+        assert_eq!(clock.last(), 4);
         clock.reset_to(0);
-        assert_eq!(sibling.tick(), 1);
+        assert_eq!(sibling.tick_many(1), 1);
     }
 
     #[test]
@@ -988,13 +820,14 @@ mod tests {
             true,
         );
         let epoch = Instant::now();
-        let env = Envelope::new(
+        let mut batch = TupleBatch::new();
+        batch.push(Tuple::new(1, Key(1), vec![]), 1); // ~the epoch itself, so latency ≈ elapsed
+        net.send(Envelope::new(
             OperatorId::new(1),
             OperatorId::new(3),
-            Message::data(StreamId(0), Tuple::new(1, Key(1), vec![])),
-        )
-        .with_emit_time(1); // ~the epoch itself, so latency ≈ elapsed
-        net.send(env).unwrap();
+            Message::data_batch(StreamId(0), batch),
+        ))
+        .unwrap();
         sink.step(&net, &metrics, epoch, 4);
         assert_eq!(metrics.latency_samples(), 1);
     }
@@ -1020,11 +853,91 @@ mod tests {
         // two envelopes, six tuples, nothing left pending.
         assert_eq!(core.pending_tuples(), 0);
         let envelopes = downstream_rx.drain();
-        assert_eq!(envelopes.len(), 2);
         let counts: Vec<usize> = envelopes.iter().map(|e| e.message.tuple_count()).collect();
         assert_eq!(counts, vec![4, 2]);
-        // Replay buffers were filled at route time, before any send.
+        // Stamping happened at ship time: contiguous blocks, no zeros left.
+        let stamped: Vec<u64> = envelopes
+            .iter()
+            .flat_map(|e| e.message.batch.tuples.iter().map(|t| t.ts))
+            .collect();
+        assert_eq!(stamped, vec![1, 2, 3, 4, 5, 6]);
+        // So did replay buffering — and the buffer holds the stamped tuples.
+        let buffered: Vec<u64> = core
+            .buffer()
+            .tuples_for(OperatorId::new(2))
+            .iter()
+            .map(|t| t.ts)
+            .collect();
+        assert_eq!(buffered, stamped);
+
+        // Between steps only injected source tuples can be pending: they are
+        // neither stamped nor buffered yet, and a crash discards them.
+        core.out_batch = 100;
+        core.emit_source(Key(1), vec![1], &net, &metrics, epoch);
+        core.emit_source(Key(2), vec![2], &net, &metrics, epoch);
+        assert_eq!(core.pending_tuples(), 2);
+        assert_eq!(downstream_rx.queued(), 0, "nothing sent before the flush");
+        assert_eq!(core.clock().last(), 6, "nothing stamped before the flush");
         assert_eq!(core.buffer().tuples_for(OperatorId::new(2)).len(), 6);
+        core.mark_failed();
+        assert_eq!(core.pending_tuples(), 0);
+    }
+
+    #[test]
+    fn batch_of_one_ships_every_output_at_once() {
+        let net = network();
+        let metrics = Metrics::new();
+        let (mut core, downstream_rx) = worker_with_downstream(&net, 1, 2);
+        let epoch = Instant::now();
+        for n in 1..=3u64 {
+            core.emit_source(Key(n), vec![n as u8], &net, &metrics, epoch);
+            assert_eq!(core.pending_tuples(), 0);
+            assert_eq!(downstream_rx.queued(), n as usize);
+        }
+        let stamped: Vec<u64> = downstream_rx
+            .drain()
+            .iter()
+            .map(|e| {
+                assert_eq!(e.message.tuple_count(), 1);
+                e.message.batch.tuples[0].ts
+            })
+            .collect();
+        assert_eq!(stamped, vec![1, 2, 3]);
+        assert_eq!(core.buffer().tuples_for(OperatorId::new(2)).len(), 3);
+    }
+
+    #[test]
+    fn replay_resends_in_batches_with_original_timestamps_and_no_emit_time() {
+        let net = network();
+        let metrics = Metrics::new();
+        let (mut core, downstream_rx) = worker_with_downstream(&net, 1, 2);
+        core.out_batch = 4;
+        let epoch = Instant::now();
+        for n in 1..=10u64 {
+            core.emit_source(Key(n), vec![n as u8], &net, &metrics, epoch);
+        }
+        core.flush_pending(&net, &metrics);
+        downstream_rx.drain();
+
+        // The downstream reflected timestamps 1..=3: 4..=10 are replayed.
+        let mut reflected = TimestampVec::new();
+        reflected.advance(StreamId(1), 3);
+        assert_eq!(
+            core.replay_to(OperatorId::new(2), &reflected, &net, &metrics),
+            7
+        );
+        let envelopes = downstream_rx.drain();
+        let counts: Vec<usize> = envelopes.iter().map(|e| e.message.tuple_count()).collect();
+        assert_eq!(counts, vec![4, 3]);
+        let replayed: Vec<u64> = envelopes
+            .iter()
+            .flat_map(|e| e.message.batch.tuples.iter().map(|t| t.ts))
+            .collect();
+        assert_eq!(replayed, (4..=10).collect::<Vec<u64>>());
+        assert!(envelopes
+            .iter()
+            .all(|e| e.message.batch.emitted_at_us.iter().all(|&us| us == 0)));
+        assert_eq!(core.clock().last(), 10, "replay must not advance the clock");
     }
 
     #[test]
@@ -1091,89 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_worker_loses_pending_batches() {
-        let net = network();
-        let metrics = Metrics::new();
-        let (mut core, downstream_rx) = worker_with_downstream(&net, 1, 2);
-        core.out_batch = 100;
-        let epoch = Instant::now();
-        core.emit_source(Key(1), vec![1], &net, &metrics, epoch);
-        core.emit_source(Key(2), vec![2], &net, &metrics, epoch);
-        assert_eq!(core.pending_tuples(), 2);
-        assert_eq!(downstream_rx.queued(), 0, "nothing sent before the flush");
-        core.mark_failed();
-        assert_eq!(core.pending_tuples(), 0);
-        // The tuples were buffered at route time: replay can regenerate them.
-        assert_eq!(core.buffer().tuples_for(OperatorId::new(2)).len(), 2);
-    }
-
-    #[test]
-    fn parallel_batched_outputs_stamp_and_buffer_at_ship_time() {
-        let net = network();
-        let metrics = Metrics::new();
-        let (mut core, downstream_rx) = worker_with_downstream(&net, 1, 2);
-        core.out_batch = 4;
-        core.set_parallel(true);
-        let epoch = Instant::now();
-        for ts in 1..=6u64 {
-            net.send_tuple(
-                OperatorId::new(0),
-                OperatorId::new(1),
-                StreamId(0),
-                Tuple::new(ts, Key(ts), vec![ts as u8]),
-            )
-            .unwrap();
-        }
-        assert_eq!(core.step(&net, &metrics, epoch, 16), 6);
-        let envelopes = downstream_rx.drain();
-        assert_eq!(envelopes.len(), 2);
-        let mut stamped = Vec::new();
-        for env in &envelopes {
-            match &env.message {
-                Message::DataBatch { batch, .. } => {
-                    stamped.extend(batch.tuples.iter().map(|t| t.ts));
-                }
-                _ => panic!("expected batches"),
-            }
-        }
-        // Stamping happened at ship time: contiguous blocks, no zeros left.
-        assert_eq!(stamped, vec![1, 2, 3, 4, 5, 6]);
-        // Replay buffering moved to ship time too — and holds stamped tuples.
-        let buffered = core.buffer().tuples_for(OperatorId::new(2));
-        assert_eq!(buffered.len(), 6);
-        assert!(buffered.iter().all(|t| t.ts > 0));
-    }
-
-    #[test]
-    fn parallel_per_tuple_path_stamps_under_the_gate() {
-        let net = network();
-        let metrics = Metrics::new();
-        let (mut core, downstream_rx) = worker_with_downstream(&net, 1, 2);
-        core.set_parallel(true);
-        let epoch = Instant::now();
-        for ts in 1..=3u64 {
-            net.send_tuple(
-                OperatorId::new(0),
-                OperatorId::new(1),
-                StreamId(0),
-                Tuple::new(ts, Key(ts), vec![]),
-            )
-            .unwrap();
-        }
-        assert_eq!(core.step(&net, &metrics, epoch, 16), 3);
-        let stamped: Vec<u64> = downstream_rx
-            .drain()
-            .into_iter()
-            .map(|env| match env.message {
-                Message::Data { tuple, .. } => tuple.ts,
-                _ => panic!("expected per-tuple envelopes"),
-            })
-            .collect();
-        assert_eq!(stamped, vec![1, 2, 3]);
-        assert_eq!(core.buffer().tuples_for(OperatorId::new(2)).len(), 3);
-    }
-
-    #[test]
     fn latency_sampling_thins_at_the_stamp_site() {
         let net = network();
         let metrics = Metrics::new();
@@ -1190,7 +1020,7 @@ mod tests {
         let emits: Vec<bool> = downstream_rx
             .drain()
             .into_iter()
-            .map(|env| env.emitted_at_us > 0)
+            .map(|env| env.message.batch.emitted_at_us[0] > 0)
             .collect();
         assert_eq!(
             emits,

@@ -1,16 +1,23 @@
-//! Batch/tuple equivalence property suite: running the same query over the
-//! same injected stream with any per-edge batch size must be observably
-//! identical to the per-tuple run (batch size 1, the seed's data plane) —
-//! same sink outputs in the same order, same per-operator processed counts,
-//! same emit clocks and the same number of per-tuple latency samples.
+//! Batch equivalence property suite: running the same query over the same
+//! injected stream with any per-edge batch size must be observably identical
+//! to the run at batch size 1 — same sink outputs in the same order, same
+//! per-operator processed counts, same emit clocks and the same number of
+//! per-tuple latency samples — and both must equal the expectation
+//! recomputed from the injected sentences ([`common::Oracle`]): every batch
+//! size runs the same data-plane code, so agreeing with each other is not
+//! enough.
 //!
 //! Set `SEEP_STORE=file` to run the whole suite against the durable
 //! `FileStore` checkpoint backend (CI does); the default is the in-memory
 //! backend.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
+
+use common::{sentence_chunks, Fingerprint, Oracle, STEP_MS};
 
 use seep::core::Key;
 use seep::operators::word_count::WordFrequency;
@@ -39,19 +46,6 @@ fn store_config() -> StoreConfig {
         }
         _ => StoreConfig::mem(),
     }
-}
-
-/// Everything observable about one run, compared across batch sizes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Fingerprint {
-    /// `(word, count, window)` in sink arrival order.
-    sink_outputs: Vec<(String, u64, u64)>,
-    /// Tuples processed per logical operator, in chain order.
-    processed: Vec<(String, u64)>,
-    /// Emit-clock value per logical operator, in chain order.
-    emit_clocks: Vec<(String, u64)>,
-    /// End-to-end latency samples recorded (one per sink tuple).
-    latency_samples: usize,
 }
 
 /// Deploy feeder → splitter → `relays` pass-through stages → windowed word
@@ -88,20 +82,14 @@ fn run_chain(
     names.push("sink".to_string());
     let mut handle = builder.deploy().expect("deploy");
 
-    let mut sequence = 0u64;
     let mut now = handle.now_ms();
-    for &chunk in chunks {
-        for _ in 0..chunk {
-            // Deterministic two-word sentences over a bounded vocabulary.
-            let a = (sequence * 7 + 3) % vocabulary as u64;
-            let b = (sequence * 13 + 5) % vocabulary as u64;
-            let sentence = format!("word{a} word{b}");
+    for chunk in sentence_chunks(chunks, vocabulary, false) {
+        for sentence in chunk {
             handle
                 .inject_encoded("feeder", Key::from_str_key(&sentence), &sentence)
                 .expect("inject");
-            sequence += 1;
         }
-        now += 500;
+        now += STEP_MS;
         handle.advance_to(now);
         handle.drain();
     }
@@ -137,6 +125,28 @@ fn run_chain(
     }
 }
 
+/// What any run of [`run_chain`] over the same input must fingerprint as,
+/// up to sink arrival order: the feeder emits one tuple per sentence, the
+/// splitter one per word, relays pass words through, the counter turns them
+/// into window results and the sink consumes those. The planner fuses the
+/// splitter and its relays into one unit and `processed_by` reads the
+/// hosting instance's counter, so a relay reports what the unit took in —
+/// sentences — while its emit clock is attributed per stage.
+fn recomputed(relays: usize, chunks: &[usize], vocabulary: usize) -> Fingerprint {
+    let oracle = Oracle::fold(&sentence_chunks(chunks, vocabulary, false), WINDOW_MS);
+    let relay_names: Vec<String> = (0..relays).map(|relay| format!("relay{relay}")).collect();
+    let mut stages = vec![
+        ("feeder", 0, oracle.sentences),
+        ("splitter", oracle.sentences, oracle.words),
+    ];
+    for name in &relay_names {
+        stages.push((name.as_str(), oracle.sentences, oracle.words));
+    }
+    stages.push(("counter", oracle.words, oracle.result_count()));
+    stages.push(("sink", oracle.result_count(), 0));
+    oracle.fingerprint(&stages)
+}
+
 #[test]
 fn common_batch_sizes_match_the_per_tuple_run() {
     let chunks = [12, 1, 30, 7, 19];
@@ -145,6 +155,7 @@ fn common_batch_sizes_match_the_per_tuple_run() {
         !baseline.sink_outputs.is_empty(),
         "windows must have closed: {baseline:?}"
     );
+    assert_eq!(baseline.clone().sorted(), recomputed(0, &chunks, 23));
     for batch in [2, 3, 64, 256] {
         let batched = run_chain(batch, None, 0, &chunks, 23);
         assert_eq!(baseline, batched, "batch={batch} diverged");
@@ -155,6 +166,7 @@ fn common_batch_sizes_match_the_per_tuple_run() {
 fn per_edge_batch_override_matches_the_per_tuple_run() {
     let chunks = [20, 5, 33];
     let baseline = run_chain(1, None, 1, &chunks, 17);
+    assert_eq!(baseline.clone().sorted(), recomputed(1, &chunks, 17));
     // Job-wide batch 8 with the splitter's (hottest) edges at 64.
     let mixed = run_chain(8, Some(64), 1, &chunks, 17);
     assert_eq!(baseline, mixed);
@@ -191,6 +203,7 @@ proptest! {
     ) {
         let baseline = run_chain(1, None, relays, &chunks, vocabulary);
         let batched = run_chain(batch, None, relays, &chunks, vocabulary);
-        prop_assert_eq!(baseline, batched);
+        prop_assert_eq!(&baseline, &batched);
+        prop_assert_eq!(baseline.sorted(), recomputed(relays, &chunks, vocabulary));
     }
 }

@@ -138,6 +138,32 @@ fn vm_crash_recovery_mid_batch_matches_baseline() {
 }
 
 #[test]
+fn recovering_a_producer_of_partitioned_downstreams_matches_baseline() {
+    // The splitter chain feeds two counter partitions, so each of its output
+    // batches towards one partition interleaves on the shared output clock
+    // with batches towards the other. It crashes past the 5 s checkpoint and
+    // re-emits, in ONE replayed step, what it first emitted over two drains:
+    // the re-emissions must carry the timestamps of the originals, or the
+    // partitions' duplicate filters count words twice or drop new ones.
+    let expected = baseline(RuntimeConfig::default());
+    for threads in [1, 2] {
+        let config = batched(RuntimeConfig::default()).with_worker_threads(threads);
+        let counted = drive(config, |harness, s| {
+            if s == 1 {
+                let target = harness.handle.partitions(harness.counter)[0];
+                harness.handle.scale_out(target, 2).expect("scale out");
+            }
+            if s == 6 {
+                let victim = harness.handle.partitions(harness.splitter)[0];
+                harness.handle.fail_operator(victim);
+                harness.handle.recover(victim, 1).expect("recovery");
+            }
+        });
+        assert_eq!(counted, expected, "worker_threads={threads}");
+    }
+}
+
+#[test]
 fn batched_consolidate_with_durable_backend_matches_baseline() {
     let dir = std::env::temp_dir().join(format!("seep-batch-reconfig-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,12 +10,21 @@
 //! The fused arm uses [`FusionPolicy::FuseKeepBatches`] so both arms run the
 //! exact same per-edge batch sizes and only the fusion itself differs.
 //!
+//! Both arms share the data plane, so they are also held to the expectation
+//! recomputed from the injected sentences ([`common::Oracle`]): the whole
+//! fingerprint without plans, and with plans what reconfiguration must leave
+//! invisible — every word's total count and the unreconfigured stages'
+//! clocks.
+//!
 //! Set `SEEP_STORE=file` to run the whole suite against the durable
 //! `FileStore` checkpoint backend (CI does); the default is the in-memory
 //! backend. One test additionally pins the durable backend explicitly.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use common::{sentence_chunks, Fingerprint, Oracle, STEP_MS};
 use seep::core::Key;
 use seep::operators::word_count::WordFrequency;
 use seep::operators::{EmptyTokenFilter, SentenceTokenizer, WindowedWordCount, WordKeyer};
@@ -56,22 +65,6 @@ fn file_store() -> StoreConfig {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     StoreConfig::file(dir)
-}
-
-/// Everything observable about one run, compared across fusion policies.
-/// Processed counts and emit clocks go through the handle's attribution
-/// path, so on the fused arm they are read back out of the fused unit's
-/// per-stage counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Fingerprint {
-    /// `(word, count, window)` in sink arrival order.
-    sink_outputs: Vec<(String, u64, u64)>,
-    /// Tuples processed per logical operator, in chain order.
-    processed: Vec<(String, u64)>,
-    /// Emit-clock value per logical operator, in chain order.
-    emit_clocks: Vec<(String, u64)>,
-    /// End-to-end latency samples recorded.
-    latency_samples: usize,
 }
 
 /// A reconfiguration plan applied after the chunk with the given 0-based
@@ -129,7 +122,9 @@ fn apply(handle: &mut JobHandle, step: PlanStep) {
 /// `chunks` of punctuated two-word sentences (one drain and 500 ms of
 /// virtual time per chunk — the punctuation makes the tokenizer emit empty
 /// segments for the filter to drop), apply any due plans between chunks,
-/// close the final window and fingerprint the run.
+/// close the final window and fingerprint the run. Processed counts and emit
+/// clocks go through the handle's attribution path, so on the fused arm they
+/// are read back out of the fused unit's per-stage counters.
 fn run_chain(
     fusion: FusionPolicy,
     batch: usize,
@@ -160,20 +155,17 @@ fn run_chain(
         "the arm must exercise the policy it claims to"
     );
 
-    let mut sequence = 0u64;
     let mut now = handle.now_ms();
-    for (index, &chunk) in chunks.iter().enumerate() {
-        for _ in 0..chunk {
-            // Deterministic punctuated sentences over a bounded vocabulary.
-            let a = (sequence * 7 + 3) % vocabulary as u64;
-            let b = (sequence * 13 + 5) % vocabulary as u64;
-            let sentence = format!(" word{a}, word{b}!");
+    for (index, chunk) in sentence_chunks(chunks, vocabulary, true)
+        .into_iter()
+        .enumerate()
+    {
+        for sentence in chunk {
             handle
                 .inject_encoded("feeder", Key::from_str_key(&sentence), &sentence)
                 .expect("inject");
-            sequence += 1;
         }
-        now += 500;
+        now += STEP_MS;
         handle.advance_to(now);
         handle.drain();
         for &(after, step) in plans {
@@ -206,6 +198,35 @@ fn run_chain(
     }
 }
 
+/// What a never-reconfigured run of [`run_chain`] over the same input must
+/// fingerprint as, up to sink arrival order: the tokenizer emits one segment
+/// per gap between separators, the filter passes the non-empty ones and the
+/// keyer re-keys them one for one.
+fn recomputed(chunks: &[usize], vocabulary: usize) -> Fingerprint {
+    let oracle = Oracle::fold(&sentence_chunks(chunks, vocabulary, true), WINDOW_MS);
+    oracle.fingerprint(&[
+        ("feeder", 0, oracle.sentences),
+        ("tokenizer", oracle.sentences, oracle.segments),
+        ("word_filter", oracle.segments, oracle.words),
+        ("word_keyer", oracle.words, oracle.words),
+        ("counter", oracle.words, oracle.result_count()),
+        ("sink", oracle.result_count(), 0),
+    ])
+}
+
+/// What reconfiguration plans against the chain's head and the counter must
+/// leave invisible: every word counted exactly once overall, the output
+/// clocks of the feeder and the chain (scaling out shares a clock, it does
+/// not restart it), and one latency sample per sink tuple.
+fn assert_plans_were_invisible(run: &Fingerprint, chunks: &[usize], vocabulary: usize) {
+    let oracle = Oracle::fold(&sentence_chunks(chunks, vocabulary, true), WINDOW_MS);
+    assert_eq!(run.word_totals(), oracle.totals);
+    assert_eq!(run.emit_clock("feeder"), oracle.sentences);
+    assert_eq!(run.emit_clock("tokenizer"), oracle.segments);
+    assert_eq!(run.emit_clock("word_keyer"), oracle.words);
+    assert_eq!(run.latency_samples, run.sink_outputs.len());
+}
+
 #[test]
 fn fused_plan_matches_the_unfused_plan() {
     let chunks = [40, 25, 1, 33, 18];
@@ -223,6 +244,7 @@ fn fused_plan_matches_the_unfused_plan() {
             !unfused.sink_outputs.is_empty(),
             "windows must have closed: {unfused:?}"
         );
+        assert_eq!(unfused.clone().sorted(), recomputed(&chunks, 23));
         let fused = run_chain(
             FusionPolicy::FuseKeepBatches,
             batch,
@@ -257,6 +279,7 @@ fn scaled_out_chain_matches() {
         &plans,
     );
     assert!(!unfused.sink_outputs.is_empty());
+    assert_plans_were_invisible(&unfused, &chunks, 17);
     let fused = run_chain(
         FusionPolicy::FuseKeepBatches,
         64,
@@ -293,6 +316,7 @@ fn all_five_plan_kinds_match() {
             &plans,
         );
         assert!(!unfused.sink_outputs.is_empty());
+        assert_plans_were_invisible(&unfused, &chunks, 29);
         let fused = run_chain(
             FusionPolicy::FuseKeepBatches,
             batch,
@@ -323,6 +347,7 @@ fn durable_file_store_matches() {
         &plans,
     );
     assert!(!unfused.sink_outputs.is_empty());
+    assert_plans_were_invisible(&unfused, &chunks, 19);
     let fused = run_chain(
         FusionPolicy::FuseKeepBatches,
         64,

@@ -6,7 +6,11 @@
 //! The query has fan-out (the forwarder feeds both the toll calculator and
 //! the toll assessment) and fan-in (the collector merges assessment and
 //! account output), so it exercises the job builder's `branch`/`connect`
-//! path rather than the linear `then_*` chaining.
+//! path rather than the linear `then_*` chaining. It is also the only query
+//! whose operators emit to several targets and merge several streams, so the
+//! last test runs it batched, on one and on two worker threads, through a
+//! scale-out and a recovery, and requires the sink to see exactly what a
+//! never-reconfigured run sees.
 
 use seep::api::{passthrough, Job, JobHandle, SinkCollector};
 use seep::core::{Key, LogicalOpId};
@@ -25,8 +29,12 @@ struct LrbHarness {
 }
 
 fn deploy() -> LrbHarness {
+    deploy_with(RuntimeConfig::default())
+}
+
+fn deploy_with(config: RuntimeConfig) -> LrbHarness {
     let sink = SinkCollector::new();
-    let handle = Job::builder(RuntimeConfig::default())
+    let handle = Job::builder(config)
         .source("data_feeder", passthrough("feeder"))
         .then_stateless("forwarder", Forwarder::new)
         .then_stateful("toll_calculator", TollCalculator::new)
@@ -53,13 +61,19 @@ fn deploy() -> LrbHarness {
 }
 
 fn feed_seconds(h: &mut LrbHarness, generator: &mut LrbGenerator, seconds: u32) {
-    for t in 0..seconds {
+    feed_range(h, generator, 0..seconds);
+}
+
+/// Feed the given simulated seconds, one drain and one second of virtual
+/// time each.
+fn feed_range(h: &mut LrbHarness, generator: &mut LrbGenerator, seconds: std::ops::Range<u32>) {
+    for t in seconds {
         for record in generator.generate_second(t) {
             let key = Key::from_u64(u64::from(record.time()) << 32 | t as u64);
             let payload = bincode::serialize(&record).expect("serialise");
             h.handle.inject(h.src, key, payload);
         }
-        h.handle.advance_to(((t + 1) as u64) * 1_000);
+        h.handle.advance_to(h.handle.now_ms() + 1_000);
         h.handle.drain();
     }
 }
@@ -167,4 +181,79 @@ fn toll_calculator_scale_out_and_recovery_keep_accounting_consistent() {
         "sum of account balances must equal the tolls delivered to the sink"
     );
     assert_eq!(h.handle.parallelism(h.toll_calc), 2);
+}
+
+/// Toll notifications as `(vid, toll)` and balance responses as
+/// `(vid, balance)`, both sorted.
+type SinkContents = (Vec<(u32, u32)>, Vec<(u32, u64)>);
+
+/// Everything the sink saw, order-insensitively: sibling partitions may
+/// deliver in any order; what is delivered may not change.
+fn sink_contents(h: &LrbHarness) -> SinkContents {
+    let (mut tolls, mut balances) = (sink_tolls(h), sink_balances(h));
+    tolls.sort_unstable();
+    balances.sort_unstable();
+    (tolls, balances)
+}
+
+/// Twenty seconds of traffic with balance queries, batched at 64. With
+/// `reconfigure` the toll calculator is scaled out after second 6 and the
+/// toll assessment — fed by the forwarder *and* by both calculator
+/// partitions, feeding the balance account *and* the collector — crashes
+/// after second 14 and is restored from the checkpoint of the idle round
+/// after second 6: eight seconds of both input streams are replayed in
+/// batches (the calculator siblings' merged by timestamp) and everything it
+/// emitted since is re-emitted towards both targets.
+///
+/// The scale-out is preceded by an idle checkpoint round. Scale out starts
+/// from the *backed-up* checkpoint and replays what came after (Algorithm 3);
+/// a partitioned operator cannot rewind its shared clock, so an operator that
+/// emits per input — the calculator, unlike a windowed counter — re-emits
+/// those tuples' notifications under fresh timestamps. With nothing to
+/// replay the plan is exact, and what is under test here is the data plane.
+fn batched_run(worker_threads: usize, reconfigure: bool) -> SinkContents {
+    let config = RuntimeConfig::default()
+        .with_batch_size(64)
+        .with_worker_threads(worker_threads);
+    let mut h = deploy_with(config);
+    let mut generator = LrbGenerator::new(LrbConfig {
+        expressways: 2,
+        duration_secs: 200,
+        balance_query_fraction: 0.05,
+        ..Default::default()
+    });
+    feed_range(&mut h, &mut generator, 0..6);
+    h.handle.advance_to(h.handle.now_ms() + 6_000);
+    if reconfigure {
+        let target = h.handle.partitions(h.toll_calc)[0];
+        h.handle.scale_out(target, 2).expect("scale out");
+    }
+    feed_range(&mut h, &mut generator, 6..14);
+    if reconfigure {
+        let victim = h.handle.partitions(h.toll_assess)[0];
+        h.handle.fail_operator(victim);
+        h.handle.recover(victim, 1).expect("recovery");
+        h.handle.drain();
+    }
+    feed_range(&mut h, &mut generator, 14..20);
+    let charged: u64 = sink_tolls(&h).iter().map(|(_, t)| u64::from(*t)).sum();
+    assert_eq!(total_balance(&h), charged);
+    sink_contents(&h)
+}
+
+#[test]
+fn batched_fan_out_and_fan_in_survive_scale_out_and_recovery() {
+    for worker_threads in [1, 2] {
+        let (tolls, balances) = batched_run(worker_threads, false);
+        assert!(!tolls.is_empty() && !balances.is_empty());
+        let (tolls_reconfigured, balances_reconfigured) = batched_run(worker_threads, true);
+        assert_eq!(
+            tolls_reconfigured, tolls,
+            "worker_threads={worker_threads}: toll notifications at the sink"
+        );
+        assert_eq!(
+            balances_reconfigured, balances,
+            "worker_threads={worker_threads}: balance responses at the sink"
+        );
+    }
 }

@@ -1,19 +1,27 @@
-//! Parallel/cooperative equivalence suite: draining the same query over the
-//! same injected stream on the threaded worker pool (`worker_threads` ∈
-//! {2, 4}) must be observably identical to the cooperative single-threaded
-//! stepper — same sink outputs in the same order, same per-operator
-//! processed counts, same emit clocks and the same number of latency
-//! samples — including with reconfiguration plans of all five kinds
+//! Thread-count equivalence suite: draining the same query over the same
+//! injected stream across several worker threads (`worker_threads` ∈
+//! {2, 4}) must be observably identical to draining it on the calling thread
+//! (`worker_threads = 1`) — same sink outputs in the same order, same
+//! per-operator processed counts, same emit clocks and the same number of
+//! latency samples — including with reconfiguration plans of all five kinds
 //! (scale out, rebalance, scale in, consolidate, recovery) executed
-//! mid-stream between drains.
+//! mid-stream between drains. Every thread count runs the same drain loop,
+//! so the runs are also held to the expectation recomputed from the
+//! injected sentences ([`common::Oracle`]): the whole fingerprint without
+//! plans, and with plans what reconfiguration must leave invisible — every
+//! word's total count and the unreconfigured operators' clocks.
 //!
 //! Set `SEEP_STORE=file` to run the whole suite against the durable
 //! `FileStore` checkpoint backend (CI does); the default is the in-memory
 //! backend. One test additionally pins the durable backend explicitly.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
+
+use common::{sentence_chunks, Fingerprint, Oracle, STEP_MS};
 
 use seep::core::Key;
 use seep::operators::word_count::WordFrequency;
@@ -45,19 +53,6 @@ fn file_store() -> StoreConfig {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     StoreConfig::file(dir)
-}
-
-/// Everything observable about one run, compared across thread counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Fingerprint {
-    /// `(word, count, window)` in sink arrival order.
-    sink_outputs: Vec<(String, u64, u64)>,
-    /// Tuples processed per logical operator, in chain order.
-    processed: Vec<(String, u64)>,
-    /// Emit-clock value per logical operator, in chain order.
-    emit_clocks: Vec<(String, u64)>,
-    /// End-to-end latency samples recorded.
-    latency_samples: usize,
 }
 
 /// A reconfiguration plan applied after the chunk with the given 0-based
@@ -137,20 +132,17 @@ fn run_chain(
         .expect("deploy");
     let names = ["feeder", "splitter", "counter", "sink"];
 
-    let mut sequence = 0u64;
     let mut now = handle.now_ms();
-    for (index, &chunk) in chunks.iter().enumerate() {
-        for _ in 0..chunk {
-            // Deterministic two-word sentences over a bounded vocabulary.
-            let a = (sequence * 7 + 3) % vocabulary as u64;
-            let b = (sequence * 13 + 5) % vocabulary as u64;
-            let sentence = format!("word{a} word{b}");
+    for (index, chunk) in sentence_chunks(chunks, vocabulary, false)
+        .into_iter()
+        .enumerate()
+    {
+        for sentence in chunk {
             handle
                 .inject_encoded("feeder", Key::from_str_key(&sentence), &sentence)
                 .expect("inject");
-            sequence += 1;
         }
-        now += 500;
+        now += STEP_MS;
         handle.advance_to(now);
         handle.drain();
         for &(after, step) in plans {
@@ -192,15 +184,40 @@ fn run_chain(
     }
 }
 
+/// What a never-reconfigured run of [`run_chain`] over the same input must
+/// fingerprint as, up to sink arrival order.
+fn recomputed(oracle: &Oracle) -> Fingerprint {
+    oracle.fingerprint(&[
+        ("feeder", 0, oracle.sentences),
+        ("splitter", oracle.sentences, oracle.words),
+        ("counter", oracle.words, oracle.result_count()),
+        ("sink", oracle.result_count(), 0),
+    ])
+}
+
+/// What reconfiguration plans against the splitter and the counter must
+/// leave invisible: every word counted exactly once overall, the feeder's
+/// and the splitter's output clocks (scaling out shares the clock, it does
+/// not restart it), and one latency sample per sink tuple.
+fn assert_plans_were_invisible(run: &Fingerprint, chunks: &[usize], vocabulary: usize) {
+    let oracle = Oracle::fold(&sentence_chunks(chunks, vocabulary, false), WINDOW_MS);
+    assert_eq!(run.word_totals(), oracle.totals);
+    assert_eq!(run.emit_clock("feeder"), oracle.sentences);
+    assert_eq!(run.emit_clock("splitter"), oracle.words);
+    assert_eq!(run.latency_samples, run.sink_outputs.len());
+}
+
 #[test]
 fn worker_pool_matches_the_cooperative_stepper() {
     let chunks = [40, 25, 1, 33, 18];
+    let oracle = Oracle::fold(&sentence_chunks(&chunks, 23, false), WINDOW_MS);
     for batch in [1, 64] {
         let baseline = run_chain(1, batch, 1, store_config(), &chunks, 23, &[]);
         assert!(
             !baseline.sink_outputs.is_empty(),
             "windows must have closed: {baseline:?}"
         );
+        assert_eq!(baseline.clone().sorted(), recomputed(&oracle));
         for threads in [2, 4] {
             let pooled = run_chain(threads, batch, 1, store_config(), &chunks, 23, &[]);
             assert_eq!(baseline, pooled, "threads={threads} batch={batch} diverged");
@@ -220,6 +237,7 @@ fn scaled_out_stages_match_under_the_pool() {
     ];
     let baseline = run_chain(1, 64, 1, store_config(), &chunks, 17, &plans);
     assert!(!baseline.sink_outputs.is_empty());
+    assert_plans_were_invisible(&baseline, &chunks, 17);
     for threads in [2, 4] {
         let pooled = run_chain(threads, 64, 1, store_config(), &chunks, 17, &plans);
         assert_eq!(baseline, pooled, "threads={threads} diverged");
@@ -241,6 +259,7 @@ fn all_five_plan_kinds_match_under_the_pool() {
     ];
     let baseline = run_chain(1, 64, 2, store_config(), &chunks, 29, &plans);
     assert!(!baseline.sink_outputs.is_empty());
+    assert_plans_were_invisible(&baseline, &chunks, 29);
     for threads in [2, 4] {
         let pooled = run_chain(threads, 64, 2, store_config(), &chunks, 29, &plans);
         assert_eq!(baseline, pooled, "threads={threads} diverged");
@@ -256,6 +275,7 @@ fn durable_file_store_matches_under_the_pool() {
     let plans = [(0, PlanStep::ScaleOutCounter(2))];
     let baseline = run_chain(1, 64, 1, file_store(), &chunks, 19, &plans);
     assert!(!baseline.sink_outputs.is_empty());
+    assert_plans_were_invisible(&baseline, &chunks, 19);
     let pooled = run_chain(4, 64, 1, file_store(), &chunks, 19, &plans);
     assert_eq!(baseline, pooled);
 }
@@ -274,6 +294,8 @@ proptest! {
     ) {
         let baseline = run_chain(1, batch, 1, store_config(), &chunks, vocabulary, &[]);
         let pooled = run_chain(threads, batch, 1, store_config(), &chunks, vocabulary, &[]);
-        prop_assert_eq!(baseline, pooled);
+        prop_assert_eq!(&baseline, &pooled);
+        let oracle = Oracle::fold(&sentence_chunks(&chunks, vocabulary, false), WINDOW_MS);
+        prop_assert_eq!(baseline.sorted(), recomputed(&oracle));
     }
 }

@@ -42,9 +42,9 @@ fn clock_ticks_are_never_lost_across_eight_threads() {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 for _ in 0..ITERATIONS {
-                    // One single tick and one 2-block reservation per
-                    // iteration, mixing both advancement paths.
-                    let single = clock.tick();
+                    // One single-timestamp and one 2-block reservation per
+                    // iteration, mixing block sizes.
+                    let single = clock.tick_many(1);
                     assert!(single > 0);
                     let first = clock.tick_many(2);
                     assert!(first > single);
