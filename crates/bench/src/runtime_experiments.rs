@@ -278,11 +278,13 @@ pub fn interval_tradeoff(intervals_s: &[u64], rate: u64, duration_s: u64) -> Vec
 /// and recovery measured against a different `seep-store` backend.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BackendMeasurement {
-    /// Backend label ("mem", "file", "tiered"), plus "+inc" when
-    /// incremental backups were on.
+    /// Backend label ("mem", "file", "tiered"), plus "+syncN" when records
+    /// are fsynced.
     pub backend: String,
-    /// Whether incremental backups were enabled.
-    pub incremental: bool,
+    /// Bytes the word counter's first, full checkpoint put into the store.
+    pub full_checkpoint_bytes: u64,
+    /// Median bytes one later round's delta put into the store.
+    pub delta_bytes_per_round: u64,
     /// Measured recovery time in milliseconds.
     pub recovery_ms: f64,
     /// Tuples replayed during recovery.
@@ -305,19 +307,18 @@ fn measure_backend(
     rate: u64,
     warmup_s: u64,
 ) -> BackendMeasurement {
-    let incremental = store.incremental;
     let mut label = store.label().to_string();
-    if incremental {
-        label.push_str("+inc");
-    }
     if store.fsync {
         label.push_str(&format!("+sync{}", store.sync_every_n_frames.max(1)));
     }
     let backend_label = store.label();
     let mut config = RuntimeConfig::default().with_store(store);
     config.checkpoint_interval_ms = 2_000;
-    let mut harness = WordCountHarness::deploy(config, 10_000, 0);
+    // A dictionary that is large next to what one interval touches: the
+    // case periodic checkpoints have to be cheap for.
+    let mut harness = WordCountHarness::deploy(config, 10_000, 50_000);
     harness.run_for(warmup_s, rate);
+    let counter = harness.counter_instance();
     let words_before = harness.total_counted_words();
     let recovery_ms = harness.fail_and_recover(1);
     assert_eq!(
@@ -343,9 +344,19 @@ fn measure_backend(
         .last()
         .map(|r| r.replayed_tuples)
         .unwrap_or(0);
+    let stored = |incremental: bool| -> Vec<u64> {
+        checkpoints
+            .iter()
+            .filter(|c| c.operator == counter && c.incremental == incremental)
+            .map(|c| c.stored_bytes as u64)
+            .collect()
+    };
+    let mut deltas = stored(true);
+    deltas.sort_unstable();
     BackendMeasurement {
         backend: label,
-        incremental,
+        full_checkpoint_bytes: stored(false).first().copied().unwrap_or(0),
+        delta_bytes_per_round: deltas.get(deltas.len() / 2).copied().unwrap_or(0),
         recovery_ms,
         replayed,
         write_bytes: io.write_bytes,
@@ -357,8 +368,8 @@ fn measure_backend(
 }
 
 /// Compare recovery and checkpoint I/O of the three checkpoint-store
-/// backends (plus the file backend with incremental backups, and with
-/// per-record vs coalesced fsync) on the same word-count failure scenario.
+/// backends (plus the file backend with per-record vs coalesced fsync) on
+/// the same word-count failure scenario.
 /// `dir` roots the on-disk backends' logs.
 pub fn recovery_by_backend(
     rate: u64,
@@ -370,11 +381,6 @@ pub fn recovery_by_backend(
     vec![
         measure_backend(StoreConfig::mem(), rate, warmup_s),
         measure_backend(StoreConfig::file(dir.join("file")), rate, warmup_s),
-        measure_backend(
-            StoreConfig::file(dir.join("file-inc")).with_incremental(true),
-            rate,
-            warmup_s,
-        ),
         measure_backend(
             StoreConfig::file(dir.join("file-sync1")).with_fsync_every(1),
             rate,
@@ -883,32 +889,26 @@ mod tests {
     #[test]
     fn backend_comparison_covers_all_backends_and_writes_bytes() {
         let dir = std::env::temp_dir().join(format!("seep-bench-backends-{}", std::process::id()));
-        let rows = recovery_by_backend(40, 5, &dir);
-        assert_eq!(rows.len(), 6);
+        let rows = recovery_by_backend(40, 7, &dir);
+        assert_eq!(rows.len(), 5);
         let labels: Vec<&str> = rows.iter().map(|r| r.backend.as_str()).collect();
         assert_eq!(
             labels,
-            vec![
-                "mem",
-                "file",
-                "file+inc",
-                "file+sync1",
-                "file+sync8",
-                "tiered"
-            ]
+            vec!["mem", "file", "file+sync1", "file+sync8", "tiered"]
         );
         // Every backend recovered (asserted inside measure_backend) and every
         // backend actually wrote checkpoint bytes.
         assert!(rows.iter().all(|r| r.write_bytes > 0), "{rows:?}");
-        // Incremental file backups write less than full file backups.
+        // After the first round every backend takes deltas, a fraction of
+        // the full checkpoint.
+        for row in &rows {
+            assert!(
+                row.delta_bytes_per_round > 0
+                    && row.delta_bytes_per_round * 5 < row.full_checkpoint_bytes,
+                "{row:?}"
+            );
+        }
         let file = rows.iter().find(|r| r.backend == "file").unwrap();
-        let inc = rows.iter().find(|r| r.backend == "file+inc").unwrap();
-        assert!(
-            inc.write_bytes < file.write_bytes,
-            "incremental {} vs full {}",
-            inc.write_bytes,
-            file.write_bytes
-        );
         // Coalescing fsync every 8 frames issues strictly fewer syncs than
         // syncing every record, while the unsynced arms issue none.
         let sync1 = rows.iter().find(|r| r.backend == "file+sync1").unwrap();

@@ -7,8 +7,9 @@
 //! recent checkpoint and replays the tuples that are not yet reflected in it.
 //!
 //! Incremental checkpoints carry only the key/value entries that changed
-//! since the previous checkpoint, reducing checkpoint size for operators with
-//! large, slowly changing state.
+//! since the previous checkpoint, so a periodic round costs what changed, not
+//! what exists. The contract: a delta names its base sequence and contains at
+//! least every key changed since it.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -129,25 +130,44 @@ impl Checkpoint {
     }
 
     /// Apply an incremental checkpoint on top of this checkpoint, producing
-    /// the state the increment was derived from.
-    pub fn apply_increment(&mut self, inc: &IncrementalCheckpoint) {
+    /// the state the increment was derived from. Costs what the increment
+    /// holds, not what the checkpoint holds. Returns the change in
+    /// [`size_bytes`](Self::size_bytes), so a store that accounts for its
+    /// footprint does not have to re-measure the whole checkpoint.
+    pub fn apply_increment(&mut self, inc: &IncrementalCheckpoint) -> isize {
         assert_eq!(inc.meta.operator, self.meta.operator, "operator mismatch");
+        let entry = |v: &Bytes| std::mem::size_of::<Key>() + v.len();
+        let mut grown = inc.buffer.size_bytes() as isize - self.buffer.size_bytes() as isize;
         for (k, v) in &inc.changed {
-            self.processing.insert(*k, v.clone());
+            grown += entry(v) as isize;
+            if let Some(old) = self.processing.insert(*k, v.clone()) {
+                grown -= entry(&old) as isize;
+            }
         }
         for k in &inc.removed {
-            self.processing.remove(*k);
+            if let Some(old) = self.processing.remove(*k) {
+                grown -= entry(&old) as isize;
+            }
         }
         *self.processing.timestamps_mut() = inc.timestamps.clone();
         self.buffer = inc.buffer.clone();
         self.meta.sequence = inc.meta.sequence;
         self.emit_clock = inc.emit_clock;
-        self.traffic = inc.traffic.clone();
+        for op in &inc.traffic {
+            self.traffic.apply(op);
+        }
+        grown
     }
 }
 
-/// An incremental checkpoint: only the entries that changed (or were removed)
+/// An incremental checkpoint: the entries that changed (or were removed)
 /// since the base checkpoint, plus the new timestamp vector and buffer state.
+///
+/// The contract every producer keeps: the delta names the sequence of the
+/// checkpoint it extends, and `changed`/`removed` contain **at least** every
+/// key whose entry differs between that checkpoint and the captured state
+/// (extra keys are no-ops when applied). Applying it to the base therefore
+/// yields exactly a full checkpoint of the captured state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalCheckpoint {
     /// Checkpoint identity (sequence follows the base checkpoint's sequence).
@@ -170,16 +190,19 @@ pub struct IncrementalCheckpoint {
     /// would reuse old timestamps and be dropped as duplicates downstream.
     #[serde(default)]
     pub emit_clock: crate::tuple::Timestamp,
-    /// Current per-key traffic counters. Carried in full like the buffer
-    /// state (decay rewrites every counter each interval, so there is no
-    /// stable base to diff against) so delta-chain materialisation samples
-    /// the *current* traffic, not the last full checkpoint's.
+    /// What happened to the per-key traffic counters since the base: the
+    /// counts recorded and the decay steps taken, in order. Replaying them
+    /// keeps a checkpoint materialised from a delta chain sampling the
+    /// *current* traffic, not the last full checkpoint's.
     #[serde(default)]
-    pub traffic: crate::traffic::TrafficStats,
+    pub traffic: Vec<crate::traffic::TrafficOp>,
 }
 
 impl IncrementalCheckpoint {
-    /// Compute the increment that transforms `base` into `current`.
+    /// Compute the increment that transforms `base` into `current`, by
+    /// comparing the two in full. The runtime never does this — workers
+    /// capture deltas from their operators' dirty marks — it is the
+    /// reference those captures are tested against.
     pub fn diff(base: &Checkpoint, current: &Checkpoint) -> Self {
         let (changed, removed) = current.processing.diff_from(&base.processing);
         IncrementalCheckpoint {
@@ -190,7 +213,7 @@ impl IncrementalCheckpoint {
             timestamps: current.processing.timestamps().clone(),
             buffer: current.buffer.clone(),
             emit_clock: current.emit_clock,
-            traffic: current.traffic.clone(),
+            traffic: vec![crate::traffic::TrafficOp::Set(current.traffic.clone())],
         }
     }
 
@@ -279,7 +302,11 @@ mod tests {
         assert!(inc.size_bytes() < current.size_bytes() + base.size_bytes());
 
         let mut rebuilt = base.clone();
-        rebuilt.apply_increment(&inc);
+        let grown = rebuilt.apply_increment(&inc);
+        assert_eq!(
+            grown,
+            current.size_bytes() as isize - base.size_bytes() as isize
+        );
         assert_eq!(rebuilt.processing, current.processing);
         assert_eq!(rebuilt.buffer, current.buffer);
         assert_eq!(rebuilt.meta.sequence, 2);

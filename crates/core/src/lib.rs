@@ -69,6 +69,6 @@ pub use operator::{
     StatelessFn,
 };
 pub use spill::{MemoryBudget, SpillPolicy, SpillStore};
-pub use state::{BufferState, ProcessingState, RoutingState};
-pub use traffic::TrafficStats;
+pub use state::{BufferState, ProcessingState, RoutingState, StateDelta, TrackedMap};
+pub use traffic::{TrafficLog, TrafficOp, TrafficStats};
 pub use tuple::{Key, StreamId, Timestamp, TimestampVec, Tuple};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::BatchOutput;
-use crate::state::ProcessingState;
+use crate::state::{ProcessingState, StateDelta};
 use crate::tuple::{Key, StreamId, Timestamp, Tuple};
 
 /// Identifier of a *physical* operator instance in the execution graph.
@@ -121,6 +121,32 @@ pub trait StatefulOperator: Send {
     /// Replace the processing state from a checkpoint (or a partition of one).
     fn set_processing_state(&mut self, state: ProcessingState);
 
+    /// Capture what changed in the processing state since the previous call
+    /// of this method — the periodic checkpoint path (§3.2), which has to be
+    /// cheap enough to run every interval `c`.
+    ///
+    /// An operator that keeps dirty marks (see [`crate::TrackedMap`])
+    /// returns [`StateDelta::Changes`]: at least every entry inserted or
+    /// modified and every key removed since the previous call, so the cost
+    /// follows the keys touched, not the keys held. It must return
+    /// [`StateDelta::Full`] whenever it cannot vouch for that: on the first
+    /// call, and on the first call after
+    /// [`set_processing_state`](Self::set_processing_state). The SPS ships a
+    /// `Changes` capture as an incremental checkpoint only when the backup
+    /// still holds the checkpoint of the previous call; otherwise it discards
+    /// the capture and takes [`get_processing_state`](Self::get_processing_state).
+    ///
+    /// The default is a full snapshot every time (and "unchanged" for an
+    /// operator that [is not stateful](Self::is_stateful)), which is always
+    /// correct: an operator that does not track changes needs no code here.
+    fn take_state_delta(&mut self) -> StateDelta {
+        if self.is_stateful() {
+            StateDelta::Full(self.get_processing_state())
+        } else {
+            StateDelta::unchanged()
+        }
+    }
+
     /// Whether the operator carries processing state. Stateless operators can
     /// skip checkpointing entirely.
     fn is_stateful(&self) -> bool {
@@ -212,6 +238,10 @@ impl StatefulOperator for Box<dyn StatefulOperator> {
 
     fn set_processing_state(&mut self, state: ProcessingState) {
         (**self).set_processing_state(state)
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        (**self).take_state_delta()
     }
 
     fn is_stateful(&self) -> bool {

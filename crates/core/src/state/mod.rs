@@ -10,9 +10,11 @@
 //!   downstream operators, used to route output tuples.
 
 mod buffer;
+mod delta;
 mod processing;
 mod routing;
 
 pub use buffer::BufferState;
+pub use delta::{StateDelta, TrackedMap};
 pub use processing::ProcessingState;
 pub use routing::{RouteEntry, RoutingState};

@@ -41,9 +41,9 @@ impl ProcessingState {
         }
     }
 
-    /// Insert or replace the value for `key`.
-    pub fn insert(&mut self, key: Key, value: impl Into<Bytes>) {
-        self.entries.insert(key, value.into());
+    /// Insert or replace the value for `key`, returning the value replaced.
+    pub fn insert(&mut self, key: Key, value: impl Into<Bytes>) -> Option<Bytes> {
+        self.entries.insert(key, value.into())
     }
 
     /// Insert a serde-serialisable value for `key`.
@@ -177,8 +177,9 @@ impl ProcessingState {
     }
 
     /// Extract the entries whose value changed relative to `baseline`
-    /// (used by incremental checkpoints) together with the keys that were
-    /// removed since the baseline.
+    /// together with the keys that were removed since the baseline: the
+    /// reference an operator's own [`StateDelta`](super::StateDelta) capture
+    /// is tested against. It reads both states in full.
     pub fn diff_from(&self, baseline: &ProcessingState) -> (Vec<(Key, Bytes)>, Vec<Key>) {
         let mut changed = Vec::new();
         for (k, v) in &self.entries {

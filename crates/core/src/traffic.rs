@@ -11,7 +11,7 @@
 //! of the operator state, and [`crate::Checkpoint::sample_keys`] prefers it
 //! over the footprint heuristic whenever counts are available.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,9 +22,12 @@ use crate::tuple::Key;
 ///
 /// Counts are kept in fixed-point (`count << 8`) so repeated halving keeps
 /// resolution for lukewarm keys; entries that decay to zero are dropped.
+/// The map is written once per processed tuple and merged into at every
+/// checkpoint round, so it is a hash map; only sampling needs key order and
+/// sorts for it.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
-    counts: BTreeMap<Key, u64>,
+    counts: HashMap<Key, u64>,
 }
 
 /// Fixed-point scale of one observed tuple.
@@ -88,6 +91,15 @@ impl TrafficStats {
         parts
     }
 
+    /// Apply one step of another counter set's history to this one.
+    pub fn apply(&mut self, op: &TrafficOp) {
+        match op {
+            TrafficOp::Set(stats) => *self = stats.clone(),
+            TrafficOp::Add(stats) => self.merge(stats),
+            TrafficOp::Decay => self.decay(),
+        }
+    }
+
     /// A traffic-weighted key sample of at most `max` entries for
     /// [`KeyRange::split_by_distribution`], shaped like
     /// [`crate::state::ProcessingState::weighted_key_sample`]: every key
@@ -97,14 +109,132 @@ impl TrafficStats {
     ///
     /// [`KeyRange::split_by_distribution`]: crate::key::KeyRange::split_by_distribution
     pub fn weighted_sample(&self, max: usize) -> Vec<Key> {
-        let pairs: Vec<(Key, u64)> = self.counts.iter().map(|(k, c)| (*k, *c)).collect();
+        let mut pairs: Vec<(Key, u64)> = self.counts.iter().map(|(k, c)| (*k, *c)).collect();
+        pairs.sort_unstable();
         crate::key::weighted_multiset_sample(&pairs, max)
+    }
+}
+
+/// One step in the history of a worker's [`TrafficStats`]. An incremental
+/// checkpoint carries the steps since its base, so the backed-up counters
+/// follow the worker's exactly at a cost that follows the keys that saw
+/// traffic, not the keys that have counters.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TrafficOp {
+    /// The counters are replaced wholesale (what a delta computed from two
+    /// full checkpoints has to say, not knowing the steps between them).
+    Set(TrafficStats),
+    /// These counts were recorded.
+    Add(TrafficStats),
+    /// One decay step took place.
+    Decay,
+}
+
+/// A worker's traffic counters, together with the steps taken since the
+/// previous delta capture.
+///
+/// Until the first [`take_ops`](Self::take_ops) nothing is logged — a worker
+/// that is never checkpointed incrementally pays nothing — and after a
+/// [`restore`](Self::restore) logging stops again, so the first capture of
+/// restored counters is a full one, like an operator's state.
+#[derive(Debug, Clone, Default)]
+pub struct TrafficLog {
+    /// The counters as of the previous capture (or, while not logging, now).
+    base: TrafficStats,
+    /// What happened since; the last element is the `Add` being recorded
+    /// into, if any.
+    log: Vec<TrafficOp>,
+    logging: bool,
+}
+
+impl TrafficLog {
+    /// Record one processed tuple for `key`.
+    pub fn record(&mut self, key: Key) {
+        if !self.logging {
+            return self.base.record(key);
+        }
+        if !matches!(self.log.last(), Some(TrafficOp::Add(_))) {
+            self.log.push(TrafficOp::Add(TrafficStats::new()));
+        }
+        if let Some(TrafficOp::Add(recent)) = self.log.last_mut() {
+            recent.record(key);
+        }
+    }
+
+    /// One decay step ([`TrafficStats::decay`]).
+    pub fn decay(&mut self) {
+        if self.logging {
+            self.log.push(TrafficOp::Decay);
+        } else {
+            self.base.decay();
+        }
+    }
+
+    /// The counters as they are now.
+    pub fn current(&self) -> TrafficStats {
+        let mut stats = self.base.clone();
+        for op in &self.log {
+            stats.apply(op);
+        }
+        stats
+    }
+
+    /// The steps since the previous call, or `None` if they were not being
+    /// logged (the first call, and the first after a restore): the caller
+    /// then has to capture [`current`](Self::current) whole. Logging is on
+    /// from here.
+    pub fn take_ops(&mut self) -> Option<Vec<TrafficOp>> {
+        if !std::mem::replace(&mut self.logging, true) {
+            return None;
+        }
+        let ops = std::mem::take(&mut self.log);
+        for op in &ops {
+            self.base.apply(op);
+        }
+        Some(ops)
+    }
+
+    /// Replace the counters (restore from a checkpoint).
+    pub fn restore(&mut self, stats: TrafficStats) {
+        *self = TrafficLog {
+            base: stats,
+            ..TrafficLog::default()
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn logged_steps_replay_to_the_same_counters() {
+        let mut worker = TrafficLog::default();
+        worker.record(Key(1));
+        worker.decay();
+        assert_eq!(worker.take_ops(), None, "nothing was logged yet");
+        let mut backup = worker.current();
+
+        worker.record(Key(1));
+        worker.record(Key(2));
+        worker.decay();
+        worker.record(Key(2));
+        let ops = worker.take_ops().expect("logging since the first capture");
+        assert_eq!(ops.len(), 3, "add, decay, add");
+        for op in &ops {
+            backup.apply(op);
+        }
+        assert_eq!(backup, worker.current());
+        // 1: (128 + 256) / 2; 2: 256 / 2 + 256, in 1/256ths of a tuple.
+        assert_eq!(backup.counts[&Key(1)], 192);
+        assert_eq!(backup.counts[&Key(2)], 384);
+        assert_eq!(worker.take_ops(), Some(Vec::new()));
+
+        worker.restore(TrafficStats::new());
+        worker.record(Key(3));
+        assert_eq!(worker.take_ops(), None);
+        assert_eq!(worker.current().count(Key(3)), 1);
+    }
 
     fn stats_with(counts: &[(u64, u64)]) -> TrafficStats {
         let mut t = TrafficStats::new();

@@ -9,10 +9,9 @@
 //! equivalence tests and the CI smoke job diff its rendered output against a
 //! distributed run's.
 
-use std::collections::BTreeMap;
-
 use seep_core::{
-    Key, OutputTuple, ProcessingState, QueryGraph, StatefulOperator, StatelessFn, StreamId, Tuple,
+    Key, OutputTuple, ProcessingState, QueryGraph, StateDelta, StatefulOperator, StatelessFn,
+    StreamId, TrackedMap, Tuple,
 };
 use seep_operators::word_count::WordFrequency;
 use seep_operators::WindowedWordCount;
@@ -64,7 +63,7 @@ pub fn build_operator(job: &str, name: &str) -> Option<Box<dyn StatefulOperator>
 /// run.
 #[derive(Default)]
 pub struct FrequencySink {
-    freqs: BTreeMap<Key, WordFrequency>,
+    freqs: TrackedMap<WordFrequency>,
 }
 
 impl FrequencySink {
@@ -96,20 +95,15 @@ impl StatefulOperator for FrequencySink {
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, freq) in &self.freqs {
-            st.insert_encoded(*key, freq).expect("frequency serialises");
-        }
-        st
+        self.freqs.snapshot()
     }
 
     fn set_processing_state(&mut self, state: ProcessingState) {
-        self.freqs.clear();
-        for (key, _) in state.iter() {
-            if let Ok(Some(freq)) = state.get_decoded::<WordFrequency>(key) {
-                self.freqs.insert(key, freq);
-            }
-        }
+        self.freqs.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        self.freqs.take_delta()
     }
 
     fn name(&self) -> &str {
@@ -257,6 +251,27 @@ mod tests {
             decode_sink_state(&sink.get_processing_state()),
             sink.results()
         );
+
+        // The first capture is the whole state, later ones only new cells.
+        assert_eq!(
+            sink.take_state_delta(),
+            StateDelta::Full(sink.get_processing_state())
+        );
+        let freq = WordFrequency {
+            word: "gamma".into(),
+            count: 1,
+            window: 1,
+        };
+        let t = Tuple::encode(9, Key::from_str_key("gamma"), &freq).unwrap();
+        sink.process(StreamId(0), &t, &mut out);
+        let StateDelta::Changes { changed, removed } = sink.take_state_delta() else {
+            panic!("a tracked sink captures changes");
+        };
+        assert_eq!((changed.len(), removed.len()), (1, 0));
+        assert_eq!(
+            sink.get_processing_state().get(changed[0].0),
+            Some(&changed[0].1)
+        );
     }
 
     #[test]
@@ -266,7 +281,7 @@ mod tests {
         assert_eq!(a, b);
         let counted: u64 = a.results.iter().map(|f| f.count).sum();
         assert_eq!(counted, 60, "every injected word lands in some window");
-        let processed: BTreeMap<&str, u64> =
+        let processed: std::collections::BTreeMap<&str, u64> =
             a.processed.iter().map(|(n, c)| (n.as_str(), *c)).collect();
         assert_eq!(processed["count"], 60);
         assert_eq!(processed["results"] as usize, a.results.len());

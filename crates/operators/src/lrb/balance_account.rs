@@ -8,11 +8,11 @@
 //! read a single consolidated record per vehicle even when the toll assessment
 //! upstream is partitioned.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
-use seep_core::{Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple};
+use seep_core::{
+    Key, OutputTuple, ProcessingState, StateDelta, StatefulOperator, StreamId, TrackedMap, Tuple,
+};
 
 use super::types::LrbRecord;
 
@@ -33,7 +33,7 @@ pub struct AccountSummary {
 /// The stateful balance-account aggregator.
 #[derive(Debug, Default)]
 pub struct BalanceAccount {
-    summaries: BTreeMap<Key, AccountSummary>,
+    summaries: TrackedMap<AccountSummary>,
 }
 
 impl BalanceAccount {
@@ -49,7 +49,7 @@ impl BalanceAccount {
 
     /// The summary for a vehicle, if any responses were seen.
     pub fn summary_of(&self, vid: u32) -> Option<&AccountSummary> {
-        self.summaries.get(&Key::from_u64(u64::from(vid)))
+        self.summaries.get(Key::from_u64(u64::from(vid)))
     }
 }
 
@@ -59,7 +59,9 @@ impl StatefulOperator for BalanceAccount {
             return;
         };
         let key = Key::from_u64(u64::from(resp.vid));
-        let summary = self.summaries.entry(key).or_default();
+        let summary = self
+            .summaries
+            .get_or_insert_with(key, AccountSummary::default);
         if resp.time >= summary.latest_time {
             summary.latest_time = resp.time;
             summary.latest_balance = resp.balance;
@@ -73,21 +75,15 @@ impl StatefulOperator for BalanceAccount {
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, summary) in &self.summaries {
-            st.insert_encoded(*key, summary)
-                .expect("summary serialises");
-        }
-        st
+        self.summaries.snapshot()
     }
 
     fn set_processing_state(&mut self, state: ProcessingState) {
-        self.summaries.clear();
-        for (key, _) in state.iter() {
-            if let Ok(Some(summary)) = state.get_decoded::<AccountSummary>(key) {
-                self.summaries.insert(key, summary);
-            }
-        }
+        self.summaries.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        self.summaries.take_delta()
     }
 
     fn name(&self) -> &str {

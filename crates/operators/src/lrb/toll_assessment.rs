@@ -6,11 +6,11 @@
 //! by the toll calculator) and balance queries (keyed by vehicle by the
 //! forwarder) reach the partition that owns the account.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
-use seep_core::{Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple};
+use seep_core::{
+    Key, OutputTuple, ProcessingState, StateDelta, StatefulOperator, StreamId, TrackedMap, Tuple,
+};
 
 use super::types::{BalanceResponse, LrbRecord};
 
@@ -28,7 +28,7 @@ pub struct Account {
 /// The stateful toll assessment operator.
 #[derive(Debug, Default)]
 pub struct TollAssessment {
-    accounts: BTreeMap<Key, Account>,
+    accounts: TrackedMap<Account>,
 }
 
 impl TollAssessment {
@@ -45,7 +45,7 @@ impl TollAssessment {
     /// Current balance of a vehicle, if it has an account.
     pub fn balance_of(&self, vid: u32) -> Option<u64> {
         self.accounts
-            .get(&Key::from_u64(u64::from(vid)))
+            .get(Key::from_u64(u64::from(vid)))
             .map(|a| a.balance)
     }
 }
@@ -60,8 +60,7 @@ impl StatefulOperator for TollAssessment {
                 if toll.toll > 0 {
                     let account = self
                         .accounts
-                        .entry(Key::from_u64(u64::from(toll.vid)))
-                        .or_default();
+                        .get_or_insert_with(Key::from_u64(u64::from(toll.vid)), Account::default);
                     account.balance += u64::from(toll.toll);
                     account.charges += 1;
                 }
@@ -74,7 +73,9 @@ impl StatefulOperator for TollAssessment {
                 }
             }
             LrbRecord::Balance(query) => {
-                let account = self.accounts.entry(query.vehicle_key()).or_default();
+                let account = self
+                    .accounts
+                    .get_or_insert_with(query.vehicle_key(), Account::default);
                 account.queries += 1;
                 let response = BalanceResponse {
                     vid: query.vid,
@@ -95,21 +96,15 @@ impl StatefulOperator for TollAssessment {
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, account) in &self.accounts {
-            st.insert_encoded(*key, account)
-                .expect("account serialises");
-        }
-        st
+        self.accounts.snapshot()
     }
 
     fn set_processing_state(&mut self, state: ProcessingState) {
-        self.accounts.clear();
-        for (key, _) in state.iter() {
-            if let Ok(Some(account)) = state.get_decoded::<Account>(key) {
-                self.accounts.insert(key, account);
-            }
-        }
+        self.accounts.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        self.accounts.take_delta()
     }
 
     fn name(&self) -> &str {

@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use seep_core::{
-    BatchOutput, Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple,
+    BatchOutput, Key, OutputTuple, ProcessingState, StateDelta, StatefulOperator, StreamId,
+    TrackedMap, Tuple,
 };
 
 use super::types::{AccidentAlert, LrbRecord, PositionReport, TollNotification};
@@ -95,7 +96,7 @@ impl SegmentStats {
 /// The stateful toll calculator.
 #[derive(Debug, Default)]
 pub struct TollCalculator {
-    segments: BTreeMap<Key, SegmentStats>,
+    segments: TrackedMap<SegmentStats>,
 }
 
 impl TollCalculator {
@@ -111,12 +112,12 @@ impl TollCalculator {
 
     /// The statistics of a segment, if tracked.
     pub fn segment(&self, key: Key) -> Option<&SegmentStats> {
-        self.segments.get(&key)
+        self.segments.get(key)
     }
 
     fn handle_report(&mut self, report: &PositionReport, out: &mut Vec<OutputTuple>) {
         let key = report.segment_key();
-        let stats = self.segments.entry(key).or_default();
+        let stats = self.segments.get_or_insert_with(key, SegmentStats::default);
         let minute = report.time / 60;
         stats.roll_minute(minute);
 
@@ -208,21 +209,15 @@ impl StatefulOperator for TollCalculator {
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, stats) in &self.segments {
-            st.insert_encoded(*key, stats)
-                .expect("segment stats serialise");
-        }
-        st
+        self.segments.snapshot()
     }
 
     fn set_processing_state(&mut self, state: ProcessingState) {
-        self.segments.clear();
-        for (key, _) in state.iter() {
-            if let Ok(Some(stats)) = state.get_decoded::<SegmentStats>(key) {
-                self.segments.insert(key, stats);
-            }
-        }
+        self.segments.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        self.segments.take_delta()
     }
 
     fn name(&self) -> &str {

@@ -3,13 +3,15 @@
 //! language versions and outputs the ranking of the most visited ones every
 //! reporting interval (30 s in the paper).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use seep_core::{
-    BatchOutput, Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple,
+    BatchOutput, Key, OutputTuple, ProcessingState, StateDelta, StatefulOperator, StreamId,
+    TrackedMap, Tuple,
 };
+
+/// Reserved state key of the reporting-interval bookkeeping.
+const INTERVAL_META: Key = Key(u64::MAX);
 
 /// One ranking entry emitted at the end of a reporting interval.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,23 +41,32 @@ pub struct ItemCount {
 
 /// Stateful top-k reducer.
 pub struct TopKReducer {
-    counts: BTreeMap<Key, ItemCount>,
+    counts: TrackedMap<ItemCount>,
     k: usize,
     interval_ms: u64,
     last_emit_ms: u64,
     interval_seq: u64,
+    /// An interval closed since the last delta capture.
+    interval_meta_dirty: bool,
 }
 
 impl TopKReducer {
     /// Create a reducer reporting the top `k` items every `interval_ms`.
     pub fn new(k: usize, interval_ms: u64) -> Self {
         TopKReducer {
-            counts: BTreeMap::new(),
+            counts: TrackedMap::new(),
             k: k.max(1),
             interval_ms: interval_ms.max(1),
             last_emit_ms: 0,
             interval_seq: 0,
+            interval_meta_dirty: false,
         }
+    }
+
+    fn interval_meta(&self) -> bytes::Bytes {
+        bincode::serialize(&(self.last_emit_ms, self.interval_seq))
+            .expect("interval metadata serialises")
+            .into()
     }
 
     /// Number of distinct items tracked in the current interval.
@@ -90,11 +101,9 @@ impl StatefulOperator for TopKReducer {
         let Ok(item) = tuple.decode::<String>() else {
             return;
         };
-        let entry = self
-            .counts
-            .entry(tuple.key)
-            .or_insert_with(|| ItemCount { item, count: 0 });
-        entry.count += 1;
+        self.counts
+            .get_or_insert_with(tuple.key, || ItemCount { item, count: 0 })
+            .count += 1;
     }
 
     // Hand-rolled batch loop: reducing emits nothing until the interval
@@ -102,13 +111,12 @@ impl StatefulOperator for TopKReducer {
     // matters the first time a key is seen (the dictionary is keyed by the
     // tuple key), so the decode is deferred to vacant entries.
     fn process_batch(&mut self, _stream: StreamId, tuples: &[Tuple], _out: &mut BatchOutput) {
-        use std::collections::btree_map::Entry;
         for tuple in tuples {
-            match self.counts.entry(tuple.key) {
-                Entry::Occupied(mut e) => e.get_mut().count += 1,
-                Entry::Vacant(v) => {
+            match self.counts.get_mut(tuple.key) {
+                Some(entry) => entry.count += 1,
+                None => {
                     if let Ok(item) = tuple.decode::<String>() {
-                        v.insert(ItemCount { item, count: 1 });
+                        self.counts.insert(tuple.key, ItemCount { item, count: 1 });
                     }
                 }
             }
@@ -134,33 +142,29 @@ impl StatefulOperator for TopKReducer {
         self.counts.clear();
         self.last_emit_ms = now_ms;
         self.interval_seq += 1;
+        self.interval_meta_dirty = true;
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, entry) in &self.counts {
-            st.insert_encoded(*key, entry)
-                .expect("item count serialises");
-        }
-        st.insert_encoded(Key(u64::MAX), &(self.last_emit_ms, self.interval_seq))
-            .expect("interval metadata serialises");
+        let mut st = self.counts.snapshot();
+        st.insert(INTERVAL_META, self.interval_meta());
         st
     }
 
-    fn set_processing_state(&mut self, state: ProcessingState) {
-        self.counts.clear();
-        for (key, _) in state.iter() {
-            if key == Key(u64::MAX) {
-                if let Ok(Some((last, seq))) = state.get_decoded::<(u64, u64)>(key) {
-                    self.last_emit_ms = last;
-                    self.interval_seq = seq;
-                }
-                continue;
-            }
-            if let Ok(Some(entry)) = state.get_decoded::<ItemCount>(key) {
-                self.counts.insert(key, entry);
-            }
+    fn set_processing_state(&mut self, mut state: ProcessingState) {
+        if let Ok(Some((last, seq))) = state.get_decoded::<(u64, u64)>(INTERVAL_META) {
+            self.last_emit_ms = last;
+            self.interval_seq = seq;
         }
+        state.remove(INTERVAL_META);
+        self.counts.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        let meta_dirty = std::mem::take(&mut self.interval_meta_dirty);
+        self.counts
+            .take_delta()
+            .with_entry(INTERVAL_META, self.interval_meta(), meta_dirty)
     }
 
     fn name(&self) -> &str {

@@ -6,13 +6,17 @@
 //! same representation the paper uses in Fig. 2
 //! (`{'s': "second:1, set:2"}`).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use seep_core::{
-    BatchOutput, Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple,
+    BatchOutput, Key, OutputTuple, ProcessingState, StateDelta, StatefulOperator, StreamId,
+    TrackedMap, Tuple,
 };
+
+/// Reserved state key of the window bookkeeping, outside the word key space
+/// so it partitions with any key range that includes it; on restore each
+/// partition gets a consistent window sequence.
+const WINDOW_META: Key = Key(u64::MAX);
 
 /// The per-key value stored in the processing state: the word text plus its
 /// count in the current window. Keeping the word text allows human-readable
@@ -38,10 +42,12 @@ pub struct WordFrequency {
 
 /// Stateful windowed word counter.
 pub struct WindowedWordCount {
-    counts: BTreeMap<Key, WordEntry>,
+    counts: TrackedMap<WordEntry>,
     window_ms: u64,
     last_window_close_ms: u64,
     window_seq: u64,
+    /// A window closed since the last delta capture.
+    window_meta_dirty: bool,
 }
 
 impl WindowedWordCount {
@@ -49,10 +55,11 @@ impl WindowedWordCount {
     /// 30 s).
     pub fn new(window_ms: u64) -> Self {
         WindowedWordCount {
-            counts: BTreeMap::new(),
+            counts: TrackedMap::new(),
             window_ms: window_ms.max(1),
             last_window_close_ms: 0,
             window_seq: 0,
+            window_meta_dirty: false,
         }
     }
 
@@ -64,7 +71,7 @@ impl WindowedWordCount {
     /// The current count of a word, if tracked.
     pub fn count_of(&self, word: &str) -> Option<u64> {
         self.counts
-            .get(&Key::from_str_key(&word.to_lowercase()))
+            .get(Key::from_str_key(&word.to_lowercase()))
             .map(|e| e.count)
     }
 
@@ -74,16 +81,17 @@ impl WindowedWordCount {
     pub fn prepopulate(&mut self, entries: usize) {
         for i in 0..entries {
             let word = format!("synthetic-word-{i:08}");
+            // Stored under the tuple key the word would arrive with.
             let key = Key::from_str_key(&word);
-            self.counts
-                .insert(word_key(&word, key), WordEntry { word, count: 1 });
+            self.counts.insert(key, WordEntry { word, count: 1 });
         }
     }
-}
 
-/// The key under which a word's entry is stored: the tuple key of the word.
-fn word_key(_word: &str, key: Key) -> Key {
-    key
+    fn window_meta(&self) -> bytes::Bytes {
+        bincode::serialize(&(self.last_window_close_ms, self.window_seq))
+            .expect("window metadata serialises")
+            .into()
+    }
 }
 
 impl StatefulOperator for WindowedWordCount {
@@ -91,11 +99,9 @@ impl StatefulOperator for WindowedWordCount {
         let Ok(word) = tuple.decode::<String>() else {
             return;
         };
-        let entry = self.counts.entry(tuple.key).or_insert_with(|| WordEntry {
-            word: word.clone(),
-            count: 0,
-        });
-        entry.count += 1;
+        self.counts
+            .get_or_insert_with(tuple.key, || WordEntry { word, count: 0 })
+            .count += 1;
     }
 
     // Hand-rolled batch loop: counting emits nothing, so the whole batch is
@@ -104,13 +110,12 @@ impl StatefulOperator for WindowedWordCount {
     // keyed by the tuple key), so the decode is deferred to vacant entries —
     // at saturation almost every tuple hits an existing word.
     fn process_batch(&mut self, _stream: StreamId, tuples: &[Tuple], _out: &mut BatchOutput) {
-        use std::collections::btree_map::Entry;
         for tuple in tuples {
-            match self.counts.entry(tuple.key) {
-                Entry::Occupied(mut e) => e.get_mut().count += 1,
-                Entry::Vacant(v) => {
+            match self.counts.get_mut(tuple.key) {
+                Some(entry) => entry.count += 1,
+                None => {
                     if let Ok(word) = tuple.decode::<String>() {
-                        v.insert(WordEntry { word, count: 1 });
+                        self.counts.insert(tuple.key, WordEntry { word, count: 1 });
                     }
                 }
             }
@@ -136,36 +141,29 @@ impl StatefulOperator for WindowedWordCount {
         self.counts.clear();
         self.last_window_close_ms = now_ms;
         self.window_seq += 1;
+        self.window_meta_dirty = true;
     }
 
     fn get_processing_state(&self) -> ProcessingState {
-        let mut st = ProcessingState::empty();
-        for (key, entry) in &self.counts {
-            st.insert_encoded(*key, entry)
-                .expect("word entry serialises");
-        }
-        // Window bookkeeping travels under a reserved key outside the word
-        // key space so it partitions with any key range that includes it; on
-        // restore each partition gets a consistent window sequence.
-        st.insert_encoded(Key(u64::MAX), &(self.last_window_close_ms, self.window_seq))
-            .expect("window metadata serialises");
+        let mut st = self.counts.snapshot();
+        st.insert(WINDOW_META, self.window_meta());
         st
     }
 
-    fn set_processing_state(&mut self, state: ProcessingState) {
-        self.counts.clear();
-        for (key, _) in state.iter() {
-            if key == Key(u64::MAX) {
-                if let Ok(Some((close, seq))) = state.get_decoded::<(u64, u64)>(key) {
-                    self.last_window_close_ms = close;
-                    self.window_seq = seq;
-                }
-                continue;
-            }
-            if let Ok(Some(entry)) = state.get_decoded::<WordEntry>(key) {
-                self.counts.insert(key, entry);
-            }
+    fn set_processing_state(&mut self, mut state: ProcessingState) {
+        if let Ok(Some((close, seq))) = state.get_decoded::<(u64, u64)>(WINDOW_META) {
+            self.last_window_close_ms = close;
+            self.window_seq = seq;
         }
+        state.remove(WINDOW_META);
+        self.counts.restore_from(&state);
+    }
+
+    fn take_state_delta(&mut self) -> StateDelta {
+        let meta_dirty = std::mem::take(&mut self.window_meta_dirty);
+        self.counts
+            .take_delta()
+            .with_entry(WINDOW_META, self.window_meta(), meta_dirty)
     }
 
     fn name(&self) -> &str {

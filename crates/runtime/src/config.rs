@@ -101,8 +101,7 @@ pub struct RuntimeConfig {
     /// latency at the stateful operator is the quantity of interest.
     pub latency_probe_at_stateful: bool,
     /// Checkpoint-store subsystem configuration: which backend each upstream
-    /// VM hosts for the checkpoints backed up to it, and whether backups are
-    /// incremental.
+    /// VM hosts for the checkpoints backed up to it.
     #[serde(default)]
     pub store: StoreConfig,
     /// How reconfiguration plans split key ranges: evenly (the default and
@@ -223,7 +222,6 @@ mod tests {
         assert_eq!(c.strategy, RecoveryStrategy::StateManagement);
         assert!(c.channel_capacity > 1_000);
         assert_eq!(c.store.backend, seep_store::StoreBackendKind::Mem);
-        assert!(!c.store.incremental);
         // Seed behaviour: even splits unless skew-awareness is opted into.
         assert_eq!(c.split, SplitPolicy::Even);
     }
@@ -236,10 +234,8 @@ mod tests {
 
     #[test]
     fn store_backend_is_configurable() {
-        let c = RuntimeConfig::default()
-            .with_store(StoreConfig::file("/tmp/seep-cfg-test").with_incremental(true));
+        let c = RuntimeConfig::default().with_store(StoreConfig::file("/tmp/seep-cfg-test"));
         assert_eq!(c.store.backend, seep_store::StoreBackendKind::File);
-        assert!(c.store.incremental);
     }
 
     #[test]

@@ -215,6 +215,7 @@ struct MetricsInner {
     sink_tuples: u64,
     processed: HashMap<OperatorId, u64>,
     checkpoints: Vec<CheckpointRecord>,
+    checkpoint_failures: HashMap<OperatorId, u64>,
     recoveries: Vec<RecoveryRecord>,
     scale_outs: Vec<ScaleOutRecord>,
     scale_ins: Vec<ScaleInRecord>,
@@ -296,6 +297,17 @@ impl Metrics {
     /// Record a checkpoint.
     pub fn record_checkpoint(&self, record: CheckpointRecord) {
         self.inner.lock().checkpoints.push(record);
+    }
+
+    /// Record a periodic checkpoint of `operator` that failed: nothing was
+    /// backed up and its upstream buffers were not trimmed.
+    pub fn record_checkpoint_failure(&self, operator: OperatorId) {
+        *self
+            .inner
+            .lock()
+            .checkpoint_failures
+            .entry(operator)
+            .or_insert(0) += 1;
     }
 
     /// Record a recovery.
@@ -391,6 +403,16 @@ impl Metrics {
         self.inner
             .lock()
             .processed
+            .get(&operator)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Periodic checkpoints of `operator` that failed so far.
+    pub fn checkpoint_failures_of(&self, operator: OperatorId) -> u64 {
+        self.inner
+            .lock()
+            .checkpoint_failures
             .get(&operator)
             .copied()
             .unwrap_or(0)

@@ -55,6 +55,11 @@ pub struct OperatorHealth {
     pub utilization: f64,
     /// Tuples processed by the instance so far.
     pub processed: u64,
+    /// Periodic checkpoints of the instance that failed so far. While they
+    /// keep failing the instance's backup goes stale and its upstream
+    /// buffers grow.
+    #[serde(default)]
+    pub checkpoint_failures: u64,
     /// Hosting VM, when placed.
     pub vm: Option<u64>,
 }
@@ -96,6 +101,7 @@ mod tests {
             queued: 0,
             utilization: 0.0,
             processed: 0,
+            checkpoint_failures: 0,
             vm: Some(id),
         }
     }

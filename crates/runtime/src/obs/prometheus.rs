@@ -462,6 +462,26 @@ pub fn render_prometheus(s: &ObsSnapshot) -> String {
     }
 
     w.family(
+        "seep_checkpoint_failures_total",
+        "counter",
+        "Periodic checkpoints that failed, per operator instance.",
+    );
+    // One sample per instance: the rows of a fused instance share it.
+    let mut instances: Vec<_> = s
+        .health
+        .iter()
+        .map(|h| (h.operator.raw(), h.checkpoint_failures))
+        .collect();
+    instances.dedup_by_key(|(operator, _)| *operator);
+    for (operator, failures) in instances {
+        w.sample(
+            "seep_checkpoint_failures_total",
+            &[("operator", operator.to_string().as_str())],
+            failures as f64,
+        );
+    }
+
+    w.family(
         "seep_placement_vm_occupancy",
         "gauge",
         "Operators resident on each occupied VM.",
@@ -976,6 +996,7 @@ mod tests {
                 queued: 123,
                 utilization: 0.83,
                 processed: 4_567,
+                checkpoint_failures: 2,
                 vm: Some(3),
             },
             OperatorHealth {
@@ -986,6 +1007,7 @@ mod tests {
                 queued: 0,
                 utilization: 0.10,
                 processed: 999,
+                checkpoint_failures: 0,
                 vm: Some(4),
             },
         ];
@@ -1086,6 +1108,12 @@ mod tests {
         assert_eq!(hostile.label("name"), Some("count\"er\\one\nline"));
         assert_eq!(hostile.label("state"), Some("backpressured"));
         assert_eq!(hostile.value, 1.0);
+        let failures = exp.of("seep_checkpoint_failures_total");
+        let by_operator: Vec<_> = failures
+            .iter()
+            .map(|s| (s.label("operator"), s.value))
+            .collect();
+        assert_eq!(by_operator, vec![(Some("7"), 2.0), (Some("8"), 0.0)]);
     }
 
     #[test]

@@ -698,7 +698,6 @@ impl Runtime {
             self.monitor.forget(*old);
             self.checkpoint_seq.remove(old);
             self.last_checkpoint_ms.remove(old);
-            self.last_backed_up.remove(old);
         }
         emptied
     }

@@ -15,8 +15,8 @@ use std::time::Instant;
 use seep_cloud::{CloudProvider, CpuMonitor, UtilizationReport, VmPool};
 use seep_core::operator::OperatorFactory;
 use seep_core::{
-    Checkpoint, Error, ExecutionGraph, IncrementalCheckpoint, Key, LogicalOpId, OperatorId,
-    OperatorKind, QueryGraph, Result, StreamId, TimestampVec,
+    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result,
+    StreamId, TimestampVec,
 };
 use seep_net::Network;
 use seep_store::{BackupCoordinator, StoreStats};
@@ -34,7 +34,7 @@ use crate::obs::{
 use crate::placement::Placement;
 use crate::reconfig::ReconfigPlan;
 use crate::recovery::RecoveryStrategy;
-use crate::worker::{SharedClock, WorkerCore};
+use crate::worker::{Capture, SharedClock, WorkerCore};
 
 /// Result of a scale-out (or recovery) action.
 #[derive(Debug, Clone)]
@@ -111,9 +111,6 @@ pub struct Runtime {
     pub(crate) epoch: Instant,
     pub(crate) last_checkpoint_ms: HashMap<OperatorId, u64>,
     pub(crate) checkpoint_seq: HashMap<OperatorId, u64>,
-    /// Last checkpoint successfully backed up per operator; the base against
-    /// which incremental backups are diffed.
-    pub(crate) last_backed_up: HashMap<OperatorId, Checkpoint>,
     last_tick_ms: u64,
     last_report_ms: u64,
     auto_scale: bool,
@@ -163,7 +160,6 @@ impl Runtime {
             epoch: Instant::now(),
             last_checkpoint_ms: HashMap::new(),
             checkpoint_seq: HashMap::new(),
-            last_backed_up: HashMap::new(),
             last_tick_ms: 0,
             last_report_ms: 0,
             auto_scale: false,
@@ -286,6 +282,23 @@ impl Runtime {
         f: impl FnOnce(&dyn seep_core::StatefulOperator) -> R,
     ) -> Option<R> {
         self.workers.get(&instance).map(|w| f(w.operator()))
+    }
+
+    /// A fresh full checkpoint of `instance` as it is now, numbered with its
+    /// latest checkpoint sequence; what its backup must equal right after a
+    /// checkpoint round, however that round shipped it. `None` if the worker
+    /// is gone.
+    pub fn full_checkpoint(&self, instance: OperatorId) -> Option<seep_core::Checkpoint> {
+        let sequence = self.checkpoint_seq.get(&instance).copied().unwrap_or(0);
+        self.workers
+            .get(&instance)
+            .map(|w| w.take_checkpoint(sequence))
+    }
+
+    /// The checkpoint currently backed up for `instance`, read back from the
+    /// store of the upstream operator holding it.
+    pub fn backed_up_checkpoint(&self, instance: OperatorId) -> Result<seep_core::Checkpoint> {
+        self.backup.retrieve(instance)
     }
 
     /// Total tuples queued on worker inbound channels (0 when fully drained).
@@ -496,27 +509,35 @@ impl Runtime {
         // stream history and a later reconfiguration would replay it
         // wholesale into the paused receivers. Sources have no upstream
         // buffer to trim, so they only stamp the schedule.
+        //
+        // A round goes downstream-first: an operator's checkpoint trims the
+        // buffers of its upstreams, so by the time an upstream is captured
+        // its buffer holds only what its downstreams have not reflected —
+        // instead of a whole interval of output an instant before the trim.
         if self.config.strategy.checkpoints() {
             let due: Vec<OperatorId> = self
-                .workers
-                .iter()
-                .filter(|(id, w)| {
-                    !w.is_failed()
+                .topological_instances()
+                .into_iter()
+                .rev()
+                .filter(|id| {
+                    self.workers.get(id).is_some_and(|w| !w.is_failed())
                         && now_ms
                             .saturating_sub(self.last_checkpoint_ms.get(id).copied().unwrap_or(0))
                             >= self.config.checkpoint_interval_ms
                 })
-                .map(|(id, _)| *id)
                 .collect();
             for op in due {
                 let has_upstream = self
                     .graph()
                     .upstream_instances(op)
                     .is_ok_and(|ups| !ups.is_empty());
-                if has_upstream {
-                    let _ = self.checkpoint_operator(op);
-                } else {
+                if !has_upstream {
                     self.last_checkpoint_ms.insert(op, now_ms);
+                } else if self.checkpoint_operator(op).is_err() {
+                    // The operator stays due and is retried on the next
+                    // advance; until a write lands its upstream buffers are
+                    // not trimmed. Count it so that is visible.
+                    self.metrics.record_checkpoint_failure(op);
                 }
             }
         }
@@ -705,6 +726,12 @@ impl Runtime {
 
     /// Take a checkpoint of `operator`, back it up to an upstream VM and trim
     /// the upstream output buffers (§3.2, Algorithm 1).
+    ///
+    /// What is captured and shipped is the delta since the operator's
+    /// previous checkpoint whenever the chosen backup operator still holds
+    /// that checkpoint, and the full state otherwise: on the first round,
+    /// after the backup moved, after a write that did not land, and for
+    /// operators that do not track changes.
     pub fn checkpoint_operator(&mut self, operator: OperatorId) -> Result<CheckpointRecord> {
         let started = Instant::now();
         let seq = {
@@ -712,43 +739,29 @@ impl Runtime {
             *seq += 1;
             *seq
         };
-        let checkpoint = {
+        let upstreams = self.graph().upstream_instances(operator)?;
+        let capture = {
+            let base_held = self.backup.holds_base(operator, &upstreams, seq - 1);
             let worker = self
                 .workers
-                .get(&operator)
+                .get_mut(&operator)
                 .ok_or(Error::UnknownOperator(operator))?;
             if worker.is_failed() {
                 return Err(Error::Invariant(format!(
                     "cannot checkpoint failed operator {operator}"
                 )));
             }
-            worker.take_checkpoint(seq)
+            worker.take_delta(seq, base_held)
         };
-        let size_bytes = checkpoint.size_bytes();
-        let upstreams = self.graph().upstream_instances(operator)?;
+        let size_bytes = capture.size_bytes();
         let mut stored_bytes = 0usize;
         let mut incremental = false;
         if !upstreams.is_empty() {
-            // Incremental backup when enabled and a base is already stored at
-            // a stable backup operator; full backup otherwise (first
-            // checkpoint, placement change, or any store-side refusal).
-            let outcome = if self.config.store.incremental {
-                let delta = self.last_backed_up.get(&operator).and_then(|prev| {
-                    let inc = IncrementalCheckpoint::diff(prev, &checkpoint);
-                    self.backup
-                        .backup_increment(operator, &upstreams, &inc)
-                        .ok()
-                });
-                let outcome = match delta {
-                    Some(outcome) => outcome,
-                    None => self
-                        .backup
-                        .backup_state(operator, &upstreams, checkpoint.clone())?,
-                };
-                self.last_backed_up.insert(operator, checkpoint);
-                outcome
-            } else {
-                self.backup.backup_state(operator, &upstreams, checkpoint)?
+            let outcome = match capture {
+                Capture::Delta(inc) => self.backup.backup_increment(operator, &upstreams, &inc)?,
+                Capture::Full(checkpoint) => {
+                    self.backup.backup_state(operator, &upstreams, checkpoint)?
+                }
             };
             stored_bytes = outcome.put.bytes_written;
             incremental = outcome.incremental;
@@ -803,7 +816,6 @@ impl Runtime {
             self.network.disconnect(op);
             self.backup.unregister_store(op);
             self.monitor.forget(op);
-            self.last_backed_up.remove(&op);
             self.placement.release(op);
         }
         self.refresh_obs();
@@ -1188,6 +1200,7 @@ impl Runtime {
                     .map(|r| r.utilization)
                     .unwrap_or(0.0),
                 processed: w.processed(),
+                checkpoint_failures: self.metrics.checkpoint_failures_of(*id),
                 vm: self.placement.vm_of(*id).map(|vm| vm.0),
             };
             match w.operator().fusion_stages() {
@@ -1816,7 +1829,7 @@ mod tests {
             .backup
             .store_of(parts[0])
             .unwrap()
-            .put(owner, Checkpoint::empty(owner))
+            .put(owner, seep_core::Checkpoint::empty(owner))
             .unwrap();
         h.runtime.backup.set_backup_of(owner, parts[0]);
 
@@ -2120,6 +2133,144 @@ mod tests {
         let counter = counter_instance(&h);
         h.runtime.fail_operator(counter);
         assert!(h.runtime.checkpoint_operator(counter).is_err());
+    }
+
+    /// A `MemStore` that refuses writes while `refusing` is set.
+    #[derive(Default)]
+    struct RefusingStore {
+        inner: seep_store::MemStore,
+        refusing: std::sync::atomic::AtomicBool,
+    }
+
+    impl RefusingStore {
+        fn check(&self) -> Result<()> {
+            if self.refusing.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(Error::Store("store refuses writes".into()));
+            }
+            Ok(())
+        }
+    }
+
+    impl seep_store::CheckpointStore for RefusingStore {
+        fn backend(&self) -> &'static str {
+            "refusing"
+        }
+        fn put(
+            &self,
+            owner: OperatorId,
+            checkpoint: seep_core::Checkpoint,
+        ) -> Result<seep_store::PutOutcome> {
+            self.check()?;
+            self.inner.put(owner, checkpoint)
+        }
+        fn apply_incremental(
+            &self,
+            owner: OperatorId,
+            inc: &seep_core::IncrementalCheckpoint,
+        ) -> Result<seep_store::PutOutcome> {
+            self.check()?;
+            self.inner.apply_incremental(owner, inc)
+        }
+        fn latest(&self, owner: OperatorId) -> Result<seep_core::Checkpoint> {
+            self.inner.latest(owner)
+        }
+        fn get(&self, owner: OperatorId, sequence: u64) -> Result<seep_core::Checkpoint> {
+            self.inner.get(owner, sequence)
+        }
+        fn latest_sequence(&self, owner: OperatorId) -> Option<u64> {
+            self.inner.latest_sequence(owner)
+        }
+        fn prune(&self, owner: OperatorId, before_sequence: u64) -> usize {
+            self.inner.prune(owner, before_sequence)
+        }
+        fn delete(&self, owner: OperatorId) -> bool {
+            self.inner.delete(owner)
+        }
+        fn owners(&self) -> Vec<OperatorId> {
+            self.inner.owners()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_refused_checkpoint_is_counted_retried_and_followed_by_a_full_capture() {
+        let mut h = word_count_harness(RuntimeConfig::default());
+        let counter = counter_instance(&h);
+        let splitter = h.runtime.partitions(h.split)[0];
+        // The counter backs up to its only upstream, the splitter.
+        let store = Arc::new(RefusingStore::default());
+        h.runtime.backup.register_store(splitter, store.clone());
+        let failures = |h: &Harness| h.runtime.metrics().checkpoint_failures_of(counter);
+        let last_record = |h: &Harness| {
+            let records = h.runtime.metrics().checkpoints();
+            *records.iter().rfind(|r| r.operator == counter).unwrap()
+        };
+        let buffered = |h: &Harness| h.runtime.workers[&splitter].buffer().len();
+
+        // Enough words that the few each later round touches are a delta.
+        inject_sentence(&mut h, "a b c d e f g h i j k l one two three");
+        h.runtime.drain();
+        h.runtime.advance_to(5_000);
+        assert!(!last_record(&h).incremental, "the first round is full");
+        inject_sentence(&mut h, "two three four");
+        h.runtime.drain();
+        h.runtime.advance_to(10_000);
+        assert!(last_record(&h).incremental, "the second is a delta");
+        assert_eq!((failures(&h), buffered(&h)), (0, 0));
+
+        // The store starts refusing: the round fails, visibly, the delta it
+        // captured is lost, and the splitter's buffer is not trimmed.
+        store
+            .refusing
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        inject_sentence(&mut h, "three four five");
+        h.runtime.drain();
+        h.runtime.advance_to(15_000);
+        assert_eq!((failures(&h), buffered(&h)), (1, 3));
+        assert_eq!(last_record(&h).at_ms, 10_000);
+        let row = |h: &Harness| {
+            let rows = h.runtime.health();
+            rows.into_iter().find(|r| r.operator == counter).unwrap()
+        };
+        assert_eq!(row(&h).checkpoint_failures, 1);
+        let scrape = crate::obs::render_prometheus(&h.runtime.obs_snapshot());
+        let sample = format!(
+            "seep_checkpoint_failures_total{{operator=\"{}\"}} 1",
+            counter.raw()
+        );
+        assert!(scrape.contains(&sample), "{sample} not in:\n{scrape}");
+        // It stays due and is retried on the next advance.
+        h.runtime.advance_to(15_500);
+        assert_eq!(failures(&h), 2);
+
+        // The store recovers. What the lost delta held is in no later delta,
+        // so the next capture must be — and is — a full one.
+        store
+            .refusing
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        h.runtime.advance_to(16_000);
+        let record = last_record(&h);
+        assert_eq!((record.at_ms, record.incremental), (16_000, false));
+        assert_eq!((failures(&h), buffered(&h)), (2, 0));
+        assert_eq!(
+            h.runtime.backed_up_checkpoint(counter).unwrap(),
+            h.runtime.full_checkpoint(counter).unwrap()
+        );
+        assert_eq!(row(&h).checkpoint_failures, 2, "the count is cumulative");
+        // And deltas resume on top of it.
+        inject_sentence(&mut h, "five six");
+        h.runtime.drain();
+        h.runtime.advance_to(21_000);
+        assert!(last_record(&h).incremental);
+        let mut backed_up = h.runtime.backed_up_checkpoint(counter).unwrap();
+        // This advance also ran a utilisation report, after the round.
+        backed_up.traffic.decay();
+        assert_eq!(backed_up, h.runtime.full_checkpoint(counter).unwrap());
     }
 
     #[test]

@@ -16,8 +16,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use seep_core::{
-    BatchAdmission, BatchOutput, BufferState, Checkpoint, DuplicateFilter, Key, LogicalOpId,
-    OperatorId, OutputTuple, RoutingState, StatefulOperator, StreamId, Timestamp, TimestampVec,
+    BatchAdmission, BatchOutput, BufferState, Checkpoint, CheckpointMeta, DuplicateFilter,
+    IncrementalCheckpoint, Key, LogicalOpId, OperatorId, OutputTuple, ProcessingState,
+    RoutingState, StateDelta, StatefulOperator, StreamId, Timestamp, TimestampVec, TrafficLog,
     TrafficStats, Tuple, TupleBatch,
 };
 use seep_net::{DataReceiver, Envelope, Message, Network};
@@ -73,6 +74,27 @@ impl SharedClock {
     }
 }
 
+/// What a checkpoint round captured from a worker
+/// ([`WorkerCore::take_delta`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Capture {
+    /// The whole state.
+    Full(Checkpoint),
+    /// What changed since the previous capture, which had the sequence the
+    /// delta names as its base.
+    Delta(IncrementalCheckpoint),
+}
+
+impl Capture {
+    /// Approximate size in bytes of what was captured.
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            Capture::Full(checkpoint) => checkpoint.size_bytes(),
+            Capture::Delta(inc) => inc.size_bytes(),
+        }
+    }
+}
+
 /// The state of one worker (one operator instance on one VM).
 pub struct WorkerCore {
     /// Physical operator instance id.
@@ -118,7 +140,7 @@ pub struct WorkerCore {
     /// Decayed per-key tuple counters: the observed-traffic signal embedded
     /// in checkpoints so distribution-guided splits weight keys by the load
     /// they actually receive, not by their state footprint.
-    traffic: TrafficStats,
+    traffic: TrafficLog,
     /// Partially filled output batches per downstream target. Tuples here
     /// are unstamped and not yet in the output buffer: both happen when they
     /// are flushed, under the emit gate. They never outlive the step or tick
@@ -170,7 +192,7 @@ impl WorkerCore {
             dedup: DuplicateFilter::new(),
             clock,
             ts: TimestampVec::new(),
-            traffic: TrafficStats::new(),
+            traffic: TrafficLog::default(),
             pending: BTreeMap::new(),
             pending_copies: 0,
             paused: false,
@@ -283,8 +305,8 @@ impl WorkerCore {
     }
 
     /// The worker's decayed per-key traffic counters.
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
+    pub fn traffic(&self) -> TrafficStats {
+        self.traffic.current()
     }
 
     /// Advance the 1-in-N stamping sequence and report whether this emitted
@@ -589,11 +611,54 @@ impl WorkerCore {
     /// tuples between steps is a source (after `emit_source`), which never
     /// takes periodic checkpoints.
     pub fn take_checkpoint(&self, sequence: u64) -> Checkpoint {
-        let mut processing = self.operator.get_processing_state();
+        self.checkpoint_of(self.operator.get_processing_state(), sequence)
+    }
+
+    fn checkpoint_of(&self, mut processing: ProcessingState, sequence: u64) -> Checkpoint {
         *processing.timestamps_mut() = self.ts.clone();
         Checkpoint::new(self.id, sequence, processing, self.buffer.clone())
             .with_emit_clock(self.clock.last())
-            .with_traffic(self.traffic.clone())
+            .with_traffic(self.traffic.current())
+    }
+
+    /// The periodic-round capture: what changed since the previous call,
+    /// which the caller numbered `sequence - 1`, at a cost that follows the
+    /// keys touched rather than the keys held. `base_held` says whether the
+    /// backup still holds that previous capture; if it does not, or the
+    /// worker cannot tell what changed (its first capture, a state just
+    /// restored, an operator that keeps no dirty marks), the capture is the
+    /// whole state. Either way the marks start afresh, so the caller must
+    /// ship what it gets or take a full capture next time — which
+    /// `base_held` turning false makes it do.
+    ///
+    /// Processing state and traffic counters travel as changes; buffer,
+    /// timestamps and clock are carried whole, as in
+    /// [`take_checkpoint`](Self::take_checkpoint), and pending output
+    /// batches are left out for the same reason.
+    pub fn take_delta(&mut self, sequence: u64, base_held: bool) -> Capture {
+        let state = self.operator.take_state_delta();
+        let traffic = self.traffic.take_ops();
+        match (state, traffic) {
+            (StateDelta::Changes { changed, removed }, Some(traffic)) if base_held => {
+                Capture::Delta(IncrementalCheckpoint {
+                    meta: CheckpointMeta {
+                        operator: self.id,
+                        sequence,
+                    },
+                    base_sequence: sequence - 1,
+                    changed,
+                    removed,
+                    timestamps: self.ts.clone(),
+                    buffer: self.buffer.clone(),
+                    emit_clock: self.clock.last(),
+                    traffic,
+                })
+            }
+            (StateDelta::Full(processing), _) => {
+                Capture::Full(self.checkpoint_of(processing, sequence))
+            }
+            _ => Capture::Full(self.take_checkpoint(sequence)),
+        }
     }
 
     /// Restore the worker from a (possibly partitioned) checkpoint: install
@@ -607,7 +672,7 @@ impl WorkerCore {
         self.buffer = checkpoint.buffer;
         // Seed the traffic counters from the checkpoint (partitioned to this
         // worker's range), so a follow-up rebalance keeps its signal.
-        self.traffic = checkpoint.traffic;
+        self.traffic.restore(checkpoint.traffic);
         for routing in self.routing.values() {
             for target in routing.targets() {
                 self.buffer.add_downstream(target);

@@ -43,12 +43,6 @@ pub struct StoreConfig {
     /// Base directory for on-disk backends; each store gets a subdirectory
     /// named after the VM/operator hosting it. Required for `File`/`Tiered`.
     pub dir: Option<PathBuf>,
-    /// Back up incremental checkpoints (deltas since the previous backup)
-    /// instead of full checkpoints whenever the backup placement is stable.
-    pub incremental: bool,
-    /// `FileStore`: collapse an owner's delta chain into a fresh full
-    /// snapshot after this many deltas.
-    pub compact_after_deltas: usize,
     /// `FileStore`: roll the active segment past this size.
     pub segment_target_bytes: u64,
     /// `TieredStore`: byte budget of the in-memory hot tier per store.
@@ -65,8 +59,6 @@ impl Default for StoreConfig {
         StoreConfig {
             backend: StoreBackendKind::Mem,
             dir: None,
-            incremental: false,
-            compact_after_deltas: 8,
             segment_target_bytes: 8 * 1024 * 1024,
             hot_bytes_budget: 64 * 1024 * 1024,
             fsync: false,
@@ -99,12 +91,6 @@ impl StoreConfig {
         }
     }
 
-    /// Enable or disable incremental backups.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
     /// Enable per-record durability, coalescing the `sync_data` calls to one
     /// per `n` appended frames (1 = sync every record; a crash loses at most
     /// the last `n - 1` unflushed records, which the crash scan truncates on
@@ -129,7 +115,6 @@ impl StoreConfig {
         })?;
         Ok(FileStoreConfig {
             dir: dir.join(label),
-            compact_after_deltas: self.compact_after_deltas,
             segment_target_bytes: self.segment_target_bytes,
             fsync: self.fsync,
             sync_every_n_frames: self.sync_every_n_frames,
@@ -187,11 +172,11 @@ mod tests {
 
     #[test]
     fn config_roundtrips_through_serde() {
-        let config = StoreConfig::file("/tmp/x").with_incremental(true);
+        let config = StoreConfig::file("/tmp/x").with_fsync_every(4);
         let bytes = bincode::serialize(&config).unwrap();
         let back: StoreConfig = bincode::deserialize(&bytes).unwrap();
         assert_eq!(back.backend, StoreBackendKind::File);
-        assert!(back.incremental);
+        assert_eq!((back.fsync, back.sync_every_n_frames), (true, 4));
         assert_eq!(back.dir.as_deref(), config.dir.as_deref());
     }
 }

@@ -157,10 +157,30 @@ impl BackupCoordinator {
         })
     }
 
+    /// Whether `operator`'s backup can take a delta on top of sequence
+    /// `base_sequence`: the operator the hash rule selects among `upstreams`
+    /// is the one currently holding the backup, and what it holds is at
+    /// exactly that sequence. False on a first round, after the backup
+    /// moved and after a write that did not land.
+    pub fn holds_base(
+        &self,
+        operator: OperatorId,
+        upstreams: &[OperatorId],
+        base_sequence: u64,
+    ) -> bool {
+        let Some(chosen) = select_backup_operator(operator, upstreams) else {
+            return false;
+        };
+        self.backup_of(operator) == Some(chosen)
+            && self
+                .store_of(chosen)
+                .is_ok_and(|store| store.latest_sequence(operator) == Some(base_sequence))
+    }
+
     /// Incremental `backup-state(o)`: apply `inc` on top of the checkpoint
-    /// already backed up for `operator`. Fails (so the caller falls back to a
-    /// full backup) when the hash selection no longer matches the current
-    /// assignment or no base is stored.
+    /// already backed up for `operator`. Fails when
+    /// [`holds_base`](Self::holds_base) would have said no, or when the
+    /// store refuses the write.
     pub fn backup_increment(
         &self,
         operator: OperatorId,
@@ -424,14 +444,22 @@ mod tests {
         current.meta.sequence = 2;
         current.processing.insert(Key(42), vec![4]);
         let inc = IncrementalCheckpoint::diff(&base, &current);
+        assert!(coord.holds_base(op, &ups, 1));
+        assert!(!coord.holds_base(op, &ups, 2), "not at that sequence yet");
         let outcome = coord.backup_increment(op, &ups, &inc).unwrap();
         assert!(outcome.incremental);
         assert_eq!(coord.retrieve(op).unwrap().meta.sequence, 2);
+        assert!(coord.holds_base(op, &ups, 2));
+        assert!(
+            !coord.holds_base(op, &[OperatorId::new(9)], 2),
+            "the hash rule now picks another operator: the backup moves"
+        );
 
         // Without an existing assignment the increment is refused.
         let other = OperatorId::new(6);
         let inc6 =
             IncrementalCheckpoint::diff(&Checkpoint::empty(other), &Checkpoint::empty(other));
+        assert!(!coord.holds_base(other, &ups, 0));
         assert!(coord.backup_increment(other, &ups, &inc6).is_err());
     }
 

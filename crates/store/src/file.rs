@@ -4,22 +4,36 @@
 //! length+CRC-framed records:
 //!
 //! ```text
-//! +----------+-----------+------------------+
-//! | len: u32 | crc32: u32| payload (len B)  |
-//! +----------+-----------+------------------+
+//! +----------+-----------+--------------------------------------------------+
+//! | len: u32 | crc32: u32| payload (len B)                                  |
+//! +----------+-----------+------+-----------+---------------+---------------+
+//!                        | kind | owner: u64| sequence: u64 | base: u64 | body
+//!                        +------+-----------+---------------+-----------+----
 //! ```
 //!
-//! The payload is a bincode-encoded `LogRecord`: a full checkpoint, an
-//! incremental delta on top of the owner's current chain, or a tombstone.
-//! Restores read the owner's last full record from disk and re-apply its
-//! delta chain, so recovery I/O cost is actually paid and measurable.
+//! `kind` is a full checkpoint (body: the bincode-encoded `Checkpoint`), an
+//! incremental delta extending the owner's chain (body: the
+//! `IncrementalCheckpoint`; `base` is the sequence it extends) or a
+//! tombstone (no state). Everything the owner index needs sits in the fixed
+//! part, so opening a store never decodes a body. Restores read the owner's
+//! last full record from disk and re-apply its delta chain, so recovery I/O
+//! cost is actually paid and measurable.
 //!
 //! Durability and crash safety come from the append-only discipline: opening
 //! a store scans every segment in order and rebuilds the owner index,
 //! stopping at the first torn or corrupt frame of a segment (a crash mid
-//! write can only damage the tail). Compaction rewrites the live state —
-//! every owner's materialised latest checkpoint — into a fresh segment and
-//! deletes the old ones once the log grows past twice its live size.
+//! write can only damage the tail).
+//!
+//! Two derived rules keep the log bounded, with nothing to tune:
+//!
+//! * an owner's base is rewritten as a fresh full record when the bytes of
+//!   its delta chain would exceed the bytes of the base. A restore therefore
+//!   reads at most twice the state's size, and over time at most as many
+//!   bytes go into rewritten bases as into the deltas themselves;
+//! * once the log grows past twice its live size, the segments at its head
+//!   that hold no live record are deleted (nothing is copied), and if live
+//!   and dead records are still interleaved beyond that bound the live state
+//!   is compacted into a fresh segment.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -39,14 +53,14 @@ use crate::traits::{CheckpointStore, PutOutcome, StoreMetrics, StoreStats};
 /// Size of the `len` + `crc32` frame header.
 const FRAME_HEADER: usize = 8;
 
+/// Size of the fixed part of a payload: kind, owner, sequence, base sequence.
+const RECORD_HEADER: usize = 1 + 3 * 8;
+
 /// Configuration of a [`FileStore`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FileStoreConfig {
     /// Root directory holding the segment files.
     pub dir: PathBuf,
-    /// Rewrite an owner's chain as a fresh full snapshot once this many
-    /// deltas pile up behind it (bounds restore replay length).
-    pub compact_after_deltas: usize,
     /// Roll the active segment once it grows past this size.
     pub segment_target_bytes: u64,
     /// `fsync` after appended records (durability against OS crash, slower).
@@ -65,7 +79,6 @@ impl FileStoreConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         FileStoreConfig {
             dir: dir.into(),
-            compact_after_deltas: 8,
             segment_target_bytes: 8 * 1024 * 1024,
             fsync: false,
             sync_every_n_frames: 1,
@@ -73,28 +86,67 @@ impl FileStoreConfig {
     }
 }
 
-/// One record in the log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum LogRecord {
-    /// A full checkpoint of `owner`.
-    Full {
-        /// Operator whose state this is.
-        owner: OperatorId,
-        /// The checkpoint.
-        checkpoint: Checkpoint,
-    },
+/// What a record in the log is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecordKind {
+    /// A full checkpoint of the owner.
+    Full = 0,
     /// An incremental checkpoint on top of the owner's current latest.
-    Delta {
-        /// Operator whose state this extends.
-        owner: OperatorId,
-        /// The delta.
-        inc: IncrementalCheckpoint,
-    },
-    /// Everything stored for `owner` is deleted.
-    Tombstone {
-        /// Operator whose backups are dropped.
-        owner: OperatorId,
-    },
+    Delta = 1,
+    /// Everything stored for the owner is deleted.
+    Tombstone = 2,
+}
+
+/// The fixed part of a record: all the owner index needs to know about it.
+#[derive(Debug, Clone, Copy)]
+struct RecordHeader {
+    kind: RecordKind,
+    owner: OperatorId,
+    /// Sequence the owner's backup is at once this record is applied.
+    sequence: u64,
+    /// Deltas only: the sequence this record extends.
+    base_sequence: u64,
+}
+
+impl RecordHeader {
+    fn parse(payload: &[u8]) -> Option<Self> {
+        if payload.len() < RECORD_HEADER {
+            return None;
+        }
+        let word = |i: usize| {
+            let bytes = payload[1 + 8 * i..9 + 8 * i].try_into();
+            u64::from_le_bytes(bytes.expect("an 8-byte slice"))
+        };
+        Some(RecordHeader {
+            kind: match payload[0] {
+                0 => RecordKind::Full,
+                1 => RecordKind::Delta,
+                2 => RecordKind::Tombstone,
+                _ => return None,
+            },
+            owner: OperatorId::new(word(0)),
+            sequence: word(1),
+            base_sequence: word(2),
+        })
+    }
+
+    /// A complete frame for this record: the len+CRC header is reserved up
+    /// front and patched once the body has been serialised behind it, so the
+    /// record is encoded exactly once and never copied.
+    fn frame<T: Serialize>(&self, body: &T) -> Result<Vec<u8>> {
+        let mut frame = vec![0u8; FRAME_HEADER];
+        frame.push(self.kind as u8);
+        for word in [self.owner.raw(), self.sequence, self.base_sequence] {
+            frame.extend_from_slice(&word.to_le_bytes());
+        }
+        bincode::serialize_into(&mut frame, body)?;
+        let len = u32::try_from(frame.len() - FRAME_HEADER)
+            .map_err(|_| Error::Store("checkpoint record exceeds 4 GiB".into()))?;
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[0..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        Ok(frame)
+    }
 }
 
 /// Position of one framed record inside a segment.
@@ -105,6 +157,13 @@ struct RecordPtr {
     len: u32,
 }
 
+impl RecordPtr {
+    /// Bytes the record occupies in its segment.
+    fn framed_len(&self) -> u64 {
+        self.len as u64 + FRAME_HEADER as u64
+    }
+}
+
 /// Per-owner index entry: where the last full checkpoint lives and the delta
 /// chain appended since.
 #[derive(Debug, Clone)]
@@ -112,7 +171,33 @@ struct OwnerIndex {
     full: RecordPtr,
     deltas: Vec<RecordPtr>,
     latest_sequence: u64,
-    live_bytes: u64,
+    /// Framed bytes of `deltas`.
+    chain_bytes: u64,
+}
+
+impl OwnerIndex {
+    fn based_on(full: RecordPtr, sequence: u64) -> Self {
+        OwnerIndex {
+            full,
+            deltas: Vec::new(),
+            latest_sequence: sequence,
+            chain_bytes: 0,
+        }
+    }
+
+    fn extend(&mut self, delta: RecordPtr, sequence: u64) {
+        self.deltas.push(delta);
+        self.latest_sequence = sequence;
+        self.chain_bytes += delta.framed_len();
+    }
+
+    fn live_bytes(&self) -> u64 {
+        self.full.framed_len() + self.chain_bytes
+    }
+
+    fn records(&self) -> impl Iterator<Item = &RecordPtr> + '_ {
+        std::iter::once(&self.full).chain(&self.deltas)
+    }
 }
 
 struct Inner {
@@ -122,6 +207,7 @@ struct Inner {
     active_len: u64,
     /// Total bytes across all segment files (live + garbage).
     total_bytes: u64,
+    /// Segment ids on disk, oldest first; the last one is active.
     segments: Vec<u64>,
     /// Frames appended to the active segment since the last `sync_data`
     /// (only maintained when `fsync` is on).
@@ -294,7 +380,7 @@ impl FileStore {
             if crc32(&payload) != crc {
                 break; // corrupt frame: ignore the rest of this segment
             }
-            let Ok(record) = bincode::deserialize::<LogRecord>(&payload) else {
+            let Some(record) = RecordHeader::parse(&payload) else {
                 break;
             };
             let ptr = RecordPtr {
@@ -303,65 +389,47 @@ impl FileStore {
                 len,
             };
             Self::apply_to_index(index, record, ptr);
-            offset += FRAME_HEADER as u64 + len as u64;
+            offset += ptr.framed_len();
         }
         Ok(offset)
     }
 
     fn apply_to_index(
         index: &mut HashMap<OperatorId, OwnerIndex>,
-        record: LogRecord,
+        record: RecordHeader,
         ptr: RecordPtr,
     ) {
-        match record {
-            LogRecord::Full { owner, checkpoint } => {
-                index.insert(
-                    owner,
-                    OwnerIndex {
-                        full: ptr,
-                        deltas: Vec::new(),
-                        latest_sequence: checkpoint.meta.sequence,
-                        live_bytes: ptr.len as u64 + FRAME_HEADER as u64,
-                    },
-                );
+        match record.kind {
+            RecordKind::Full => {
+                index.insert(record.owner, OwnerIndex::based_on(ptr, record.sequence));
             }
-            LogRecord::Delta { owner, inc } => {
-                if let Some(entry) = index.get_mut(&owner) {
+            RecordKind::Delta => {
+                if let Some(entry) = index.get_mut(&record.owner) {
                     // A delta only extends an intact chain; anything else is
                     // stale (e.g. written before a tombstone) and is skipped.
-                    if entry.latest_sequence == inc.base_sequence {
-                        entry.deltas.push(ptr);
-                        entry.latest_sequence = inc.meta.sequence;
-                        entry.live_bytes += ptr.len as u64 + FRAME_HEADER as u64;
+                    if entry.latest_sequence == record.base_sequence {
+                        entry.extend(ptr, record.sequence);
                     }
                 }
             }
-            LogRecord::Tombstone { owner } => {
-                index.remove(&owner);
+            RecordKind::Tombstone => {
+                index.remove(&record.owner);
             }
         }
     }
 
-    /// Append one record to the active segment, rolling or compacting as
-    /// configured. Returns the framed record size.
-    fn append(&self, inner: &mut Inner, record: &LogRecord) -> Result<RecordPtr> {
-        let payload = bincode::serialize(record)?;
-        let len = payload.len() as u32;
-        let crc = crc32(&payload);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame.extend_from_slice(&payload);
-
+    /// Append one framed record to the active segment, rolling it first when
+    /// it is full.
+    fn append(&self, inner: &mut Inner, frame: &[u8]) -> Result<RecordPtr> {
         if inner.active_len >= self.config.segment_target_bytes {
             self.roll_segment(inner)?;
         }
         let ptr = RecordPtr {
             segment: inner.active_id,
             offset: inner.active_len,
-            len,
+            len: (frame.len() - FRAME_HEADER) as u32,
         };
-        inner.active.write_all(&frame).map_err(io_err)?;
+        inner.active.write_all(frame).map_err(io_err)?;
         inner.active.flush().map_err(io_err)?;
         if self.config.fsync {
             inner.frames_since_sync += 1;
@@ -371,6 +439,27 @@ impl FileStore {
         }
         inner.active_len += frame.len() as u64;
         inner.total_bytes += frame.len() as u64;
+        Ok(ptr)
+    }
+
+    /// Append a full record of `checkpoint` and make it the owner's base.
+    fn append_full(
+        &self,
+        inner: &mut Inner,
+        owner: OperatorId,
+        checkpoint: &Checkpoint,
+    ) -> Result<RecordPtr> {
+        let sequence = checkpoint.meta.sequence;
+        let record = RecordHeader {
+            kind: RecordKind::Full,
+            owner,
+            sequence,
+            base_sequence: 0,
+        };
+        let ptr = self.append(inner, &record.frame(checkpoint)?)?;
+        inner
+            .index
+            .insert(owner, OwnerIndex::based_on(ptr, sequence));
         Ok(ptr)
     }
 
@@ -402,7 +491,12 @@ impl FileStore {
         Ok(())
     }
 
-    fn read_record(&self, ptr: RecordPtr) -> Result<LogRecord> {
+    /// Read the body of the record at `ptr`, which must be of kind `kind`.
+    fn read_body<T: for<'de> Deserialize<'de>>(
+        &self,
+        ptr: RecordPtr,
+        kind: RecordKind,
+    ) -> Result<T> {
         let path = segment_path(&self.config.dir, ptr.segment);
         let mut file = File::open(&path).map_err(io_err)?;
         file.seek(SeekFrom::Start(ptr.offset)).map_err(io_err)?;
@@ -410,55 +504,47 @@ impl FileStore {
         file.read_exact(&mut header).map_err(io_err)?;
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let at = || format!("segment {} offset {}", ptr.segment, ptr.offset);
         if len != ptr.len {
             return Err(Error::Store(format!(
-                "log record length mismatch at segment {} offset {}",
-                ptr.segment, ptr.offset
+                "log record length mismatch at {}",
+                at()
             )));
         }
         let mut payload = vec![0u8; len as usize];
         file.read_exact(&mut payload).map_err(io_err)?;
         if crc32(&payload) != crc {
-            return Err(Error::Store(format!(
-                "CRC mismatch at segment {} offset {}",
-                ptr.segment, ptr.offset
-            )));
+            return Err(Error::Store(format!("CRC mismatch at {}", at())));
         }
-        Ok(bincode::deserialize(&payload)?)
+        match RecordHeader::parse(&payload) {
+            Some(record) if record.kind == kind => {
+                Ok(bincode::deserialize(&payload[RECORD_HEADER..])?)
+            }
+            _ => Err(Error::Store(format!(
+                "expected {kind:?} record at {}",
+                at()
+            ))),
+        }
     }
 
-    /// Materialise the latest checkpoint of `owner` by reading its last full
-    /// record and re-applying the delta chain. Returns the checkpoint and the
-    /// number of log bytes read.
-    fn materialize(&self, entry: &OwnerIndex, owner: OperatorId) -> Result<(Checkpoint, u64)> {
-        let mut read_bytes = entry.full.len as u64 + FRAME_HEADER as u64;
-        let LogRecord::Full { checkpoint, .. } = self.read_record(entry.full)? else {
-            return Err(Error::Store(format!(
-                "expected full record for operator {owner}"
-            )));
-        };
-        let mut checkpoint = checkpoint;
+    /// Materialise the latest checkpoint of an owner by reading its last
+    /// full record and re-applying the delta chain. Returns the checkpoint
+    /// and the number of log bytes read.
+    fn materialize(&self, entry: &OwnerIndex) -> Result<(Checkpoint, u64)> {
+        let mut checkpoint: Checkpoint = self.read_body(entry.full, RecordKind::Full)?;
         for ptr in &entry.deltas {
-            read_bytes += ptr.len as u64 + FRAME_HEADER as u64;
-            let LogRecord::Delta { inc, .. } = self.read_record(*ptr)? else {
-                return Err(Error::Store(format!(
-                    "expected delta record for operator {owner}"
-                )));
-            };
+            let inc: IncrementalCheckpoint = self.read_body(*ptr, RecordKind::Delta)?;
             checkpoint.apply_increment(&inc);
         }
-        Ok((checkpoint, read_bytes))
+        Ok((checkpoint, entry.live_bytes()))
     }
 
     /// Rewrite the live state (every owner's materialised latest checkpoint)
     /// into a fresh segment and delete the old segments.
     fn compact(&self, inner: &mut Inner) -> Result<()> {
-        let owners: Vec<OperatorId> = inner.index.keys().copied().collect();
-        let mut materialized = Vec::with_capacity(owners.len());
-        for owner in owners {
-            let entry = inner.index[&owner].clone();
-            let (cp, _) = self.materialize(&entry, owner)?;
-            materialized.push((owner, cp));
+        let mut materialized = Vec::with_capacity(inner.index.len());
+        for (owner, entry) in &inner.index {
+            materialized.push((*owner, self.materialize(entry)?.0));
         }
         // Fresh segment strictly after everything currently on disk.
         let old_segments = std::mem::take(&mut inner.segments);
@@ -476,18 +562,7 @@ impl FileStore {
         // with them; the counter restarts with the fresh segment.
         inner.frames_since_sync = 0;
         for (owner, checkpoint) in materialized {
-            let sequence = checkpoint.meta.sequence;
-            let record = LogRecord::Full { owner, checkpoint };
-            let ptr = self.append(inner, &record)?;
-            inner.index.insert(
-                owner,
-                OwnerIndex {
-                    full: ptr,
-                    deltas: Vec::new(),
-                    latest_sequence: sequence,
-                    live_bytes: ptr.len as u64 + FRAME_HEADER as u64,
-                },
-            );
+            self.append_full(inner, owner, &checkpoint)?;
         }
         if self.config.fsync && inner.frames_since_sync > 0 {
             self.sync_active(inner)?;
@@ -499,17 +574,50 @@ impl FileStore {
         Ok(())
     }
 
-    /// Compact if the log has grown past twice its live size. Compaction
-    /// failure (e.g. an unreadable stale record) must never fail the write
-    /// that triggered it — the record is already durably appended and
-    /// indexed — so errors are only counted, and the next restore/open will
-    /// surface genuinely unreadable live data on its own.
+    /// Delete the segments at the head of the log that hold no live record.
+    /// Only a prefix may go: a record shadows older records alone (a
+    /// tombstone its owner's earlier ones, a full record the chain before
+    /// it), so dropping the oldest segments can never bring one back on the
+    /// next open, whereas a hole in the middle could.
+    fn drop_dead_head(&self, inner: &mut Inner) {
+        let oldest_live = inner
+            .index
+            .values()
+            .flat_map(OwnerIndex::records)
+            .map(|ptr| ptr.segment)
+            .min()
+            .unwrap_or(inner.active_id);
+        while let Some(&seg) = inner.segments.first() {
+            if seg >= oldest_live || seg == inner.active_id {
+                break;
+            }
+            let path = segment_path(&self.config.dir, seg);
+            let Ok(len) = fs::metadata(&path).map(|m| m.len()) else {
+                break;
+            };
+            if fs::remove_file(&path).is_err() {
+                break;
+            }
+            inner.total_bytes = inner.total_bytes.saturating_sub(len);
+            inner.segments.remove(0);
+        }
+    }
+
+    /// Reclaim space once the log has grown past twice its live size: first
+    /// by deleting dead head segments, then, if that was not enough, by
+    /// compacting. A failure here (e.g. an unreadable stale record) must
+    /// never fail the write that triggered it — the record is already
+    /// durably appended and indexed — so errors are only counted, and the
+    /// next restore/open will surface genuinely unreadable live data on its
+    /// own.
     fn maybe_compact(&self, inner: &mut Inner) {
-        let live: u64 = inner.index.values().map(|e| e.live_bytes).sum();
-        if inner.segments.len() > 1
-            && inner.total_bytes > live.saturating_mul(2)
-            && self.compact(inner).is_err()
-        {
+        let live: u64 = inner.index.values().map(OwnerIndex::live_bytes).sum();
+        let oversized =
+            |inner: &Inner| inner.segments.len() > 1 && inner.total_bytes > live.saturating_mul(2);
+        if oversized(inner) {
+            self.drop_dead_head(inner);
+        }
+        if oversized(inner) && self.compact(inner).is_err() {
             self.metrics.record_failed_compaction();
         }
     }
@@ -522,25 +630,14 @@ impl CheckpointStore for FileStore {
 
     fn put(&self, owner: OperatorId, checkpoint: Checkpoint) -> Result<PutOutcome> {
         let started = Instant::now();
-        let sequence = checkpoint.meta.sequence;
         let mut inner = self.inner.lock();
-        let record = LogRecord::Full { owner, checkpoint };
-        let ptr = self.append(&mut inner, &record)?;
-        inner.index.insert(
-            owner,
-            OwnerIndex {
-                full: ptr,
-                deltas: Vec::new(),
-                latest_sequence: sequence,
-                live_bytes: ptr.len as u64 + FRAME_HEADER as u64,
-            },
-        );
+        let ptr = self.append_full(&mut inner, owner, &checkpoint)?;
         self.maybe_compact(&mut inner);
         drop(inner);
-        let bytes = ptr.len as usize + FRAME_HEADER;
+        let bytes = ptr.framed_len() as usize;
         self.metrics.record_put(bytes, started);
         Ok(PutOutcome {
-            sequence,
+            sequence: checkpoint.meta.sequence,
             bytes_written: bytes,
             write_us: started.elapsed().as_micros() as u64,
         })
@@ -561,39 +658,29 @@ impl CheckpointStore for FileStore {
             )));
         }
         let sequence = inc.meta.sequence;
-        let chain_full = entry.deltas.len() + 1 >= self.config.compact_after_deltas.max(1);
-        let bytes = if chain_full {
-            // Chain too long: materialise and rewrite as a fresh full record
-            // so restores stay bounded.
-            let entry = entry.clone();
-            let (mut checkpoint, _) = self.materialize(&entry, owner)?;
+        let record = RecordHeader {
+            kind: RecordKind::Delta,
+            owner,
+            sequence,
+            base_sequence: inc.base_sequence,
+        };
+        let frame = record.frame(inc)?;
+        let ptr = if entry.chain_bytes + frame.len() as u64 > entry.full.framed_len() {
+            // The chain would outgrow its base: fold it and this delta into
+            // a fresh base instead, so a restore never reads more than twice
+            // the state's size.
+            let (mut checkpoint, _) = self.materialize(entry)?;
             checkpoint.apply_increment(inc);
-            let record = LogRecord::Full { owner, checkpoint };
-            let ptr = self.append(&mut inner, &record)?;
-            inner.index.insert(
-                owner,
-                OwnerIndex {
-                    full: ptr,
-                    deltas: Vec::new(),
-                    latest_sequence: sequence,
-                    live_bytes: ptr.len as u64 + FRAME_HEADER as u64,
-                },
-            );
-            ptr.len as usize + FRAME_HEADER
+            self.append_full(&mut inner, owner, &checkpoint)?
         } else {
-            let record = LogRecord::Delta {
-                owner,
-                inc: inc.clone(),
-            };
-            let ptr = self.append(&mut inner, &record)?;
+            let ptr = self.append(&mut inner, &frame)?;
             let entry = inner.index.get_mut(&owner).expect("checked above");
-            entry.deltas.push(ptr);
-            entry.latest_sequence = sequence;
-            entry.live_bytes += ptr.len as u64 + FRAME_HEADER as u64;
-            ptr.len as usize + FRAME_HEADER
+            entry.extend(ptr, sequence);
+            ptr
         };
         self.maybe_compact(&mut inner);
         drop(inner);
+        let bytes = ptr.framed_len() as usize;
         self.metrics.record_increment(bytes, started);
         Ok(PutOutcome {
             sequence,
@@ -609,7 +696,7 @@ impl CheckpointStore for FileStore {
             inner.index.get(&owner).cloned()
         }
         .ok_or(Error::NoBackup(owner))?;
-        let (checkpoint, read_bytes) = self.materialize(&entry, owner)?;
+        let (checkpoint, read_bytes) = self.materialize(&entry)?;
         self.metrics.record_restore(read_bytes as usize, started);
         Ok(checkpoint)
     }
@@ -634,7 +721,7 @@ impl CheckpointStore for FileStore {
         // The log keeps exactly one live chain per owner (last full record
         // plus the deltas extending it); superseded records are garbage
         // already and are reclaimed by compaction, so there is no history to
-        // prune. Chain length is bounded separately by `compact_after_deltas`.
+        // prune. Chain length is bounded by the base-rewrite rule.
         let _ = owner;
         0
     }
@@ -648,10 +735,16 @@ impl CheckpointStore for FileStore {
         // dropping only the in-memory entry would resurrect the backup from
         // the log on the next open. On append failure the entry is kept
         // (memory and disk stay consistent) and the delete reports failure.
-        if self
-            .append(&mut inner, &LogRecord::Tombstone { owner })
-            .is_err()
-        {
+        let tombstone = RecordHeader {
+            kind: RecordKind::Tombstone,
+            owner,
+            sequence: 0,
+            base_sequence: 0,
+        };
+        let appended = tombstone
+            .frame(&())
+            .and_then(|frame| self.append(&mut inner, &frame));
+        if appended.is_err() {
             return false;
         }
         inner.index.remove(&owner);
@@ -670,7 +763,7 @@ impl CheckpointStore for FileStore {
             .lock()
             .index
             .values()
-            .map(|e| e.live_bytes as usize)
+            .map(|e| e.live_bytes() as usize)
             .sum()
     }
 
@@ -792,35 +885,120 @@ mod tests {
         assert_eq!(store.latest(OperatorId::new(1)).unwrap(), cp1);
     }
 
-    #[test]
-    fn long_delta_chains_are_collapsed() {
-        let dir = temp_dir("collapse");
-        let store = FileStore::open(FileStoreConfig {
-            compact_after_deltas: 3,
-            ..FileStoreConfig::new(&dir)
-        })
-        .unwrap();
-        let mut prev = checkpoint(2, 1, 50);
-        store.put(OperatorId::new(2), prev.clone()).unwrap();
-        for seq in 2..=10u64 {
+    /// Applies `rounds` single-entry deltas on top of `base`, returning the
+    /// last full state.
+    fn churn(store: &FileStore, base: Checkpoint, rounds: u64) -> Checkpoint {
+        let owner = base.meta.operator;
+        let mut prev = base;
+        for _ in 0..rounds {
             let mut next = prev.clone();
-            next.meta.sequence = seq;
-            next.processing.insert(Key(seq), vec![seq as u8; 16]);
+            next.meta.sequence += 1;
+            let seq = next.meta.sequence;
+            next.processing.insert(Key(seq % 7), vec![seq as u8; 32]);
             next.processing.advance_ts(StreamId(0), seq * 10);
             let inc = IncrementalCheckpoint::diff(&prev, &next);
-            store.apply_incremental(OperatorId::new(2), &inc).unwrap();
+            store.apply_incremental(owner, &inc).unwrap();
             prev = next;
         }
-        let restored = store.latest(OperatorId::new(2)).unwrap();
-        assert_eq!(restored.meta.sequence, 10);
-        assert_eq!(restored.processing, prev.processing);
-        // The chain was collapsed at least twice (every 3 deltas).
-        let inner = store.inner.lock();
-        assert!(inner.index[&OperatorId::new(2)].deltas.len() < 3);
+        prev
     }
 
     #[test]
-    fn tombstone_survives_reopen_and_compaction_reclaims_space() {
+    fn a_chain_never_outgrows_its_base() {
+        let dir = temp_dir("collapse");
+        let store = FileStore::open_dir(&dir).unwrap();
+        let owner = OperatorId::new(2);
+        let base = checkpoint(2, 1, 50);
+        let base_bytes = store.put(owner, base.clone()).unwrap().bytes_written as u64;
+        let mut prev = base;
+        let (mut rewrites, mut written, mut largest_delta) = (0, 0u64, 0u64);
+        for _ in 0..200 {
+            let before = store.inner.lock().index[&owner].deltas.len();
+            prev = churn(&store, prev, 1);
+            let inner = store.inner.lock();
+            let entry = &inner.index[&owner];
+            assert!(
+                entry.chain_bytes <= entry.full.framed_len(),
+                "a restore reads at most twice the base"
+            );
+            if entry.deltas.len() <= before {
+                rewrites += 1;
+                written += entry.full.framed_len();
+            } else {
+                let delta = entry.deltas.last().unwrap().framed_len();
+                written += delta;
+                largest_delta = largest_delta.max(delta);
+            }
+        }
+        assert!(rewrites >= 2, "the chain was folded into a fresh base");
+        // Every delta here is about the same size, so 200 of them on their
+        // own would have taken `200 * largest_delta` bytes; folding chains
+        // into fresh bases at most doubles that.
+        assert!(
+            written <= 2 * 200 * largest_delta + base_bytes,
+            "{written} bytes written for 200 deltas of {largest_delta} ({rewrites} rewrites)"
+        );
+        let restored = store.latest(owner).unwrap();
+        assert_eq!(restored.meta.sequence, 201);
+        assert_eq!(restored.processing, prev.processing);
+    }
+
+    #[test]
+    fn dead_head_segments_are_deleted_without_rewriting_live_data() {
+        let dir = temp_dir("dead-head");
+        let store = FileStore::open(FileStoreConfig {
+            segment_target_bytes: 4_000,
+            ..FileStoreConfig::new(&dir)
+        })
+        .unwrap();
+        let owner = OperatorId::new(8);
+        let base = checkpoint(8, 1, 100);
+        store.put(owner, base.clone()).unwrap();
+        // Enough churn to fold the chain into fresh bases several times, each
+        // of which strands the segments before it.
+        let last = churn(&store, base, 300);
+        assert_eq!(store.stats().compactions, 0, "nothing had to be copied");
+        assert!(
+            store.log_bytes() <= 2 * store.size_bytes() as u64 + 2 * 4_000,
+            "log {} vs live {}",
+            store.log_bytes(),
+            store.size_bytes()
+        );
+        let on_disk = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(on_disk, store.segment_count());
+        drop(store);
+        let store = FileStore::open_dir(&dir).unwrap();
+        assert_eq!(store.latest(owner).unwrap().processing, last.processing);
+    }
+
+    #[test]
+    fn a_dead_head_is_kept_while_an_older_owner_is_still_live_in_it() {
+        let dir = temp_dir("pinned-head");
+        let store = FileStore::open(FileStoreConfig {
+            segment_target_bytes: 4_000,
+            ..FileStoreConfig::new(&dir)
+        })
+        .unwrap();
+        let pinned = checkpoint(1, 1, 10);
+        store.put(OperatorId::new(1), pinned.clone()).unwrap();
+        let base = checkpoint(8, 1, 100);
+        store.put(OperatorId::new(8), base.clone()).unwrap();
+        let last = churn(&store, base, 300);
+        // Segment 0 holds the pinned owner's only record, so nothing before
+        // the churning owner's live chain can simply be dropped: compaction
+        // copies the live state instead.
+        assert!(store.stats().compactions > 0);
+        drop(store);
+        let store = FileStore::open_dir(&dir).unwrap();
+        assert_eq!(store.latest(OperatorId::new(1)).unwrap(), pinned);
+        assert_eq!(
+            store.latest(OperatorId::new(8)).unwrap().processing,
+            last.processing
+        );
+    }
+
+    #[test]
+    fn tombstone_survives_reopen_and_garbage_is_reclaimed() {
         let dir = temp_dir("tombstone");
         {
             let store = FileStore::open(FileStoreConfig {
@@ -836,9 +1014,14 @@ mod tests {
             store.put(OperatorId::new(4), checkpoint(4, 1, 5)).unwrap();
             assert!(store.delete(OperatorId::new(9)));
             assert!(!store.delete(OperatorId::new(9)));
-            // Repeated puts of the same owner leave garbage: compaction must
-            // have kicked in and kept the log close to its live size.
-            assert!(store.stats().compactions > 0);
+            // Repeated puts of the same owner leave garbage: it must have
+            // been reclaimed, keeping the log close to its live size.
+            assert!(
+                store.log_bytes() <= 2 * store.size_bytes() as u64 + 2 * 2_000,
+                "log {} vs live {}",
+                store.log_bytes(),
+                store.size_bytes()
+            );
         }
         let store = FileStore::open_dir(&dir).unwrap();
         assert!(store.latest(OperatorId::new(9)).is_err());

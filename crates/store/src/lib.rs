@@ -15,8 +15,9 @@
 //! * [`MemStore`] — the in-memory backend, extracted from the seed's
 //!   `InMemoryBackupStore` and extended with sequence history.
 //! * [`FileStore`] — a log-structured on-disk backend: length+CRC-framed
-//!   append-only segments, incremental-checkpoint delta records, periodic
-//!   compaction into full snapshots and crash-safe recovery by log scan.
+//!   append-only segments, incremental-checkpoint delta records whose
+//!   chain never outgrows its base, reclamation of dead segments and
+//!   crash-safe recovery by log scan.
 //! * [`TieredStore`] — hot latest checkpoint in memory, older/every sequence
 //!   durable on disk, with the eviction decision delegated to the
 //!   [`seep_core::spill::SpillPolicy`] hooks.

@@ -71,17 +71,18 @@ impl CheckpointStore for MemStore {
         let bytes = inc.size_bytes();
         let mut map = self.inner.write();
         let versions = map.get_mut(&owner).ok_or(Error::NoBackup(owner))?;
-        let (_, base) = versions
-            .iter_mut()
-            .next_back()
-            .ok_or(Error::NoBackup(owner))?;
-        if base.meta.sequence != inc.base_sequence {
+        let base = versions.last_entry().ok_or(Error::NoBackup(owner))?;
+        if base.get().meta.sequence != inc.base_sequence {
             return Err(Error::Invariant(format!(
                 "incremental checkpoint base {} does not match stored sequence {}",
-                inc.base_sequence, base.meta.sequence
+                inc.base_sequence,
+                base.get().meta.sequence
             )));
         }
-        let mut next = base.clone();
+        // The base becomes the new version in place: applying a delta costs
+        // what the delta holds, and the superseded sequence is the one the
+        // coordinator would prune next anyway.
+        let mut next = base.remove();
         next.apply_increment(inc);
         let sequence = next.meta.sequence;
         versions.insert(sequence, next);

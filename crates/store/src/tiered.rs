@@ -24,7 +24,9 @@ use crate::file::{FileStore, FileStoreConfig};
 use crate::traits::{CheckpointStore, PutOutcome, StoreMetrics, StoreStats};
 
 struct Hot {
-    entries: HashMap<OperatorId, Checkpoint>,
+    /// Each resident checkpoint with its `size_bytes()`, kept alongside so a
+    /// delta can adjust it without re-measuring the whole checkpoint.
+    entries: HashMap<OperatorId, (Checkpoint, usize)>,
     /// Recency order, least recently used first.
     lru: Vec<OperatorId>,
     bytes: usize,
@@ -37,19 +39,19 @@ impl Hot {
     }
 
     fn insert(&mut self, owner: OperatorId, checkpoint: Checkpoint) {
-        if let Some(old) = self.entries.remove(&owner) {
-            self.bytes -= old.size_bytes();
-        }
-        self.bytes += checkpoint.size_bytes();
-        self.entries.insert(owner, checkpoint);
+        self.remove(owner);
+        let size = checkpoint.size_bytes();
+        self.bytes += size;
+        self.entries.insert(owner, (checkpoint, size));
         self.touch(owner);
     }
 
-    fn remove(&mut self, owner: OperatorId) -> Option<Checkpoint> {
+    /// Drop `owner`'s hot copy, returning the bytes released.
+    fn remove(&mut self, owner: OperatorId) -> Option<usize> {
         self.lru.retain(|o| *o != owner);
-        let old = self.entries.remove(&owner)?;
-        self.bytes -= old.size_bytes();
-        Some(old)
+        let (_, size) = self.entries.remove(&owner)?;
+        self.bytes -= size;
+        Some(size)
     }
 
     /// Evict least-recently-used owners until at most `excess` bytes are
@@ -59,8 +61,21 @@ impl Hot {
             let Some(&victim) = self.lru.iter().find(|o| **o != keep) else {
                 break;
             };
-            let released = self.remove(victim).map(|c| c.size_bytes()).unwrap_or(0);
+            let released = self.remove(victim).unwrap_or(0);
             excess = excess.saturating_sub(released);
+        }
+    }
+
+    /// Keep the budget after `owner`'s copy was admitted or grew: evict
+    /// others first, and if that copy alone exceeds the budget drop it too —
+    /// the hot tier never holds more than the policy allows.
+    fn enforce(&mut self, policy: &dyn SpillPolicy, owner: OperatorId) {
+        let excess = policy.excess_bytes(self.bytes);
+        if excess > 0 {
+            self.evict(excess, owner);
+            if policy.excess_bytes(self.bytes) > 0 {
+                self.remove(owner);
+            }
         }
     }
 }
@@ -122,17 +137,7 @@ impl TieredStore {
     fn admit(&self, owner: OperatorId, checkpoint: Checkpoint) {
         let mut hot = self.hot.lock();
         hot.insert(owner, checkpoint);
-        let excess = self.policy.excess_bytes(hot.bytes);
-        if excess > 0 {
-            hot.evict(excess, owner);
-            // If the single admitted checkpoint alone exceeds the budget it
-            // is dropped too: the hot tier never holds more than the policy
-            // allows.
-            let excess = self.policy.excess_bytes(hot.bytes);
-            if excess > 0 {
-                hot.remove(owner);
-            }
-        }
+        hot.enforce(self.policy.as_ref(), owner);
     }
 }
 
@@ -160,31 +165,31 @@ impl CheckpointStore for TieredStore {
     ) -> Result<PutOutcome> {
         let started = Instant::now();
         let outcome = self.cold.apply_incremental(owner, inc)?;
-        // Keep the hot copy current when present; otherwise leave the owner
-        // cold-only — it is promoted on its next restore. Materialising from
-        // the cold tier here would pay a full on-disk chain read per delta,
-        // exactly the amplification the hot tier exists to avoid.
-        let grown = {
-            let mut hot = self.hot.lock();
-            match hot.entries.get(&owner) {
-                Some(base) if base.meta.sequence == inc.base_sequence => {
-                    let mut next = base.clone();
-                    next.apply_increment(inc);
-                    Some(next)
+        // Keep the hot copy current, in place, when present; otherwise leave
+        // the owner cold-only — it is promoted on its next restore.
+        // Materialising from the cold tier here would pay a full on-disk
+        // chain read per delta, exactly the amplification the hot tier
+        // exists to avoid.
+        {
+            let mut guard = self.hot.lock();
+            let hot = &mut *guard;
+            match hot.entries.get_mut(&owner) {
+                Some((base, size)) if base.meta.sequence == inc.base_sequence => {
+                    let grown = base.apply_increment(inc);
+                    *size = size.saturating_add_signed(grown);
+                    hot.bytes = hot.bytes.saturating_add_signed(grown);
+                    hot.touch(owner);
+                    // The grown checkpoint still respects the spill policy's
+                    // hot-byte budget.
+                    hot.enforce(self.policy.as_ref(), owner);
                 }
+                // Stale hot copy (chain diverged): drop it rather than serve
+                // an old sequence from the hot path.
                 Some(_) => {
-                    // Stale hot copy (chain diverged): drop it rather than
-                    // serve an old sequence from the hot path.
                     hot.remove(owner);
-                    None
                 }
-                None => None,
+                None => {}
             }
-        };
-        if let Some(next) = grown {
-            // Through admit() so the grown checkpoint still respects the
-            // spill policy's hot-byte budget.
-            self.admit(owner, next);
         }
         self.metrics
             .record_increment(outcome.bytes_written, started);
@@ -199,7 +204,7 @@ impl CheckpointStore for TieredStore {
         let started = Instant::now();
         let hot_copy = {
             let mut hot = self.hot.lock();
-            let cp = hot.entries.get(&owner).cloned();
+            let cp = hot.entries.get(&owner).map(|(cp, _)| cp.clone());
             if cp.is_some() {
                 hot.touch(owner);
             }
@@ -220,7 +225,7 @@ impl CheckpointStore for TieredStore {
     fn get(&self, owner: OperatorId, sequence: u64) -> Result<Checkpoint> {
         {
             let hot = self.hot.lock();
-            if let Some(cp) = hot.entries.get(&owner) {
+            if let Some((cp, _)) = hot.entries.get(&owner) {
                 if cp.meta.sequence == sequence {
                     self.metrics.record_hot_hit();
                     return Ok(cp.clone());
@@ -383,6 +388,28 @@ mod tests {
             store.hot_bytes()
         );
         assert_eq!(store.latest(OperatorId::new(6)).unwrap().meta.sequence, 4);
+    }
+
+    #[test]
+    fn deltas_applied_in_place_keep_the_hot_byte_count_exact() {
+        let dir = temp_dir("in-place");
+        let store = TieredStore::open(FileStoreConfig::new(&dir), 1 << 20).unwrap();
+        let owner = OperatorId::new(3);
+        let mut prev = checkpoint(3, 1, 500);
+        store.put(owner, prev.clone()).unwrap();
+        for seq in 2..=6u64 {
+            let mut next = prev.clone();
+            next.meta.sequence = seq;
+            next.processing
+                .insert(Key(seq), vec![0u8; 100 * seq as usize]);
+            next.processing.remove(Key(seq - 2)); // shrinks as well as grows
+            let inc = IncrementalCheckpoint::diff(&prev, &next);
+            store.apply_incremental(owner, &inc).unwrap();
+            assert_eq!(store.hot_bytes(), next.size_bytes());
+            prev = next;
+        }
+        assert_eq!(store.latest(owner).unwrap(), prev);
+        assert!(store.stats().hot_hits >= 1);
     }
 
     #[test]

@@ -14,8 +14,7 @@ fn main() {
     println!("Durable recovery with the FileStore checkpoint backend");
     println!("(log directory: {})\n", dir.display());
 
-    let config =
-        RuntimeConfig::default().with_store(StoreConfig::file(&dir).with_incremental(true));
+    let config = RuntimeConfig::default().with_store(StoreConfig::file(&dir));
     let mut harness = WordCountHarness::deploy(config, 2_000, 0);
 
     // Warm up across several checkpoint intervals: the first backup per

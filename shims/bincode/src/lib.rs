@@ -242,10 +242,17 @@ impl<'a> Reader<'a> {
 
 /// Serialise a value to bytes.
 pub fn serialize<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let v = serde::to_value(value)?;
     let mut out = Vec::new();
-    encode(&v, &mut out);
+    serialize_into(&mut out, value)?;
     Ok(out)
+}
+
+/// Serialise a value, appending the encoding to `out` (real bincode takes
+/// any `Write`; a `&mut Vec<u8>` is what this workspace passes). Lets a
+/// caller frame a record without copying the payload into a second buffer.
+pub fn serialize_into<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
+    encode(&serde::to_value(value)?, out);
+    Ok(())
 }
 
 /// The number of bytes `serialize` would produce.

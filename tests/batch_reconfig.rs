@@ -169,7 +169,7 @@ fn batched_consolidate_with_durable_backend_matches_baseline() {
     let _ = std::fs::remove_dir_all(&dir);
     let expected = baseline(two_slot_config());
     let durable = RuntimeConfig {
-        store: StoreConfig::file(&dir).with_incremental(true),
+        store: StoreConfig::file(&dir),
         ..two_slot_config()
     };
     let counted = drive(batched(durable), |harness, s| {

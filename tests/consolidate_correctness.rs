@@ -134,7 +134,7 @@ fn consolidate_with_durable_backend_preserves_counts() {
     let dir = std::env::temp_dir().join(format!("seep-consolidate-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = RuntimeConfig {
-        store: StoreConfig::file(&dir).with_incremental(true),
+        store: StoreConfig::file(&dir),
         ..two_slot_config()
     };
     let expected = baseline(two_slot_config(), 6, 30);

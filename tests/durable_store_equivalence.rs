@@ -102,8 +102,7 @@ fn tiered_backend_matches_mem_backend() {
 #[test]
 fn filestore_recovers_from_log_with_full_plus_incremental_deltas() {
     let dir = temp_dir("inc-log");
-    let config =
-        RuntimeConfig::default().with_store(StoreConfig::file(&dir).with_incremental(true));
+    let config = RuntimeConfig::default().with_store(StoreConfig::file(&dir));
     let counter_instance;
     let words_at_last_checkpoint;
     {

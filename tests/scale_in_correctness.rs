@@ -94,8 +94,7 @@ fn scale_in_releases_the_vm_and_stops_billing() {
 fn round_trip_with_durable_backend_preserves_counts() {
     let dir = std::env::temp_dir().join(format!("seep-scale-in-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durable =
-        RuntimeConfig::default().with_store(StoreConfig::file(&dir).with_incremental(true));
+    let durable = RuntimeConfig::default().with_store(StoreConfig::file(&dir));
     let (baseline, _) = run_round_trip(RuntimeConfig::default(), 6, 30, None, None);
     let (round_trip, harness) = run_round_trip(durable, 6, 30, Some(1), Some(4));
     assert_eq!(round_trip, baseline);
