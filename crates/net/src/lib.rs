@@ -19,8 +19,9 @@
 //!   discrete-event simulator uses for the same messages,
 //! * the [`transport::Transport`] trait plus [`tcp`] put the same wire
 //!   encoding on real sockets: operators with remote routes are reached
-//!   through length-prefixed [`frame`]s, so a multi-process deployment
-//!   ships byte-for-byte what the in-process counters report.
+//!   through length-prefixed [`frame`]s, a batch to a frame, so a
+//!   multi-process deployment ships byte-for-byte what the in-process
+//!   counters report.
 
 #![warn(missing_docs)]
 
@@ -34,9 +35,11 @@ pub mod transport;
 pub mod wire;
 
 pub use channel::{DataChannel, DataReceiver, DataSender, TransportStats};
-pub use frame::{read_frame, write_frame, FrameReader, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+pub use frame::{
+    build_frame, read_frame, write_frame, FrameReader, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 pub use latency::LatencyModel;
 pub use message::{Envelope, Message};
 pub use network::{Network, SendError};
-pub use tcp::{TcpIngress, TcpTransport};
+pub use tcp::{IngressServer, TcpIngress, TcpTransport};
 pub use transport::{ConnectionStats, RemoteRoute, Transport};

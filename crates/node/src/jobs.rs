@@ -24,6 +24,10 @@ pub const WINDOW_MS: u64 = 1_000;
 pub const VOCAB: u64 = 64;
 /// The job name both sides default to.
 pub const DEFAULT_JOB: &str = "wordfreq";
+/// Output batch size of every operator of the job, wherever it runs: the
+/// in-process baseline's envelopes and a deployed worker's TCP frames carry
+/// up to this many tuples.
+pub const OUT_BATCH: usize = 64;
 
 /// The logical query graph of the `wordfreq` job.
 pub fn query() -> seep_core::Result<QueryGraph> {
@@ -176,7 +180,7 @@ impl RunOutcome {
 /// window tick per round at `(round + 1) * 1000` ms of virtual time — the
 /// exact schedule the distributed coordinator drives over TCP.
 pub fn run_baseline(rounds: u64, rate: u64) -> seep_core::Result<RunOutcome> {
-    let mut handle = Job::builder(RuntimeConfig::default())
+    let mut handle = Job::builder(RuntimeConfig::default().with_batch_size(OUT_BATCH))
         .source("feed", || {
             build_operator(DEFAULT_JOB, "feed").expect("catalogue has feed")
         })

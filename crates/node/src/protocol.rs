@@ -3,20 +3,26 @@
 //! Bincode-encoded [`NodeMsg`] values in the same length-prefixed frames
 //! ([`seep_net::frame`]) the data plane uses. The protocol is strictly
 //! request/response from the coordinator's point of view — every command it
-//! sends is answered by exactly one reply — with one exception: workers
-//! push unsolicited [`NodeMsg::Heartbeat`] messages on the same connection,
-//! which the coordinator absorbs while waiting for replies.
+//! sends is answered by exactly one reply, and a connection answers in the
+//! order it was asked, so the coordinator may write several commands (to
+//! one worker or to many) before it reads the first reply. The one
+//! exception: workers push unsolicited [`NodeMsg::Heartbeat`] messages on
+//! the same connection, which the coordinator absorbs while waiting for
+//! replies.
 //!
 //! Data-plane tuples never travel here: workers stream batches peer-to-peer
 //! over [`seep_net::TcpTransport`]. The control plane only carries commands,
-//! checkpoints and state collections.
+//! checkpoints and state collections. Bulk fields (a round's source tuples,
+//! checkpoints, collected state) are [`Bytes`] blobs, written raw; a
+//! `Vec<u8>` would be lowered to a sequence of tagged integers.
 
 use std::io::{self, Read, Write};
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use seep_core::{RoutingState, TimestampVec};
-use seep_net::{write_frame, FrameReader};
+use seep_net::{build_frame, FrameReader};
 
 /// One operator instance a worker is asked to host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,15 +58,6 @@ pub struct PeerRoute {
     pub addr: String,
 }
 
-/// One source tuple to inject.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InjectEntry {
-    /// Raw tuple key.
-    pub key: u64,
-    /// Encoded payload.
-    pub payload: Vec<u8>,
-}
-
 /// Per-instance processed count, as reported by probes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpCount {
@@ -68,6 +65,37 @@ pub struct OpCount {
     pub op: u64,
     /// Tuples processed by the instance since it was deployed.
     pub count: u64,
+}
+
+/// Tuples that crossed one edge of the execution graph over TCP, as counted
+/// at one end of it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct EdgeCount {
+    /// Raw id of the sending instance.
+    pub from: u64,
+    /// Raw id of the receiving instance.
+    pub to: u64,
+    /// Data tuples so far.
+    pub tuples: u64,
+}
+
+/// One worker's answer to [`NodeMsg::Probe`]: what it still holds and what
+/// has crossed its sockets. The coordinator's quiescence rule is a function
+/// of these alone.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Probe {
+    /// Tuples queued on local inbound channels.
+    pub queued: u64,
+    /// Output tuples in partially filled batches.
+    pub pending: u64,
+    /// Per-instance processed totals.
+    pub processed: Vec<OpCount>,
+    /// Data tuples written to the TCP transport so far, per edge.
+    pub sent: Vec<EdgeCount>,
+    /// Data tuples that arrived over TCP **and were delivered to a local
+    /// inbound channel** so far, per edge. Read before `queued`, so a tuple
+    /// counted here is either in `queued` or already processed.
+    pub received: Vec<EdgeCount>,
 }
 
 /// Counters for one data-plane connection, as reported by `Stats`.
@@ -127,31 +155,19 @@ pub enum NodeMsg {
     InjectMany {
         /// The source instance.
         op: u64,
-        /// The tuples to emit.
-        entries: Vec<InjectEntry>,
+        /// The tuples to emit — key and payload of each; timestamps are
+        /// assigned by the source — as one [`seep_net::wire`] envelope.
+        batch: Bytes,
     },
     /// Trigger time-based operator behaviour on every local instance.
     Tick {
         /// Virtual time in milliseconds.
         now_ms: u64,
     },
-    /// Request a quiescence signature.
+    /// Request the worker's quiescence counters.
     Probe,
-    /// Reply to [`NodeMsg::Probe`]. The coordinator declares the data plane
-    /// quiescent once the concatenation of every live worker's reply is
-    /// unchanged over several consecutive probe rounds.
-    ProbeReply {
-        /// Tuples queued on local inbound channels.
-        queued: u64,
-        /// Output tuples in partially filled batches.
-        pending: u64,
-        /// Per-instance processed totals.
-        processed: Vec<OpCount>,
-        /// Data tuples sent over the TCP transport so far.
-        sent_tuples: u64,
-        /// Data tuples received over the TCP ingress so far.
-        received_tuples: u64,
-    },
+    /// Reply to [`NodeMsg::Probe`].
+    ProbeReply(Probe),
     /// Take a checkpoint of a local instance.
     Capture {
         /// The instance to checkpoint.
@@ -164,7 +180,7 @@ pub enum NodeMsg {
         /// The checkpointed instance.
         op: u64,
         /// `Checkpoint::to_bytes` output.
-        bytes: Vec<u8>,
+        bytes: Bytes,
     },
     /// Trim a local instance's output buffer towards a downstream instance
     /// (Algorithm 1, line 4 — after the downstream checkpoint committed).
@@ -188,7 +204,7 @@ pub enum NodeMsg {
         /// The instance to restore.
         op: u64,
         /// `Checkpoint::to_bytes` output.
-        bytes: Vec<u8>,
+        bytes: Bytes,
     },
     /// A restored instance replays its restored output buffers downstream
     /// (Algorithm 3, line 7); downstream duplicate filters discard what they
@@ -232,7 +248,7 @@ pub enum NodeMsg {
         /// The instance read.
         op: u64,
         /// Bincode-encoded `ProcessingState`.
-        bytes: Vec<u8>,
+        bytes: Bytes,
     },
     /// Request data-plane connection counters.
     Stats,
@@ -252,17 +268,61 @@ pub enum NodeMsg {
     Shutdown,
 }
 
+impl NodeMsg {
+    /// The message's variant name — the `verb` label of the coordinator's
+    /// per-command counters.
+    pub fn verb(&self) -> &'static str {
+        match self {
+            NodeMsg::Hello { .. } => "Hello",
+            NodeMsg::Welcome { .. } => "Welcome",
+            NodeMsg::Reject { .. } => "Reject",
+            NodeMsg::Heartbeat => "Heartbeat",
+            NodeMsg::Deploy { .. } => "Deploy",
+            NodeMsg::SetPeers { .. } => "SetPeers",
+            NodeMsg::InjectMany { .. } => "InjectMany",
+            NodeMsg::Tick { .. } => "Tick",
+            NodeMsg::Probe => "Probe",
+            NodeMsg::ProbeReply(_) => "ProbeReply",
+            NodeMsg::Capture { .. } => "Capture",
+            NodeMsg::Captured { .. } => "Captured",
+            NodeMsg::TrimBuffer { .. } => "TrimBuffer",
+            NodeMsg::Pause { .. } => "Pause",
+            NodeMsg::Restore { .. } => "Restore",
+            NodeMsg::ReplayRestored { .. } => "ReplayRestored",
+            NodeMsg::Rewire { .. } => "Rewire",
+            NodeMsg::Replayed { .. } => "Replayed",
+            NodeMsg::CollectState { .. } => "CollectState",
+            NodeMsg::StateBytes { .. } => "StateBytes",
+            NodeMsg::Stats => "Stats",
+            NodeMsg::StatsReply { .. } => "StatsReply",
+            NodeMsg::Ack => "Ack",
+            NodeMsg::Error { .. } => "Error",
+            NodeMsg::Shutdown => "Shutdown",
+        }
+    }
+}
+
+fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Encode `msg` as one complete frame (length prefix included), ready to be
+/// written — once, or to several workers, or again on a retry.
+pub fn encode_msg(msg: &NodeMsg) -> io::Result<Vec<u8>> {
+    let mut encoded = Ok(());
+    let frame = build_frame(64, |out| encoded = bincode::serialize_into(out, msg))?;
+    encoded.map_err(invalid)?;
+    Ok(frame)
+}
+
 /// Encode `msg` and write it as one frame.
 pub fn write_msg<W: Write>(w: &mut W, msg: &NodeMsg) -> io::Result<()> {
-    let bytes = bincode::serialize(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(w, &bytes)
+    w.write_all(&encode_msg(msg)?)
 }
 
 /// Decode one framed message payload.
 pub fn decode_msg(frame: &[u8]) -> io::Result<NodeMsg> {
-    bincode::deserialize(frame)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    bincode::deserialize(frame).map_err(invalid)
 }
 
 /// Blocking read of the next message from a stream (registration handshake).
@@ -271,6 +331,22 @@ pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<NodeMsg>> {
     match seep_net::read_frame(r)? {
         Some(frame) => Ok(Some(decode_msg(&frame)?)),
         None => Ok(None),
+    }
+}
+
+/// The next message on a connection that outlives one exchange: a message
+/// already buffered in `reader` if there is one, else read `stream` — which
+/// blocks — until a whole frame is in. `Ok(None)` is end of stream; a read
+/// timeout set on the socket surfaces as the error the socket reports
+/// (`WouldBlock` or `TimedOut`).
+pub fn next_msg<R: Read>(stream: &mut R, reader: &mut FrameReader) -> io::Result<Option<NodeMsg>> {
+    loop {
+        if let Some(frame) = reader.next_frame()? {
+            return decode_msg(frame).map(Some);
+        }
+        if reader.fill_from(stream)? == 0 {
+            return Ok(None);
+        }
     }
 }
 
@@ -283,26 +359,28 @@ pub fn drain_msgs<R: Read>(
     stream: &mut R,
     reader: &mut FrameReader,
 ) -> io::Result<(Vec<NodeMsg>, bool)> {
-    let mut open = true;
-    let mut buf = [0u8; 64 * 1024];
+    let mut msgs = Vec::new();
     loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                open = false;
-                break;
+        let open = match reader.fill_from(stream) {
+            Ok(0) => Some(false),
+            Ok(_) => None,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Some(true)
             }
-            Ok(n) => reader.push(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
+        };
+        while let Some(frame) = reader.next_frame()? {
+            msgs.push(decode_msg(frame)?);
+        }
+        if let Some(open) = open {
+            return Ok((msgs, open));
         }
     }
-    let mut msgs = Vec::new();
-    while let Some(frame) = reader.next_frame()? {
-        msgs.push(decode_msg(&frame)?);
-    }
-    Ok((msgs, open))
 }
 
 #[cfg(test)]
@@ -342,17 +420,22 @@ mod tests {
             },
             NodeMsg::InjectMany {
                 op: 1,
-                entries: vec![InjectEntry {
-                    key: 9,
-                    payload: vec![1, 2, 3],
-                }],
+                batch: Bytes::from(vec![0, 1, 2, 0xff]),
             },
-            NodeMsg::ProbeReply {
+            NodeMsg::ProbeReply(Probe {
                 queued: 1,
                 pending: 0,
                 processed: vec![OpCount { op: 1, count: 10 }],
-                sent_tuples: 5,
-                received_tuples: 5,
+                sent: vec![EdgeCount {
+                    from: 1,
+                    to: 2,
+                    tuples: 5,
+                }],
+                received: Vec::new(),
+            }),
+            NodeMsg::Captured {
+                op: 2,
+                bytes: Bytes::new(),
             },
             NodeMsg::Rewire {
                 at: 0,
@@ -367,10 +450,45 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let bytes = bincode::serialize(&msg).unwrap();
-            let back: NodeMsg = bincode::deserialize(&bytes).unwrap();
-            assert_eq!(back, msg);
+            let frame = encode_msg(&msg).unwrap();
+            assert_eq!(
+                decode_msg(&frame[seep_net::FRAME_HEADER_LEN..]).unwrap(),
+                msg
+            );
         }
+    }
+
+    /// A blob field costs its length plus a few bytes of framing, not a
+    /// tagged integer per byte.
+    #[test]
+    fn blobs_travel_raw() {
+        let blob = vec![0xabu8; 10_000];
+        let frame = encode_msg(&NodeMsg::InjectMany {
+            op: 1,
+            batch: Bytes::from(blob.clone()),
+        })
+        .unwrap();
+        assert!(frame.len() < blob.len() + 64, "{} bytes", frame.len());
+    }
+
+    /// `next_msg` hands out buffered messages before it reads again, and
+    /// reports the end of the stream once.
+    #[test]
+    fn next_msg_blocks_per_message() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &NodeMsg::Heartbeat).unwrap();
+        write_msg(&mut wire, &NodeMsg::Ack).unwrap();
+        let mut reader = FrameReader::new();
+        let mut cursor = std::io::Cursor::new(wire);
+        assert_eq!(
+            next_msg(&mut cursor, &mut reader).unwrap(),
+            Some(NodeMsg::Heartbeat)
+        );
+        assert_eq!(
+            next_msg(&mut cursor, &mut reader).unwrap(),
+            Some(NodeMsg::Ack)
+        );
+        assert_eq!(next_msg(&mut cursor, &mut reader).unwrap(), None);
     }
 
     #[test]

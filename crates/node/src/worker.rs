@@ -1,12 +1,27 @@
 //! The worker daemon: hosts operator instances in one OS process.
 //!
 //! A worker dials the coordinator, registers its identity and slot capacity
-//! with a [`NodeMsg::Hello`], and then runs a single-threaded event loop:
-//! drain control commands, poll the data-plane ingress, step every hosted
-//! [`WorkerCore`], heartbeat. Tuples for remote instances leave through the
-//! [`TcpTransport`] installed on the local [`Network`]; tuples arriving on
-//! the [`TcpIngress`] are delivered onto the same network, so a hosted core
-//! cannot tell whether its upstream is local or three processes away.
+//! with a [`NodeMsg::Hello`], and then runs an event loop on its main
+//! thread. Every hosted [`WorkerCore`] and all worker state live on that one
+//! thread; it **blocks** on a single event channel and wakes for exactly two
+//! reasons:
+//!
+//! - a control command arrived — a reader thread parked in `read` on the
+//!   control socket decodes frames and forwards them;
+//! - data-plane envelopes arrived — the [`IngressServer`]'s reader threads
+//!   decode them, put them on the local [`Network`] (so a hosted core cannot
+//!   tell whether its upstream is local or three processes away) and post a
+//!   wake-up.
+//!
+//! After each wake-up it answers the commands that are in, then steps every
+//! core, and keeps stepping without blocking for as long as any core has
+//! queued input. An idle worker therefore burns no CPU and adds no latency:
+//! nothing on the command or data path waits out a timeout or a sleep.
+//! Tuples for remote instances leave through the [`TcpTransport`] installed
+//! on the network, [`jobs::OUT_BATCH`] to a frame. A third thread writes a
+//! [`NodeMsg::Heartbeat`] every `heartbeat_ms` whatever the main thread is
+//! doing, so one long command (a large `InjectMany`) cannot make a live
+//! worker look dead.
 //!
 //! The worker is deliberately dumb: it owns no graph, no placement and no
 //! recovery logic. Every state transition — deploy, pause, restore, replay,
@@ -14,18 +29,27 @@
 //! re-run the in-process executor's recovery sequence verbatim over TCP.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seep_core::{Checkpoint, Key, LogicalOpId, OperatorId, RoutingState, TimestampVec};
-use seep_net::{FrameReader, Network, TcpIngress, TcpTransport, Transport};
+use bytes::Bytes;
+use parking_lot::Mutex;
+
+use seep_core::{Checkpoint, LogicalOpId, OperatorId, RoutingState, TimestampVec};
+use seep_net::{
+    wire, ConnectionStats, Envelope, FrameReader, IngressServer, Network, SendError, TcpTransport,
+    Transport,
+};
 use seep_runtime::worker::SharedClock;
 use seep_runtime::{Metrics, WorkerCore, STEP_BUDGET};
 
 use crate::jobs;
 use crate::protocol::{
-    drain_msgs, read_msg_blocking, write_msg, ConnStat, NodeMsg, OpCount, PeerRoute, RoutingEntry,
+    next_msg, read_msg_blocking, write_msg, ConnStat, EdgeCount, NodeMsg, OpCount, PeerRoute,
+    Probe, RoutingEntry,
 };
 
 /// Configuration of one worker process.
@@ -82,12 +106,63 @@ impl std::fmt::Display for WorkerError {
     }
 }
 
+/// Data tuples that crossed TCP, per `(from, to)` instance pair: one end of
+/// the ledger the coordinator's quiescence rule balances. Kept per edge, not
+/// per connection, because an edge names both its instances — once one of
+/// them is lost with its worker, the coordinator can tell that edge's counts
+/// will never balance and leave it out.
+#[derive(Default)]
+struct EdgeCounts(Mutex<BTreeMap<(u64, u64), u64>>);
+
+impl EdgeCounts {
+    fn add(&self, from: OperatorId, to: OperatorId, tuples: u64) {
+        *self.0.lock().entry((from.raw(), to.raw())).or_default() += tuples;
+    }
+
+    fn snapshot(&self) -> Vec<EdgeCount> {
+        let counts = self.0.lock();
+        let edge = |(&(from, to), &tuples)| EdgeCount { from, to, tuples };
+        counts.iter().map(edge).collect()
+    }
+}
+
+/// The TCP transport, counting what it ships per edge.
+#[derive(Default)]
+struct CountingTransport {
+    tcp: TcpTransport,
+    sent: EdgeCounts,
+}
+
+impl Transport for CountingTransport {
+    fn send(&self, addr: &str, envelope: &Envelope) -> Result<(), SendError> {
+        self.tcp.send(addr, envelope)?;
+        let tuples = envelope.message.tuple_count() as u64;
+        self.sent.add(envelope.from, envelope.to, tuples);
+        Ok(())
+    }
+
+    fn connections(&self) -> Vec<ConnectionStats> {
+        self.tcp.connections()
+    }
+}
+
+/// What wakes the worker's main thread.
+enum Event {
+    /// A command from the coordinator.
+    Control(NodeMsg),
+    /// The control connection ended: at a frame boundary (`Ok`) or not.
+    ControlClosed(io::Result<()>),
+    /// Data-plane envelopes were put on local inbound channels.
+    Data,
+}
+
 /// Everything a worker process owns.
 struct NodeState {
     job: String,
     network: Network,
-    transport: std::sync::Arc<TcpTransport>,
-    ingress: TcpIngress,
+    transport: Arc<CountingTransport>,
+    ingress: IngressServer,
+    received: Arc<EdgeCounts>,
     cores: BTreeMap<u64, WorkerCore>,
     clocks: BTreeMap<u32, SharedClock>,
     metrics: Metrics,
@@ -116,17 +191,28 @@ impl NodeState {
             .collect()
     }
 
-    /// Handle one control command; `Ok` carries the reply, `Err(())` is the
-    /// shutdown signal.
-    fn handle(&mut self, msg: NodeMsg) -> Result<Option<NodeMsg>, ()> {
-        let reply = match msg {
+    /// Whether stepping again would make progress without a new event.
+    fn has_work(&self) -> bool {
+        !self.paused && self.cores.values().any(|c| c.queued() > 0)
+    }
+
+    fn step(&mut self) {
+        let (network, metrics, epoch) = (&self.network, &self.metrics, self.epoch);
+        for core in self.cores.values_mut() {
+            core.step(network, metrics, epoch, STEP_BUDGET);
+        }
+    }
+
+    /// Handle one control command and produce its reply.
+    fn handle(&mut self, msg: NodeMsg) -> NodeMsg {
+        match msg {
             NodeMsg::Deploy { instances, peers } => {
                 self.install_peers(&peers);
                 for inst in instances {
                     let Some(operator) = jobs::build_operator(&self.job, &inst.name) else {
-                        return Ok(Some(NodeMsg::Error {
+                        return NodeMsg::Error {
                             what: format!("job {:?} has no operator {:?}", self.job, inst.name),
-                        }));
+                        };
                     };
                     let receiver = self.network.register(OperatorId::new(inst.op));
                     let clock = self.clocks.entry(inst.logical).or_default().clone();
@@ -140,30 +226,31 @@ impl NodeState {
                         inst.is_sink,
                         true,
                     );
+                    core.out_batch = jobs::OUT_BATCH;
                     core.set_paused(self.paused);
                     self.cores.insert(inst.op, core);
                 }
-                Some(NodeMsg::Ack)
+                NodeMsg::Ack
             }
             NodeMsg::SetPeers { peers } => {
                 self.install_peers(&peers);
-                Some(NodeMsg::Ack)
+                NodeMsg::Ack
             }
-            NodeMsg::InjectMany { op, entries } => {
+            NodeMsg::InjectMany { op, batch } => {
                 let (network, metrics, epoch) = (&self.network, &self.metrics, self.epoch);
-                match self.cores.get_mut(&op) {
-                    None => Some(Self::missing(op)),
-                    Some(core) => {
-                        for entry in entries {
-                            core.emit_source(
-                                Key(entry.key),
-                                entry.payload,
-                                network,
-                                metrics,
-                                epoch,
-                            );
+                match (self.cores.get_mut(&op), wire::decode(&batch)) {
+                    (None, _) => Self::missing(op),
+                    (_, Err(e)) => NodeMsg::Error {
+                        what: format!("bad source batch: {e}"),
+                    },
+                    (Some(core), Ok(envelope)) => {
+                        for tuple in envelope.message.batch.tuples {
+                            core.emit_source(tuple.key, tuple.payload, network, metrics, epoch);
                         }
-                        Some(NodeMsg::Ack)
+                        // The `Ack` says every tuple has left, the partial
+                        // last batch included.
+                        core.flush_pending(network, metrics);
+                        NodeMsg::Ack
                     }
                 }
             }
@@ -172,9 +259,13 @@ impl NodeState {
                 for core in self.cores.values_mut() {
                     core.tick(now_ms, network, metrics, epoch);
                 }
-                Some(NodeMsg::Ack)
+                NodeMsg::Ack
             }
             NodeMsg::Probe => {
+                // Received first, queues second: the readers deliver an
+                // envelope before they count it, so a tuple counted here is
+                // in `queued` below unless it has been processed already.
+                let received = self.received.snapshot();
                 let queued: u64 = self.cores.values().map(|c| c.queued() as u64).sum();
                 let pending: u64 = self.cores.values().map(|c| c.pending_tuples() as u64).sum();
                 let processed = self
@@ -185,30 +276,31 @@ impl NodeState {
                         count: c.processed(),
                     })
                     .collect();
-                let sent_tuples = self.transport.connections().iter().map(|c| c.tuples).sum();
-                let received_tuples = self.ingress.connections().iter().map(|c| c.tuples).sum();
-                Some(NodeMsg::ProbeReply {
+                NodeMsg::ProbeReply(Probe {
                     queued,
                     pending,
                     processed,
-                    sent_tuples,
-                    received_tuples,
+                    sent: self.transport.sent.snapshot(),
+                    received,
                 })
             }
             NodeMsg::Capture { op, sequence } => match self.cores.get(&op) {
-                None => Some(Self::missing(op)),
+                None => Self::missing(op),
                 Some(core) => match core.take_checkpoint(sequence).to_bytes() {
-                    Ok(bytes) => Some(NodeMsg::Captured { op, bytes }),
-                    Err(e) => Some(NodeMsg::Error {
+                    Ok(bytes) => NodeMsg::Captured {
+                        op,
+                        bytes: Bytes::from(bytes),
+                    },
+                    Err(e) => NodeMsg::Error {
                         what: format!("checkpoint failed: {e}"),
-                    }),
+                    },
                 },
             },
             NodeMsg::TrimBuffer { op, downstream, ts } => match self.cores.get_mut(&op) {
-                None => Some(Self::missing(op)),
+                None => Self::missing(op),
                 Some(core) => {
                     core.buffer_mut().trim(OperatorId::new(downstream), ts);
-                    Some(NodeMsg::Ack)
+                    NodeMsg::Ack
                 }
             },
             NodeMsg::Pause { on } => {
@@ -220,27 +312,27 @@ impl NodeState {
                     }
                     core.set_paused(on);
                 }
-                Some(NodeMsg::Ack)
+                NodeMsg::Ack
             }
             NodeMsg::Restore { op, bytes } => match self.cores.get_mut(&op) {
-                None => Some(Self::missing(op)),
+                None => Self::missing(op),
                 Some(core) => match Checkpoint::from_bytes(&bytes) {
                     Ok(cp) => {
                         // Re-emitted tuples must carry the timestamps of the
                         // originals so downstream duplicate filters drop them.
                         core.clock().reset_to(cp.emit_clock);
                         core.restore(cp);
-                        Some(NodeMsg::Ack)
+                        NodeMsg::Ack
                     }
-                    Err(e) => Some(NodeMsg::Error {
+                    Err(e) => NodeMsg::Error {
                         what: format!("bad checkpoint: {e}"),
-                    }),
+                    },
                 },
             },
             NodeMsg::ReplayRestored { op, routing } => {
                 let (network, metrics) = (&self.network, &self.metrics);
                 match self.cores.get_mut(&op) {
-                    None => Some(Self::missing(op)),
+                    None => Self::missing(op),
                     Some(core) => {
                         for entry in &routing {
                             core.set_routing(LogicalOpId(entry.downstream), entry.routing.clone());
@@ -250,7 +342,7 @@ impl NodeState {
                             tuples += core.replay_to(target, &TimestampVec::new(), network, metrics)
                                 as u64;
                         }
-                        Some(NodeMsg::Replayed { tuples })
+                        NodeMsg::Replayed { tuples }
                     }
                 }
             }
@@ -264,7 +356,7 @@ impl NodeState {
             } => {
                 let (network, metrics) = (&self.network, &self.metrics);
                 match self.cores.get_mut(&at) {
-                    None => Some(Self::missing(at)),
+                    None => Self::missing(at),
                     Some(core) => {
                         core.set_routing(LogicalOpId(logical), routing.clone());
                         for old in olds {
@@ -286,19 +378,22 @@ impl NodeState {
                                 metrics,
                             ) as u64;
                         }
-                        Some(NodeMsg::Replayed { tuples })
+                        NodeMsg::Replayed { tuples }
                     }
                 }
             }
             NodeMsg::CollectState { op } => match self.cores.get(&op) {
-                None => Some(Self::missing(op)),
+                None => Self::missing(op),
                 Some(core) => {
                     let state = core.operator().get_processing_state();
                     match bincode::serialize(&state) {
-                        Ok(bytes) => Some(NodeMsg::StateBytes { op, bytes }),
-                        Err(e) => Some(NodeMsg::Error {
+                        Ok(bytes) => NodeMsg::StateBytes {
+                            op,
+                            bytes: Bytes::from(bytes),
+                        },
+                        Err(e) => NodeMsg::Error {
                             what: format!("state serialisation failed: {e}"),
-                        }),
+                        },
                     }
                 }
             },
@@ -317,22 +412,84 @@ impl NodeState {
                         reconnects: c.reconnects,
                     })
                     .collect();
-                Some(NodeMsg::StatsReply { conns })
+                NodeMsg::StatsReply { conns }
             }
-            NodeMsg::Shutdown => return Err(()),
-            other => Some(NodeMsg::Error {
+            other => NodeMsg::Error {
                 what: format!("unexpected command: {other:?}"),
-            }),
+            },
+        }
+    }
+}
+
+/// Forward every command on the control connection to the main thread,
+/// then how the connection ended.
+fn read_control(mut stream: &TcpStream, events: Sender<Event>) {
+    let mut reader = FrameReader::new();
+    let closed = loop {
+        match next_msg(&mut stream, &mut reader) {
+            Ok(Some(msg)) => {
+                if events.send(Event::Control(msg)).is_err() {
+                    return;
+                }
+            }
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    let _ = events.send(Event::ControlClosed(closed));
+}
+
+/// The main thread: block for an event, answer every command that is in,
+/// step the cores; block again only once no core has input queued.
+fn event_loop(
+    state: &mut NodeState,
+    events: &Receiver<Event>,
+    control: &Mutex<&TcpStream>,
+) -> Result<(), WorkerError> {
+    loop {
+        let mut next = if state.has_work() {
+            events.try_recv().ok()
+        } else {
+            // Senders live in the reader threads, which outlive this loop.
+            events.recv().ok()
         };
-        Ok(reply)
+        while let Some(event) = next {
+            match event {
+                Event::Control(NodeMsg::Shutdown) => {
+                    let _ = write_msg(&mut *control.lock(), &NodeMsg::Ack);
+                    return Ok(());
+                }
+                Event::Control(msg) => {
+                    let reply = state.handle(msg);
+                    write_msg(&mut *control.lock(), &reply)?;
+                }
+                // Coordinator gone: nothing left to host for.
+                Event::ControlClosed(how) => return Ok(how?),
+                Event::Data => {}
+            }
+            next = events.try_recv().ok();
+        }
+        state.step();
     }
 }
 
 /// Run a worker process until the coordinator shuts it down (or its control
 /// connection drops).
 pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
-    let ingress = TcpIngress::bind(&config.data_listen)?;
-    let data_addr = ingress.local_addr().to_string();
+    let (events_tx, events) = mpsc::channel();
+    let network = Network::new(262_144);
+    let received = Arc::new(EdgeCounts::default());
+    let ingress = {
+        let (network, received, wake) = (network.clone(), received.clone(), events_tx.clone());
+        IngressServer::bind(&config.data_listen, move |envelope| {
+            let (from, to) = (envelope.from, envelope.to);
+            let tuples = envelope.message.tuple_count() as u64;
+            // Delivered, then counted, then announced: see `NodeMsg::Probe`.
+            let _ = network.send(envelope);
+            received.add(from, to, tuples);
+            let _ = wake.send(Event::Data);
+        })?
+    };
 
     let mut control = TcpStream::connect(&config.coordinator)?;
     control.set_nodelay(true).ok();
@@ -341,7 +498,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
         &NodeMsg::Hello {
             name: config.name.clone(),
             slots: config.slots as u64,
-            data_addr,
+            data_addr: ingress.local_addr().to_string(),
         },
     )?;
     match read_msg_blocking(&mut control)? {
@@ -360,18 +517,15 @@ pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
             )))
         }
     }
-    // Short read timeout: the event loop multiplexes control reads with
-    // data-plane polling and stepping, while writes stay blocking.
-    control.set_read_timeout(Some(Duration::from_millis(1)))?;
 
-    let network = Network::new(262_144);
-    let transport = std::sync::Arc::new(TcpTransport::new());
+    let transport = Arc::new(CountingTransport::default());
     network.set_transport(transport.clone());
     let mut state = NodeState {
         job: config.job,
         network,
         transport,
         ingress,
+        received,
         cores: BTreeMap::new(),
         clocks: BTreeMap::new(),
         metrics: Metrics::new(),
@@ -379,43 +533,25 @@ pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
         paused: false,
     };
 
-    let mut reader = FrameReader::new();
-    let mut last_heartbeat = Instant::now();
+    // Replies and heartbeats share the socket's write half, a frame at a
+    // time; the read half belongs to the control reader.
+    let (control, writer) = (&control, Mutex::new(&control));
     let heartbeat_every = Duration::from_millis(config.heartbeat_ms.max(1));
-    loop {
-        let (msgs, open) = drain_msgs(&mut control, &mut reader)?;
-        let had_msgs = !msgs.is_empty();
-        for msg in msgs {
-            match state.handle(msg) {
-                Ok(Some(reply)) => write_msg(&mut control, &reply)?,
-                Ok(None) => {}
-                Err(()) => {
-                    let _ = write_msg(&mut control, &NodeMsg::Ack);
-                    return Ok(());
+    let (stop_heartbeat, stopped) = mpsc::channel::<()>();
+    let writer = &writer;
+    std::thread::scope(|threads| {
+        threads.spawn(move || read_control(control, events_tx));
+        threads.spawn(move || {
+            while stopped.recv_timeout(heartbeat_every) == Err(RecvTimeoutError::Timeout) {
+                if write_msg(&mut *writer.lock(), &NodeMsg::Heartbeat).is_err() {
+                    break;
                 }
             }
-        }
-        if !open {
-            // Coordinator gone: nothing left to host for.
-            return Ok(());
-        }
-
-        let (network, metrics, epoch) = (&state.network, &state.metrics, state.epoch);
-        let delivered = state.ingress.poll(&mut |env| {
-            let _ = network.send(env);
         });
-        let mut stepped = 0;
-        for core in state.cores.values_mut() {
-            stepped += core.step(network, metrics, epoch, STEP_BUDGET);
-        }
-
-        if last_heartbeat.elapsed() >= heartbeat_every {
-            write_msg(&mut control, &NodeMsg::Heartbeat)?;
-            control.flush().ok();
-            last_heartbeat = Instant::now();
-        }
-        if !had_msgs && delivered == 0 && stepped == 0 {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
+        let outcome = event_loop(&mut state, &events, writer);
+        // Unpark both helpers so the scope can join them.
+        drop(stop_heartbeat);
+        let _ = control.shutdown(Shutdown::Both);
+        outcome
+    })
 }

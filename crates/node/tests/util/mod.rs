@@ -86,13 +86,30 @@ pub fn metric_value(body: &str, prefix: &str) -> Option<f64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Poll `/metrics` until `pred` passes on a scraped body; panics on timeout.
-pub fn wait_for_metric(addr: &str, what: &str, timeout: Duration, pred: impl Fn(&str) -> bool) {
+/// Sum of every sample of metric family `name`.
+pub fn family_sum(body: &str, name: &str) -> f64 {
+    body.lines()
+        .filter(|l| {
+            l.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with(' ') || rest.starts_with('{'))
+        })
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+/// Poll `/metrics` until `pred` passes on a scraped body and return that
+/// body; panics on timeout.
+pub fn wait_for_metric(
+    addr: &str,
+    what: &str,
+    timeout: Duration,
+    pred: impl Fn(&str) -> bool,
+) -> String {
     let deadline = Instant::now() + timeout;
     loop {
         if let Some(body) = scrape_metrics(addr) {
             if pred(&body) {
-                return;
+                return body;
             }
         }
         assert!(Instant::now() < deadline, "timed out waiting for {what}");

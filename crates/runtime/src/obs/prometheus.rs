@@ -91,6 +91,12 @@ pub struct ObsSnapshot {
     /// `(worker name, heartbeat lag ms)` per connected worker process, as
     /// observed by the coordinator at snapshot time.
     pub heartbeat_lag: Vec<(String, f64)>,
+    /// `(phase, seconds)`: wall time a `seep-node` coordinator has spent in
+    /// each phase of its rounds (empty for the in-process plane).
+    pub round_phases: Vec<(String, f64)>,
+    /// `(verb, count)`: control commands a `seep-node` coordinator has sent
+    /// to its workers (empty for the in-process plane).
+    pub rpcs: Vec<(String, u64)>,
 }
 
 /// Traffic counters for one transport connection, as exported to the
@@ -133,6 +139,8 @@ impl Default for ObsSnapshot {
             journal_events: 0,
             transport: Vec::new(),
             heartbeat_lag: Vec::new(),
+            round_phases: Vec::new(),
+            rpcs: Vec::new(),
         }
     }
 }
@@ -616,6 +624,32 @@ pub fn render_prometheus(s: &ObsSnapshot) -> String {
         }
     }
 
+    if !s.round_phases.is_empty() {
+        w.family(
+            "seep_node_round_phase_seconds_total",
+            "counter",
+            "Wall time the coordinator spent in each phase of its rounds.",
+        );
+        for (phase, seconds) in &s.round_phases {
+            w.sample(
+                "seep_node_round_phase_seconds_total",
+                &[("phase", phase)],
+                *seconds,
+            );
+        }
+    }
+
+    if !s.rpcs.is_empty() {
+        w.family(
+            "seep_node_rpcs_total",
+            "counter",
+            "Control commands the coordinator sent to its workers.",
+        );
+        for (verb, count) in &s.rpcs {
+            w.sample("seep_node_rpcs_total", &[("verb", verb)], *count as f64);
+        }
+    }
+
     w.out
 }
 
@@ -1041,6 +1075,8 @@ mod tests {
             },
         ];
         s.heartbeat_lag = vec![("w1".into(), 120.0), ("w2".into(), 35.5)];
+        s.round_phases = vec![("inject".into(), 0.25), ("quiesce".into(), 0.5)];
+        s.rpcs = vec![("Probe".into(), 40), ("Tick".into(), 10)];
         s
     }
 
@@ -1082,6 +1118,13 @@ mod tests {
             .find(|p| p.label("worker") == Some("w2"))
             .expect("w2 exported");
         assert_eq!(w2.value, 35.5);
+        let phases = exp.of("seep_node_round_phase_seconds_total");
+        assert_eq!(phases.len(), 2);
+        assert_eq!(phases[1].label("phase"), Some("quiesce"));
+        assert_eq!(phases[1].value, 0.5);
+        let rpcs = exp.of("seep_node_rpcs_total");
+        assert_eq!(rpcs[0].label("verb"), Some("Probe"));
+        assert_eq!(rpcs.iter().map(|p| p.value).sum::<f64>(), 50.0);
     }
 
     /// A snapshot with no transport traffic (the in-process plane) renders
@@ -1091,6 +1134,7 @@ mod tests {
         let text = render_prometheus(&ObsSnapshot::default());
         assert!(!text.contains("seep_transport_"));
         assert!(!text.contains("seep_heartbeat_lag_ms"));
+        assert!(!text.contains("seep_node_"));
         validate_exposition(&text).expect("default exposition stays valid");
     }
 

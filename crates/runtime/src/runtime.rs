@@ -1315,6 +1315,8 @@ impl Runtime {
                 })
                 .unwrap_or_default(),
             heartbeat_lag: Vec::new(),
+            round_phases: Vec::new(),
+            rpcs: Vec::new(),
         }
     }
 

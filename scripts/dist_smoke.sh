@@ -1,17 +1,26 @@
 #!/usr/bin/env bash
 # Distribution smoke test: a coordinator and two seep-node workers on
-# localhost, a word-frequency job driven end to end, one worker SIGKILLed
-# mid-run. Asserts that recovery happens through the standard path (journal
-# event + /metrics counters) and that the surviving run's results are
-# byte-identical to the in-process baseline.
+# localhost, a word-frequency job driven end to end, twice.
+#
+# 1. At the benchmark's rate, nobody killed: the outcome must be
+#    byte-identical to the in-process baseline, the data plane must ship
+#    batches (fewer than tuples/8 frames — counts, so machine-independent)
+#    and the whole cluster, hold included, must be up and down inside a
+#    generous 3 s.
+# 2. One worker SIGKILLed mid-run: recovery must happen through the standard
+#    path (journal event + /metrics counters) and the surviving run's results
+#    must be byte-identical to the baseline.
 #
 # Usage: scripts/dist_smoke.sh [path-to-seep-node-binary]
 set -euo pipefail
 
-BIN="${1:-target/release/seep-node}"
-if [ ! -x "$BIN" ]; then
-  echo "dist_smoke: building $BIN" >&2
-  cargo build --release -p seep-node
+# Without an explicit binary the release build is brought up to date first
+# (a no-op when it is): `cargo test` only builds debug, and a stale release
+# binary would test yesterday's protocol.
+BIN="${1:-}"
+if [ -z "$BIN" ]; then
+  BIN=target/release/seep-node
+  cargo build --release -p seep-node >&2
 fi
 
 DIR="$(mktemp -d)"
@@ -35,6 +44,48 @@ metric_at_least() {
     'index($1, n) == 1 && $NF + 0 >= t { found = 1 } END { exit !found }'
 }
 
+family_sum() {
+  echo "$1" | awk -v n="$2" \
+    'index($1, n "{") == 1 || $1 == n { sum += $NF } END { printf "%d", sum }'
+}
+
+# --- 1. The benchmark's shape, un-killed -----------------------------------
+FAST_ROUNDS=5
+FAST_RATE=10000
+STARTED_NS="$(date +%s%N)"
+"$BIN" --coordinator --workers 2 --rounds "$FAST_ROUNDS" --rate "$FAST_RATE" \
+  --port-file "$DIR/fast-port" --out "$DIR/fast.txt" \
+  --metrics-addr 127.0.0.1:0 --metrics-port-file "$DIR/fast-mport" \
+  --hold-ms 500 >/dev/null &
+COORD=$!
+for _ in $(seq 1 1000); do [ -s "$DIR/fast-port" ] && break; sleep 0.01; done
+ADDR="$(cat "$DIR/fast-port")"
+"$BIN" --worker --name w1 --coordinator-addr "$ADDR" >/dev/null & W1=$!
+"$BIN" --worker --name w2 --coordinator-addr "$ADDR" >/dev/null & W2=$!
+for _ in $(seq 1 1000); do [ -s "$DIR/fast.txt" ] && break; sleep 0.01; done
+[ -s "$DIR/fast.txt" ] || { echo "dist_smoke: fast run wrote no outcome" >&2; exit 1; }
+# Nothing moves after the last capture: any snapshot from here on holds the
+# final transport counters.
+BODY="$(scrape "$(cat "$DIR/fast-mport")")"
+wait "$COORD" || { echo "dist_smoke: fast run: coordinator failed" >&2; exit 1; }
+wait "$W1" || { echo "dist_smoke: fast run: w1 exited uncleanly" >&2; exit 1; }
+wait "$W2" || { echo "dist_smoke: fast run: w2 exited uncleanly" >&2; exit 1; }
+WALL_MS=$(( ($(date +%s%N) - STARTED_NS) / 1000000 ))
+
+"$BIN" --baseline --rounds "$FAST_ROUNDS" --rate "$FAST_RATE" --out "$DIR/fast-base.txt" >/dev/null
+diff -u "$DIR/fast-base.txt" "$DIR/fast.txt" \
+  || { echo "dist_smoke: fast run differs from baseline" >&2; exit 1; }
+FRAMES="$(family_sum "$BODY" seep_transport_frames_total)"
+TUPLES="$(family_sum "$BODY" seep_transport_tuples_total)"
+[ "$TUPLES" -ge $(( 2 * FAST_ROUNDS * FAST_RATE )) ] \
+  || { echo "dist_smoke: only $TUPLES tuples on the transport counters" >&2; exit 1; }
+[ $(( FRAMES * 8 )) -lt "$TUPLES" ] \
+  || { echo "dist_smoke: $FRAMES frames for $TUPLES tuples: not batching" >&2; exit 1; }
+[ "$WALL_MS" -lt 3000 ] \
+  || { echo "dist_smoke: fast run took $WALL_MS ms (limit 3000)" >&2; exit 1; }
+echo "dist_smoke: fast run OK ($TUPLES tuples in $FRAMES frames, $WALL_MS ms wall, identical to baseline)"
+
+# --- 2. kill -9 mid-run ----------------------------------------------------
 "$BIN" --coordinator --workers 2 --rounds "$ROUNDS" --rate "$RATE" \
   --round-delay-ms 150 --port-file "$DIR/port" --out "$DIR/dist.txt" \
   --metrics-addr 127.0.0.1:0 --metrics-port-file "$DIR/mport" \
