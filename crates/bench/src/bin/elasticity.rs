@@ -28,7 +28,7 @@ use seep_bench::runtime_experiments::{
     runtime_consolidate, runtime_elasticity, RuntimeElasticityResult,
 };
 use seep_bench::sim_experiments::{elasticity, elasticity_with, ElasticityResult};
-use seep_sim::SimScalingPolicy;
+use seep_sim::ScalingPolicy;
 
 /// Headline numbers of the simulator arm, for `BENCH_elasticity.json`.
 #[derive(serde::Serialize)]
@@ -236,7 +236,7 @@ fn consolidate_section(
 ) {
     let merge_only = elasticity(ramp_up, plateau, ramp_down, tail, base, peak, true);
     let packed = elasticity_with(
-        SimScalingPolicy::default()
+        ScalingPolicy::default()
             .with_scale_in(0.2)
             .with_consolidate(),
         2,

@@ -199,7 +199,7 @@ impl WordCountHarness {
         let victim = self.counter_instance();
         self.handle.fail_operator(victim);
         let record = self.handle.recover(victim, pi).expect("recovery succeeds");
-        record.duration_ms
+        record.duration_ms()
     }
 
     /// Total word count across all partitions of the word counter (used for

@@ -462,8 +462,9 @@ fn measure_skew_leg(
     if rebalance {
         // Let the even split's skew manifest, then repartition in place.
         h.run_for(warmup_s.max(3));
-        let parts = h.handle.partitions(h.calculator);
-        h.handle.rebalance(parts[0], parts[1]).expect("rebalance");
+        h.handle
+            .rebalance_operator(h.calculator)
+            .expect("rebalance");
         h.handle.drain();
     }
     h.handle.metrics().reset_latencies();
@@ -482,16 +483,11 @@ fn measure_skew_leg(
         })
         .collect();
     let metrics = h.handle.metrics();
-    let (reconfigurations, last_timing) = {
-        let outs = metrics.scale_outs();
-        let rebs = metrics.rebalances();
-        let timing = rebs
-            .last()
-            .map(|r| r.timing)
-            .or_else(|| outs.last().map(|r| r.timing))
-            .unwrap_or_default();
-        (outs.len() + rebs.len(), timing)
-    };
+    // The leg's plans are the scale out and, when asked for, the rebalance
+    // after it: the last one drew the boundaries that were measured.
+    let plans = metrics.reconfigs();
+    let reconfigurations = plans.len();
+    let last_timing = plans.last().map(|r| r.timing).unwrap_or_default();
     SkewMeasurement {
         split: label.to_string(),
         tuple_imbalance: tuple_imbalance(&partition_tuples),

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use seep_sim::{lrb_query, mapreduce_query, SimConfig, SimEngine, SimScalingPolicy, SimTrace};
+use seep_sim::{lrb_query, mapreduce_query, ScalingPolicy, SimConfig, SimEngine, SimTrace};
 
 /// Result of the LRB closed-loop run (Figs 6 and 7).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,7 +92,7 @@ pub fn threshold_sweep(duration_s: u64, l: u16, thresholds_pct: &[u32]) -> Vec<T
         .map(|pct| {
             let mut engine = SimEngine::new(SimConfig {
                 query: lrb_query(),
-                policy: SimScalingPolicy::default().with_threshold(*pct as f64 / 100.0),
+                policy: ScalingPolicy::default().with_threshold(*pct as f64 / 100.0),
                 vm_pool_size: 6,
                 provisioning_delay_s: 60,
                 ..SimConfig::default()
@@ -239,9 +239,9 @@ pub struct SkewSimRow {
 pub fn skew_rebalance_sim(duration_s: u64, rate: f64, hot_fraction: f64) -> Vec<SkewSimRow> {
     let run = |rebalance: bool| {
         let policy = if rebalance {
-            SimScalingPolicy::default().with_rebalance()
+            ScalingPolicy::default().with_rebalance()
         } else {
-            SimScalingPolicy::default()
+            ScalingPolicy::default()
         };
         let mut engine = SimEngine::new(SimConfig {
             query: lrb_query(),
@@ -339,7 +339,7 @@ pub fn elasticity(
     peak_rate: f64,
     scale_in: bool,
 ) -> ElasticityResult {
-    let mut policy = SimScalingPolicy::default();
+    let mut policy = ScalingPolicy::default();
     if scale_in {
         policy = policy.with_scale_in(0.2);
     }
@@ -360,7 +360,7 @@ pub fn elasticity(
 /// partitions onto shared VM slots instead of (only) merging siblings.
 #[allow(clippy::too_many_arguments)]
 pub fn elasticity_with(
-    policy: SimScalingPolicy,
+    policy: ScalingPolicy,
     slots_per_vm: usize,
     ramp_up_s: u64,
     plateau_s: u64,
@@ -524,7 +524,7 @@ mod tests {
     fn consolidate_arm_packs_partitions_and_reports_vm_seconds() {
         let merge_only = elasticity(100, 100, 100, 200, 500.0, 120_000.0, true);
         let consolidate = elasticity_with(
-            SimScalingPolicy::default()
+            ScalingPolicy::default()
                 .with_scale_in(0.2)
                 .with_consolidate(),
             2,

@@ -14,12 +14,13 @@
 //! sibling pair fall below the low-water threshold `low_threshold`. The low
 //! watermark sits well under δ (hysteresis), so a freshly merged operator —
 //! whose utilisation is roughly the sum of the two merged partitions — does
-//! not immediately trip the bottleneck detector and flap back out.
+//! not immediately trip the bottleneck rule and flap back out.
 
 use serde::{Deserialize, Serialize};
 
-use seep_cloud::CpuMonitor;
 use seep_core::OperatorId;
+
+use crate::monitor::CpuMonitor;
 
 /// The scaling policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,7 +59,7 @@ pub struct ScalingPolicy {
     pub rebalance: bool,
     /// Whether the control loop may **consolidate** under-utilised
     /// partitions: pack them onto shared VM slots (first-fit-decreasing over
-    /// [`seep_cloud::VmPoolConfig::slots_per_vm`]) and release the emptied
+    /// [`crate::VmPoolConfig::slots_per_vm`]) and release the emptied
     /// VMs, keeping parallelism — the scale-in path that does not require
     /// adjacent siblings. Takes effect only together with `scale_in` and a
     /// multi-slot placement. Off by default.
@@ -136,38 +137,13 @@ impl ScalingPolicy {
     pub fn effective_low_threshold(&self) -> f64 {
         self.low_threshold.min(self.threshold / 2.0)
     }
-}
-
-/// Detects bottleneck and under-utilised operators from CPU utilisation
-/// reports.
-#[derive(Debug)]
-pub struct BottleneckDetector {
-    policy: ScalingPolicy,
-}
-
-impl BottleneckDetector {
-    /// Create a detector with the given policy.
-    pub fn new(policy: ScalingPolicy) -> Self {
-        BottleneckDetector { policy }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &ScalingPolicy {
-        &self.policy
-    }
 
     /// The operators among `candidates` whose last `k` reports all exceed δ.
     pub fn bottlenecks(&self, monitor: &CpuMonitor, candidates: &[OperatorId]) -> Vec<OperatorId> {
         candidates
             .iter()
             .copied()
-            .filter(|op| {
-                monitor.consecutive_above(
-                    *op,
-                    self.policy.consecutive_reports,
-                    self.policy.threshold,
-                )
-            })
+            .filter(|op| monitor.consecutive_above(*op, self.consecutive_reports, self.threshold))
             .collect()
     }
 
@@ -180,14 +156,14 @@ impl BottleneckDetector {
         monitor: &CpuMonitor,
         candidates: &[OperatorId],
     ) -> Vec<OperatorId> {
-        if !self.policy.scale_in {
+        if !self.scale_in {
             return Vec::new();
         }
-        let low = self.policy.effective_low_threshold();
+        let low = self.effective_low_threshold();
         candidates
             .iter()
             .copied()
-            .filter(|op| monitor.consecutive_below(*op, self.policy.scale_in_reports, low))
+            .filter(|op| monitor.consecutive_below(*op, self.scale_in_reports, low))
             .collect()
     }
 }
@@ -195,7 +171,7 @@ impl BottleneckDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seep_cloud::{UtilizationReport, VmId};
+    use crate::{UtilizationReport, VmId};
 
     fn report(op: u64, at: u64, util: f64) -> UtilizationReport {
         UtilizationReport {
@@ -240,34 +216,31 @@ mod tests {
     #[test]
     fn detects_operator_with_k_consecutive_high_reports() {
         let monitor = CpuMonitor::new(16);
-        let detector = BottleneckDetector::new(ScalingPolicy::default());
+        let policy = ScalingPolicy::default();
         let ops = [OperatorId::new(1), OperatorId::new(2)];
 
         monitor.record(report(1, 0, 0.9));
         monitor.record(report(2, 0, 0.4));
         assert!(
-            detector.bottlenecks(&monitor, &ops).is_empty(),
+            policy.bottlenecks(&monitor, &ops).is_empty(),
             "only one report"
         );
 
         monitor.record(report(1, 5_000, 0.85));
         monitor.record(report(2, 5_000, 0.5));
-        assert_eq!(
-            detector.bottlenecks(&monitor, &ops),
-            vec![OperatorId::new(1)]
-        );
+        assert_eq!(policy.bottlenecks(&monitor, &ops), vec![OperatorId::new(1)]);
     }
 
     #[test]
     fn dip_below_threshold_resets_detection() {
         let monitor = CpuMonitor::new(16);
-        let detector = BottleneckDetector::new(ScalingPolicy::default());
+        let policy = ScalingPolicy::default();
         let ops = [OperatorId::new(1)];
         monitor.record(report(1, 0, 0.9));
         monitor.record(report(1, 5_000, 0.6));
         monitor.record(report(1, 10_000, 0.9));
-        assert!(detector.bottlenecks(&monitor, &ops).is_empty());
-        assert_eq!(detector.policy().consecutive_reports, 2);
+        assert!(policy.bottlenecks(&monitor, &ops).is_empty());
+        assert_eq!(policy.consecutive_reports, 2);
     }
 
     #[test]
@@ -278,10 +251,10 @@ mod tests {
             monitor.record(report(1, at, 0.05));
             monitor.record(report(2, at, 0.5));
         }
-        let off = BottleneckDetector::new(ScalingPolicy::default());
+        let off = ScalingPolicy::default();
         assert!(off.underutilized(&monitor, &ops).is_empty(), "disabled");
 
-        let on = BottleneckDetector::new(ScalingPolicy::default().with_scale_in(0.2));
+        let on = ScalingPolicy::default().with_scale_in(0.2);
         assert_eq!(on.underutilized(&monitor, &ops), vec![OperatorId::new(1)]);
 
         // A busy report breaks the streak.
@@ -297,12 +270,11 @@ mod tests {
         // Even with a degenerate configuration (low watermark above δ) the
         // clamp keeps the two trigger bands disjoint.
         let policy = ScalingPolicy::default().with_scale_in(0.95);
-        let detector = BottleneckDetector::new(policy);
         for at in [0, 5_000, 10_000, 15_000] {
             monitor.record(report(1, at, 0.5));
         }
-        let hot = detector.bottlenecks(&monitor, &ops);
-        let cold = detector.underutilized(&monitor, &ops);
+        let hot = policy.bottlenecks(&monitor, &ops);
+        let cold = policy.underutilized(&monitor, &ops);
         assert!(hot.is_empty() && cold.is_empty());
     }
 }

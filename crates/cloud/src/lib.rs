@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod billing;
+pub mod bottleneck;
 pub mod failure;
 pub mod monitor;
 pub mod pool;
@@ -26,6 +27,7 @@ pub mod remote;
 pub mod vm;
 
 pub use billing::BillingLedger;
+pub use bottleneck::ScalingPolicy;
 pub use failure::FailureInjector;
 pub use monitor::{CpuMonitor, UtilizationReport};
 pub use pool::{PoolStats, VmPool, VmPoolConfig};

@@ -8,7 +8,8 @@
 //!
 //! The monitor here is the collection side: it stores recent reports per
 //! operator and answers the "k consecutive reports above δ" query. The policy
-//! that acts on it lives in `seep-runtime`/`seep-sim`.
+//! that reads it is [`crate::ScalingPolicy`], shared by `seep-runtime` and
+//! `seep-sim`.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};

@@ -83,10 +83,11 @@ use seep_core::{
     StreamId, TimestampVec, Tuple, TupleBatch,
 };
 use seep_net::{wire, Envelope, FrameReader, Message};
-use seep_runtime::metrics::{CheckpointRecord, RecoveryRecord};
+use seep_runtime::metrics::CheckpointRecord;
 use seep_runtime::obs::{ObsShared, SlotBinding, TransportConn};
+use seep_runtime::reconfig::PlanCommit;
 use seep_runtime::{
-    Journal, JournalEvent, JournalKind, Metrics, ObsServer, ObsSnapshot, PlanTrigger,
+    Journal, JournalKind, Metrics, ObsServer, ObsSnapshot, PlanTrigger, ReconfigOutcome,
     ReconfigTiming,
 };
 
@@ -242,18 +243,6 @@ fn absorb(
 struct WorkerConn {
     stream: TcpStream,
     reader: FrameReader,
-}
-
-/// What one recovered instance needs journalled after the cluster resumes.
-struct Recovered {
-    logical: LogicalOpId,
-    name: String,
-    old_id: OperatorId,
-    new_id: OperatorId,
-    host: VmId,
-    replayed: u64,
-    restore_us: u64,
-    replay_us: u64,
 }
 
 struct Coordinator {
@@ -846,16 +835,21 @@ impl Coordinator {
                 }
             }
             let replay_us = replay_started.elapsed().as_micros() as u64;
-            recovered.push(Recovered {
+            // What the executor would report for this instance, remembered
+            // once the cluster has resumed and the total is known.
+            let outcome = ReconfigOutcome {
                 logical,
-                name,
-                old_id,
-                new_id: new_inst.id,
-                host,
-                replayed,
-                restore_us,
-                replay_us,
-            });
+                new_operators: vec![new_inst.id],
+                new_parallelism: self.graph.parallelism(logical),
+                replayed_tuples: replayed as usize,
+                released_vms: vec![dead],
+                timing: ReconfigTiming {
+                    restore_us,
+                    replay_us,
+                    ..Default::default()
+                },
+            };
+            recovered.push((name, old_id, host, outcome));
         }
 
         self.broadcast_ack(&NodeMsg::Pause { on: false })?;
@@ -867,43 +861,28 @@ impl Coordinator {
 
         let total_us = t0.elapsed().as_micros() as u64;
         let at_ms = self.now_ms();
-        for r in recovered {
-            let timing = ReconfigTiming {
-                restore_us: r.restore_us,
-                replay_us: r.replay_us,
-                total_us,
-                ..Default::default()
+        for (operator, old_id, host, mut outcome) in recovered {
+            outcome.timing.total_us = total_us;
+            let slot = |op: OperatorId, vm: VmId| SlotBinding {
+                operator: op.raw(),
+                vm: Some(vm.0),
             };
-            self.journal.append(JournalEvent {
-                seq: 0,
-                at_ms,
+            let (mut event, record) = PlanCommit {
                 kind: JournalKind::Recovery,
                 trigger: PlanTrigger::Manual,
-                logical: r.logical.0,
-                operator: r.name,
-                new_parallelism: 1,
-                replayed_tuples: r.replayed as usize,
-                timing,
-                vacated: vec![SlotBinding {
-                    operator: r.old_id.raw(),
-                    vm: Some(dead.0),
-                }],
-                placed: vec![SlotBinding {
-                    operator: r.new_id.raw(),
-                    vm: Some(r.host.0),
-                }],
-                released_vms: vec![dead.0],
-                acquired_vms: vec![],
-                outcome: "ok".into(),
-            });
-            self.metrics.record_recovery(RecoveryRecord {
-                operator: r.new_id,
-                parallelism: 1,
-                duration_ms: t0.elapsed().as_secs_f64() * 1_000.0,
-                replayed_tuples: r.replayed as usize,
-                strategy: "R+SM".into(),
-                timing,
-            });
+                at_ms,
+                operator,
+                strategy: "R+SM",
+                vacated: vec![slot(old_id, dead)],
+                placed: vec![slot(outcome.new_operators[0], host)],
+                outcome: &outcome,
+            }
+            .into_event_and_record();
+            // The host is a worker that was already running: nothing was
+            // drawn from a pool.
+            event.acquired_vms.clear();
+            self.journal.append(event);
+            self.metrics.record_reconfig(record);
         }
         // Best effort: surface the recovery on /metrics immediately.
         let _ = self.refresh_obs();

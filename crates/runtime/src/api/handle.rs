@@ -10,12 +10,11 @@ use seep_core::{
     ExecutionGraph, Key, LogicalOpId, OperatorId, StatefulOperator, StatelessFn, Tuple,
 };
 
-use crate::metrics::{CheckpointRecord, Metrics, RecoveryRecord};
+use crate::metrics::{CheckpointRecord, Metrics, ReconfigRecord};
 use crate::obs::{Journal, ObsServer, ObsSnapshot, OperatorHealth};
 use crate::plan::{MemberRole, PlanManifest};
-use crate::runtime::{
-    ConsolidateOutcome, RebalanceOutcome, Runtime, ScaleInOutcome, ScaleOutOutcome,
-};
+use crate::reconfig::ReconfigOutcome;
+use crate::runtime::Runtime;
 
 /// Selects a logical operator of a deployed job: either by the **name** it
 /// was declared under in the builder (the ergonomic path) or by a raw
@@ -190,13 +189,12 @@ impl JobHandle {
         self.runtime.parallelism(op)
     }
 
-    /// Scale out (or recover) the physical instance `target` into `pi`
-    /// partitions.
+    /// Scale out the physical instance `target` into `pi` partitions.
     pub fn scale_out(
         &mut self,
         target: OperatorId,
         pi: usize,
-    ) -> seep_core::Result<ScaleOutOutcome> {
+    ) -> seep_core::Result<ReconfigOutcome> {
         self.runtime.scale_out(target, pi)
     }
 
@@ -206,19 +204,8 @@ impl JobHandle {
         &mut self,
         target: OperatorId,
         victim: OperatorId,
-    ) -> seep_core::Result<ScaleInOutcome> {
+    ) -> seep_core::Result<ReconfigOutcome> {
         self.runtime.scale_in(target, victim)
-    }
-
-    /// Re-split a skewed pair of sibling partitions in place (no VM change).
-    /// The plan engine rebalances the whole logical operator the pair names;
-    /// see [`rebalance_operator`](Self::rebalance_operator).
-    pub fn rebalance(
-        &mut self,
-        target: OperatorId,
-        victim: OperatorId,
-    ) -> seep_core::Result<RebalanceOutcome> {
-        self.runtime.rebalance(target, victim)
     }
 
     /// Re-split **all π partitions** of a logical operator in one plan by
@@ -227,7 +214,7 @@ impl JobHandle {
     pub fn rebalance_operator(
         &mut self,
         op: impl OpSelector,
-    ) -> seep_core::Result<RebalanceOutcome> {
+    ) -> seep_core::Result<ReconfigOutcome> {
         let op = op.resolve(self);
         self.runtime.rebalance_operator(op)
     }
@@ -235,7 +222,7 @@ impl JobHandle {
     /// Pack the partitions of a logical operator onto as few VM slots as
     /// the pool's `slots_per_vm` allows (first-fit-decreasing by state
     /// size), releasing the emptied VMs — scale-in that keeps parallelism.
-    pub fn consolidate(&mut self, op: impl OpSelector) -> seep_core::Result<ConsolidateOutcome> {
+    pub fn consolidate(&mut self, op: impl OpSelector) -> seep_core::Result<ReconfigOutcome> {
         let op = op.resolve(self);
         self.runtime.consolidate(op)
     }
@@ -246,7 +233,7 @@ impl JobHandle {
     }
 
     /// Recover a failed operator with parallelism `pi`.
-    pub fn recover(&mut self, failed: OperatorId, pi: usize) -> seep_core::Result<RecoveryRecord> {
+    pub fn recover(&mut self, failed: OperatorId, pi: usize) -> seep_core::Result<ReconfigRecord> {
         self.runtime.recover(failed, pi)
     }
 

@@ -4,11 +4,10 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use seep_cloud::{ProviderConfig, VmPoolConfig};
+use seep_cloud::{ProviderConfig, ScalingPolicy, VmPoolConfig};
 use seep_core::LogicalOpId;
 use seep_store::StoreConfig;
 
-use crate::bottleneck::ScalingPolicy;
 use crate::reconfig::SplitPolicy;
 use crate::recovery::RecoveryStrategy;
 

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod bottleneck;
 pub mod config;
 pub mod metrics;
 pub mod obs;
@@ -45,11 +44,9 @@ pub mod runtime;
 pub mod worker;
 
 pub use api::{Job, JobBuilder, JobHandle, SinkCollector};
-pub use bottleneck::{BottleneckDetector, ScalingPolicy};
 pub use config::{BatchConfig, PlacementPreference, RuntimeConfig};
 pub use metrics::{
-    ConsolidateRecord, Metrics, MetricsSnapshot, RebalanceRecord, ReconfigTiming, ScaleInRecord,
-    ScaleOutRecord, SplitKind, StoreIoRecord,
+    Metrics, MetricsSnapshot, ReconfigRecord, ReconfigTiming, SplitKind, StoreIoRecord,
 };
 pub use obs::{
     HealthReport, Journal, JournalEvent, JournalKind, ObsServer, ObsSnapshot, OperatorHealth,
@@ -57,9 +54,9 @@ pub use obs::{
 };
 pub use placement::Placement;
 pub use plan::{FusionPolicy, PhysicalPlan, PlanManifest};
-pub use reconfig::{ReconfigKind, ReconfigPlan, SplitPolicy};
+pub use reconfig::{ReconfigKind, ReconfigOutcome, ReconfigPlan, SplitPolicy};
 pub use recovery::RecoveryStrategy;
-pub use runtime::{ConsolidateOutcome, RebalanceOutcome, Runtime, ScaleInOutcome, ScaleOutOutcome};
+pub use runtime::Runtime;
 pub use worker::{WorkerCore, STEP_BUDGET};
 
 // Re-exported so experiment drivers can configure the checkpoint-store
@@ -68,4 +65,7 @@ pub use seep_store::{StoreBackendKind, StoreConfig, StoreStats};
 // Re-exported so ops-plane consumers read health states and pool statistics
 // without depending on the lower crates directly.
 pub use seep_cloud::PoolStats;
+// The scaling policy lives beside the `CpuMonitor` it reads, so the simulator
+// shares it; re-exported here because `RuntimeConfig` carries one.
+pub use seep_cloud::ScalingPolicy;
 pub use seep_core::HealthState;

@@ -1,5 +1,8 @@
-//! Runtime metrics: processing latency, throughput, checkpoint cost,
-//! recovery and scale-out events.
+//! Runtime metrics: processing latency, throughput, checkpoint cost, and
+//! one list of committed reconfiguration plans ([`ReconfigRecord`]) — scale
+//! out, scale in, rebalance, consolidate and recovery are entries of that
+//! one list, told apart by their [`JournalKind`]; the per-kind accessors and
+//! snapshot counts are filtered views of it.
 //!
 //! The paper reports processing latency percentiles (median, 95th, 99th),
 //! throughput over time, recovery times and the number of allocated VMs; the
@@ -12,6 +15,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use seep_core::{HistogramSnapshot, LatencyHistogram, LogicalOpId, OperatorId};
+
+use crate::obs::JournalKind;
 
 /// One checkpoint taken by the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,10 +83,10 @@ impl SplitKind {
 }
 
 /// Wall-clock cost of one reconfiguration, broken down by plan phase, plus
-/// the key-split decision the plan took. Shared by
-/// [`ScaleOutRecord`], [`ScaleInRecord`] and [`RecoveryRecord`] so benches
-/// read reconfiguration cost from the metrics registry instead of timing the
-/// runtime calls externally.
+/// the key-split decision the plan took. Carried by every
+/// [`ReconfigRecord`] and journal event, so benches read reconfiguration
+/// cost from the metrics registry instead of timing the runtime calls
+/// externally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReconfigTiming {
     /// Draining the reconfigured partitions' inbound queues (µs).
@@ -110,102 +115,44 @@ pub struct ReconfigTiming {
     pub post_split_imbalance: f64,
 }
 
-/// One recovery performed by the runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryRecord {
-    /// The failed operator that was recovered.
-    pub operator: OperatorId,
-    /// Parallelisation level used for the recovery (1 = serial recovery).
+/// One committed reconfiguration plan — the single record kind for scale
+/// out, scale in, rebalance, consolidate and recovery.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReconfigRecord {
+    /// Which plan ran. A recovery is recorded once, as a recovery.
+    pub kind: JournalKind,
+    /// The logical operator that was reconfigured.
+    pub logical: LogicalOpId,
+    /// Parallelism of that logical operator after the plan.
     pub parallelism: usize,
-    /// Wall-clock recovery time in milliseconds (restore + replay + catch-up).
-    pub duration_ms: f64,
-    /// Number of tuples replayed from upstream buffers.
-    pub replayed_tuples: usize,
-    /// Strategy label ("R+SM", "UB", "SR").
-    pub strategy: String,
-    /// Per-phase cost of the underlying reconfiguration plan (excluding the
-    /// catch-up processing included in `duration_ms`).
-    #[serde(default)]
-    pub timing: ReconfigTiming,
-}
-
-/// One scale-out action performed by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScaleOutRecord {
-    /// The logical operator that was repartitioned.
-    pub logical: LogicalOpId,
-    /// New number of partitions of that logical operator.
-    pub new_parallelism: usize,
-    /// Virtual time of the action (ms).
+    /// Virtual time of the plan (ms).
     pub at_ms: u64,
-    /// Wall-clock cost of the reconfiguration (µs), excluding catch-up.
+    /// Wall-clock cost of the action (µs). Equals `timing.total_us` except
+    /// for a recovery, where it runs to the end of the catch-up processing
+    /// (restore + replay + re-processing of the replayed tuples).
     pub duration_us: u64,
-    /// Per-phase cost and key-split decision of the plan.
-    #[serde(default)]
-    pub timing: ReconfigTiming,
-}
-
-/// One scale-in (operator merge) action performed by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScaleInRecord {
-    /// The logical operator whose partitions were merged.
-    pub logical: LogicalOpId,
-    /// New number of partitions of that logical operator.
-    pub new_parallelism: usize,
-    /// Virtual time of the action (ms).
-    pub at_ms: u64,
-    /// Wall-clock cost of the merge and reconfiguration (µs), excluding
-    /// catch-up.
-    pub duration_us: u64,
-    /// Tuples replayed from the merged partitions' restored buffers and the
-    /// upstream output buffers.
+    /// Tuples replayed from restored and upstream buffers (for a
+    /// source-replay recovery, the source replay included).
     pub replayed_tuples: usize,
-    /// Per-phase cost of the plan.
-    #[serde(default)]
-    pub timing: ReconfigTiming,
-}
-
-/// One rebalance (repartition-in-place) action performed by the runtime: a
-/// skewed pair of adjacent partitions had its shared key range re-split by
-/// the observed key distribution without adding or releasing a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RebalanceRecord {
-    /// The logical operator whose partitions were rebalanced.
-    pub logical: LogicalOpId,
-    /// Parallelism of the logical operator (unchanged by a rebalance).
-    pub parallelism: usize,
-    /// Virtual time of the action (ms).
-    pub at_ms: u64,
-    /// Wall-clock cost of the reconfiguration (µs), excluding catch-up.
-    pub duration_us: u64,
-    /// Tuples replayed from restored and upstream buffers.
-    pub replayed_tuples: usize,
-    /// Per-phase cost and key-split decision of the plan.
-    #[serde(default)]
-    pub timing: ReconfigTiming,
-}
-
-/// One consolidation (partition bin-packing) action performed by the
-/// runtime: the partitions of a logical operator were checkpoint-moved onto
-/// shared VM slots and the emptied VMs released, without changing
-/// parallelism or key ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConsolidateRecord {
-    /// The logical operator whose partitions were packed.
-    pub logical: LogicalOpId,
-    /// Parallelism of the logical operator (unchanged by a consolidation).
-    pub parallelism: usize,
-    /// VMs emptied by the packing and released to the provider.
+    /// VMs emptied by the plan and released to the provider.
     pub vms_released: usize,
-    /// Virtual time of the action (ms).
-    pub at_ms: u64,
-    /// Wall-clock cost of the reconfiguration (µs), excluding catch-up.
-    pub duration_us: u64,
-    /// Tuples replayed from restored and upstream buffers.
-    pub replayed_tuples: usize,
-    /// Per-phase cost of the plan.
-    #[serde(default)]
+    /// Per-phase cost and key-split decision of the plan (excluding any
+    /// catch-up processing).
     pub timing: ReconfigTiming,
+    /// Recovery only: the failed instance the plan replaced.
+    pub failed: Option<OperatorId>,
+    /// Label of the fault-tolerance strategy in force ("R+SM", "UB", "SR"):
+    /// it decides what state the plan starts from and what a recovery
+    /// replays.
+    pub strategy: &'static str,
+}
+
+impl ReconfigRecord {
+    /// [`duration_us`](Self::duration_us) in milliseconds — for a recovery,
+    /// the paper's recovery time.
+    pub fn duration_ms(&self) -> f64 {
+        self.duration_us as f64 / 1_000.0
+    }
 }
 
 #[derive(Debug, Default)]
@@ -216,11 +163,7 @@ struct MetricsInner {
     processed: HashMap<OperatorId, u64>,
     checkpoints: Vec<CheckpointRecord>,
     checkpoint_failures: HashMap<OperatorId, u64>,
-    recoveries: Vec<RecoveryRecord>,
-    scale_outs: Vec<ScaleOutRecord>,
-    scale_ins: Vec<ScaleInRecord>,
-    rebalances: Vec<RebalanceRecord>,
-    consolidates: Vec<ConsolidateRecord>,
+    reconfigs: Vec<ReconfigRecord>,
     dropped_sends: u64,
     store_io: HashMap<String, StoreIoRecord>,
 }
@@ -310,29 +253,21 @@ impl Metrics {
             .or_insert(0) += 1;
     }
 
-    /// Record a recovery.
-    pub fn record_recovery(&self, record: RecoveryRecord) {
-        self.inner.lock().recoveries.push(record);
+    /// Record a committed reconfiguration plan.
+    pub fn record_reconfig(&self, record: ReconfigRecord) {
+        self.inner.lock().reconfigs.push(record);
     }
 
-    /// Record a scale-out action.
-    pub fn record_scale_out(&self, record: ScaleOutRecord) {
-        self.inner.lock().scale_outs.push(record);
-    }
-
-    /// Record a scale-in (merge) action.
-    pub fn record_scale_in(&self, record: ScaleInRecord) {
-        self.inner.lock().scale_ins.push(record);
-    }
-
-    /// Record a rebalance (repartition-in-place) action.
-    pub fn record_rebalance(&self, record: RebalanceRecord) {
-        self.inner.lock().rebalances.push(record);
-    }
-
-    /// Record a consolidation (partition bin-packing) action.
-    pub fn record_consolidate(&self, record: ConsolidateRecord) {
-        self.inner.lock().consolidates.push(record);
+    /// Amend the most recent plan record — a recovery stretches its plan's
+    /// entry to the end of the catch-up it owns. Returns the amended record.
+    pub fn amend_last_reconfig(
+        &self,
+        amend: impl FnOnce(&mut ReconfigRecord),
+    ) -> Option<ReconfigRecord> {
+        let mut inner = self.inner.lock();
+        let last = inner.reconfigs.last_mut()?;
+        amend(last);
+        Some(*last)
     }
 
     /// Record a checkpoint write against the store backend `backend`.
@@ -418,9 +353,20 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// All recovery records so far.
-    pub fn recoveries(&self) -> Vec<RecoveryRecord> {
-        self.inner.lock().recoveries.clone()
+    /// Every committed plan so far, in commit order.
+    pub fn reconfigs(&self) -> Vec<ReconfigRecord> {
+        self.inner.lock().reconfigs.clone()
+    }
+
+    /// The committed plans of one kind, in commit order.
+    pub fn reconfigs_of(&self, kind: JournalKind) -> Vec<ReconfigRecord> {
+        let inner = self.inner.lock();
+        inner
+            .reconfigs
+            .iter()
+            .filter(|r| r.kind == kind)
+            .copied()
+            .collect()
     }
 
     /// All checkpoint records so far.
@@ -428,24 +374,20 @@ impl Metrics {
         self.inner.lock().checkpoints.clone()
     }
 
-    /// All scale-out records so far.
-    pub fn scale_outs(&self) -> Vec<ScaleOutRecord> {
-        self.inner.lock().scale_outs.clone()
+    /// The scale outs so far: [`reconfigs_of`](Self::reconfigs_of) under the
+    /// name the repo benchmark reads (as are the next two).
+    pub fn scale_outs(&self) -> Vec<ReconfigRecord> {
+        self.reconfigs_of(JournalKind::ScaleOut)
     }
 
-    /// All scale-in records so far.
-    pub fn scale_ins(&self) -> Vec<ScaleInRecord> {
-        self.inner.lock().scale_ins.clone()
+    /// The scale ins so far.
+    pub fn scale_ins(&self) -> Vec<ReconfigRecord> {
+        self.reconfigs_of(JournalKind::ScaleIn)
     }
 
-    /// All rebalance records so far.
-    pub fn rebalances(&self) -> Vec<RebalanceRecord> {
-        self.inner.lock().rebalances.clone()
-    }
-
-    /// All consolidation records so far.
-    pub fn consolidates(&self) -> Vec<ConsolidateRecord> {
-        self.inner.lock().consolidates.clone()
+    /// The recoveries so far.
+    pub fn recoveries(&self) -> Vec<ReconfigRecord> {
+        self.reconfigs_of(JournalKind::Recovery)
     }
 
     /// Clear latency samples (used between experiment phases so the measured
@@ -459,6 +401,7 @@ impl Metrics {
     /// Aggregate snapshot of the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock();
+        let count = |kind| inner.reconfigs.iter().filter(|r| r.kind == kind).count();
         MetricsSnapshot {
             sink_tuples: inner.sink_tuples,
             total_processed: inner.processed.values().sum(),
@@ -466,11 +409,11 @@ impl Metrics {
             latency_p95_ms: percentile_us(&inner.latencies_us, 95.0) / 1_000.0,
             latency_p99_ms: percentile_us(&inner.latencies_us, 99.0) / 1_000.0,
             checkpoints: inner.checkpoints.len(),
-            recoveries: inner.recoveries.len(),
-            scale_outs: inner.scale_outs.len(),
-            scale_ins: inner.scale_ins.len(),
-            rebalances: inner.rebalances.len(),
-            consolidates: inner.consolidates.len(),
+            recoveries: count(JournalKind::Recovery),
+            scale_outs: count(JournalKind::ScaleOut),
+            scale_ins: count(JournalKind::ScaleIn),
+            rebalances: count(JournalKind::Rebalance),
+            consolidates: count(JournalKind::Consolidate),
             dropped_sends: inner.dropped_sends,
             store_write_bytes: inner.store_io.values().map(|r| r.write_bytes).sum(),
             store_restore_bytes: inner.store_io.values().map(|r| r.restore_bytes).sum(),
@@ -541,14 +484,6 @@ mod tests {
             stored_bytes: 1100,
             incremental: false,
         });
-        m.record_recovery(RecoveryRecord {
-            operator: OperatorId::new(1),
-            parallelism: 1,
-            duration_ms: 12.5,
-            replayed_tuples: 100,
-            strategy: "R+SM".into(),
-            timing: ReconfigTiming::default(),
-        });
         let timing = ReconfigTiming {
             drain_us: 1,
             checkpoint_us: 2,
@@ -561,35 +496,39 @@ mod tests {
             split: SplitKind::Distribution,
             post_split_imbalance: 1.1,
         };
-        m.record_scale_out(ScaleOutRecord {
-            logical: LogicalOpId(2),
-            new_parallelism: 2,
-            at_ms: 6_000,
-            duration_us: 900,
-            timing,
-        });
-        m.record_scale_in(ScaleInRecord {
-            logical: LogicalOpId(2),
-            new_parallelism: 1,
-            at_ms: 60_000,
-            duration_us: 700,
-            replayed_tuples: 12,
-            timing: ReconfigTiming::default(),
-        });
-        m.record_rebalance(RebalanceRecord {
+        let record = |kind, at_ms, replayed_tuples, timing| ReconfigRecord {
+            kind,
             logical: LogicalOpId(2),
             parallelism: 2,
-            at_ms: 70_000,
-            duration_us: 300,
-            replayed_tuples: 4,
+            at_ms,
+            duration_us: 900,
+            replayed_tuples,
+            vms_released: 0,
             timing,
+            failed: None,
+            strategy: "R+SM",
+        };
+        m.record_reconfig(ReconfigRecord {
+            failed: Some(OperatorId::new(1)),
+            ..record(JournalKind::Recovery, 5_500, 100, ReconfigTiming::default())
         });
+        m.record_reconfig(record(JournalKind::ScaleOut, 6_000, 0, timing));
+        m.record_reconfig(record(
+            JournalKind::ScaleIn,
+            60_000,
+            12,
+            ReconfigTiming::default(),
+        ));
+        m.record_reconfig(record(JournalKind::Rebalance, 70_000, 4, timing));
         assert_eq!(m.checkpoints().len(), 1);
         assert_eq!(m.recoveries().len(), 1);
         assert_eq!(m.scale_outs().len(), 1);
         assert_eq!(m.scale_ins().len(), 1);
         assert_eq!(m.scale_ins()[0].replayed_tuples, 12);
-        assert_eq!(m.rebalances().len(), 1);
+        assert_eq!(m.reconfigs_of(JournalKind::Rebalance).len(), 1);
+        assert_eq!(m.reconfigs().len(), 4, "one list, in commit order");
+        assert_eq!(m.recoveries()[0].failed, Some(OperatorId::new(1)));
+        assert_eq!(m.recoveries()[0].duration_ms(), 0.9);
         assert_eq!(m.scale_outs()[0].timing.split, SplitKind::Distribution);
         assert_eq!(m.scale_outs()[0].timing.split.label(), "distribution");
         assert!(m.scale_outs()[0].timing.post_split_imbalance > 1.0);

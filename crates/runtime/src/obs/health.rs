@@ -16,24 +16,14 @@ use serde::{Deserialize, Serialize};
 
 use seep_core::{HealthState, LogicalOpId, OperatorId};
 
-/// Why a logical operator is marked busy by the health derivation: set when
-/// a plan commits at the current virtual instant, cleared as soon as time
-/// advances past it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanActivity {
-    /// A scale-out / scale-in / rebalance / consolidate plan just committed.
-    Reconfiguring,
-    /// A recovery plan just committed.
-    Recovering,
-}
+use crate::obs::journal::JournalKind;
 
-impl PlanActivity {
-    /// The health state this activity maps to.
-    pub fn state(self) -> HealthState {
-        match self {
-            PlanActivity::Reconfiguring => HealthState::Reconfiguring,
-            PlanActivity::Recovering => HealthState::Recovering,
-        }
+/// The state an operator reports while a plan of `kind` committed at the
+/// current virtual instant: `Recovering` iff the plan was a recovery.
+pub(crate) fn plan_state(kind: JournalKind) -> HealthState {
+    match kind {
+        JournalKind::Recovery => HealthState::Recovering,
+        _ => HealthState::Reconfiguring,
     }
 }
 
@@ -109,10 +99,14 @@ mod tests {
     #[test]
     fn activity_maps_to_states() {
         assert_eq!(
-            PlanActivity::Reconfiguring.state(),
+            plan_state(JournalKind::ScaleOut),
             HealthState::Reconfiguring
         );
-        assert_eq!(PlanActivity::Recovering.state(), HealthState::Recovering);
+        assert_eq!(
+            plan_state(JournalKind::Consolidate),
+            HealthState::Reconfiguring
+        );
+        assert_eq!(plan_state(JournalKind::Recovery), HealthState::Recovering);
     }
 
     #[test]

@@ -23,8 +23,12 @@ use crate::metrics::ReconfigTiming;
 /// Default number of events the in-memory ring retains.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1_024;
 
-/// Which plan shape an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The kind of a reconfiguration plan, without its arguments: the one name
+/// the journal, the [`crate::metrics::ReconfigRecord`] list, the per-kind
+/// exposition series and the health derivation all use. (The plan *shape*,
+/// with the instances it addresses, is [`crate::reconfig::ReconfigKind`];
+/// recovery shares the scale-out shape and differs only here.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum JournalKind {
     /// One instance replaced by π fresh partitions on new VMs.
     ScaleOut,

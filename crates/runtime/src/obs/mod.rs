@@ -20,7 +20,7 @@ pub mod journal;
 pub mod prometheus;
 pub mod server;
 
-pub use health::{HealthReport, OperatorHealth, PlanActivity};
+pub use health::{HealthReport, OperatorHealth};
 pub use journal::{Journal, JournalEvent, JournalKind, PlanTrigger, SlotBinding};
 pub use prometheus::{
     parse_exposition, render_health_json, render_prometheus, validate_exposition, Exposition,

@@ -16,15 +16,16 @@ use seep_core::{HistogramSnapshot, LatencyHistogram};
 
 use seep_cloud::PoolStats;
 
-use crate::metrics::{Metrics, MetricsSnapshot, StoreIoRecord};
+use crate::metrics::{Metrics, MetricsSnapshot, ReconfigRecord, StoreIoRecord};
 use crate::obs::health::{HealthReport, OperatorHealth};
+use crate::obs::journal::JournalKind;
 
 /// Per-phase reconfiguration cost summed over all executed plans of one
 /// kind, feeding the `seep_reconfig_phase_seconds_total` family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconfigPhaseTotals {
-    /// Plan kind label (`scale_out`, `scale_in`, `rebalance`, `consolidate`).
-    pub kind: &'static str,
+    /// Plan kind; its label is the `kind` label of the exported series.
+    pub kind: JournalKind,
     /// Number of plans of this kind.
     pub count: u64,
     /// Summed drain phase cost (µs).
@@ -43,6 +44,38 @@ pub struct ReconfigPhaseTotals {
     pub replay_us: u64,
     /// Summed end-to-end plan cost (µs).
     pub total_us: u64,
+}
+
+impl ReconfigPhaseTotals {
+    /// Per-kind totals over the registry's one plan list, in one pass. Kinds
+    /// with no committed plan are left out; the rest come in kind order.
+    pub fn from_records(records: &[ReconfigRecord]) -> Vec<Self> {
+        let mut by_kind = std::collections::BTreeMap::new();
+        for r in records {
+            let totals = by_kind.entry(r.kind).or_insert(ReconfigPhaseTotals {
+                kind: r.kind,
+                count: 0,
+                drain_us: 0,
+                checkpoint_us: 0,
+                rewrite_us: 0,
+                transform_us: 0,
+                restore_us: 0,
+                commit_us: 0,
+                replay_us: 0,
+                total_us: 0,
+            });
+            totals.count += 1;
+            totals.drain_us += r.timing.drain_us;
+            totals.checkpoint_us += r.timing.checkpoint_us;
+            totals.rewrite_us += r.timing.rewrite_us;
+            totals.transform_us += r.timing.transform_us;
+            totals.restore_us += r.timing.restore_us;
+            totals.commit_us += r.timing.commit_us;
+            totals.replay_us += r.timing.replay_us;
+            totals.total_us += r.timing.total_us;
+        }
+        by_kind.into_values().collect()
+    }
 }
 
 /// A point-in-time copy of everything the ops plane exports: metrics,
@@ -337,7 +370,7 @@ pub fn render_prometheus(s: &ObsSnapshot) -> String {
     for p in &s.reconfig_phases {
         w.sample(
             "seep_reconfig_plans_total",
-            &[("kind", p.kind)],
+            &[("kind", p.kind.label())],
             p.count as f64,
         );
     }
@@ -359,7 +392,7 @@ pub fn render_prometheus(s: &ObsSnapshot) -> String {
         ] {
             w.sample(
                 "seep_reconfig_phase_seconds_total",
-                &[("kind", p.kind), ("phase", phase)],
+                &[("kind", p.kind.label()), ("phase", phase)],
                 us as f64 / 1e6,
             );
         }
@@ -1008,7 +1041,7 @@ mod tests {
             ..ObsSnapshot::default()
         };
         s.reconfig_phases = vec![ReconfigPhaseTotals {
-            kind: "scale_out",
+            kind: JournalKind::ScaleOut,
             count: 2,
             drain_us: 10,
             checkpoint_us: 20,

@@ -126,8 +126,9 @@ struct ResolvedPlan {
 
 impl Runtime {
     /// Execute a reconfiguration plan. See the [module docs](self) for the
-    /// phase sequence and failure semantics.
-    pub(crate) fn execute_plan(&mut self, plan: &ReconfigPlan) -> Result<ReconfigOutcome> {
+    /// phase sequence and failure semantics. Called from exactly one place,
+    /// [`Runtime::reconfigure`], which journals and records what happens here.
+    pub(super) fn execute_plan(&mut self, plan: &ReconfigPlan) -> Result<ReconfigOutcome> {
         let mut timer = PhaseTimer::start();
         let mut timing = ReconfigTiming::default();
 
@@ -448,6 +449,11 @@ impl Runtime {
                 // interval — which deploy and repartition guarantee, but is
                 // cheap to verify before any state is touched.
                 let consolidate = matches!(plan.kind, ReconfigKind::Consolidate { .. });
+                if consolidate && self.placement.slots_per_vm() < 2 {
+                    return Err(Error::Invariant(
+                        "consolidation needs multi-slot VMs (pool.slots_per_vm >= 2)".into(),
+                    ));
+                }
                 let partitions = self.graph().partitions(logical).to_vec();
                 if partitions.len() < 2 {
                     return Err(Error::Invariant(format!(

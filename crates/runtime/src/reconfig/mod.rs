@@ -20,10 +20,19 @@
 //! runtime exactly as it was) and per-phase wall-clock metrics
 //! ([`crate::metrics::ReconfigTiming`]).
 //!
-//! [`Runtime::scale_out`], [`Runtime::scale_in`], [`Runtime::recover`],
-//! [`Runtime::rebalance_operator`] and [`Runtime::consolidate`] are thin
-//! builders over this engine; VM slots are resolved through the
-//! [placement layer](crate::placement).
+//! There is **one way to run a plan and one way to remember it**
+//! (`entry.rs`): `Runtime::reconfigure(plan, kind)` is the only caller of the
+//! executor, and the only place that journals the commit or the rejection,
+//! marks the operator busy for the health derivation, re-arms the control
+//! loop's one-shot rebalance and records the plan — as one
+//! [`ReconfigRecord`](crate::metrics::ReconfigRecord) whose
+//! [`JournalKind`](crate::obs::JournalKind) is the one name of the plan kind
+//! everywhere. [`Runtime::scale_out`], [`Runtime::scale_in`],
+//! [`Runtime::rebalance_operator`] and [`Runtime::consolidate`] are plan
+//! builders of a few lines returning its [`ReconfigOutcome`];
+//! [`Runtime::recover`] is the scale-out plan of the failed instance run as
+//! kind `Recovery`, plus the source replay and catch-up drain it owns. VM
+//! slots are resolved through the [placement layer](crate::placement).
 //!
 //! The plan's split phase is **skew-aware**: with
 //! [`SplitPolicy::SkewAware`], the executor samples hot keys from the
@@ -40,9 +49,11 @@
 //! [`Runtime::rebalance_operator`]: crate::Runtime::rebalance_operator
 //! [`Runtime::consolidate`]: crate::Runtime::consolidate
 
+mod entry;
 mod executor;
 mod plan;
 
+pub use entry::PlanCommit;
 pub use executor::ReconfigOutcome;
 pub use plan::{
     ReconfigKind, ReconfigPlan, SplitDecision, SplitPolicy, DEFAULT_IMBALANCE_THRESHOLD,

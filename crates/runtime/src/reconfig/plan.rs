@@ -125,10 +125,13 @@ pub struct SplitDecision {
 
 /// The shape of a reconfiguration: which instances are replaced and by what.
 ///
-/// Recovery carries no kind of its own — it is a [`ScaleOut`] of the failed
+/// Recovery carries no shape of its own — it is a [`ScaleOut`] of the failed
 /// operator (the paper's central point: fault tolerance and elasticity are
-/// the same state-management mechanism), wrapped by
-/// [`crate::Runtime::recover`] with strategy-specific replay and catch-up.
+/// the same state-management mechanism), run by [`crate::Runtime::recover`]
+/// under the kind [`crate::obs::JournalKind::Recovery`] with
+/// strategy-specific replay and catch-up. That fieldless kind, not this
+/// enum, is what the journal, the metrics records and the exposition name
+/// a plan by.
 ///
 /// [`ScaleOut`]: ReconfigKind::ScaleOut
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,12 +1,14 @@
-//! The SPS runtime: deployment, checkpointing, failure handling and the
-//! integrated fault-tolerant reconfiguration engine (Algorithm 3 as a
-//! [`crate::reconfig::ReconfigPlan`]).
+//! The SPS runtime: deployment, the data-plane drain, virtual time (window
+//! ticks, periodic checkpoints, utilisation reports, the scaling control
+//! loop), checkpointing, failure injection and the observability snapshot.
 //!
-//! [`Runtime::scale_out`], [`Runtime::scale_in`], [`Runtime::recover`],
-//! [`Runtime::rebalance_operator`] and [`Runtime::consolidate`] are thin
-//! plan builders over the shared executor in [`crate::reconfig`]; the
-//! drain/pause/checkpoint/rewrite/restore/replay choreography lives there,
-//! once, and resolves VM slots through the [`crate::placement`] layer.
+//! Reconfiguration lives in [`crate::reconfig`]: [`Runtime::scale_out`],
+//! [`Runtime::scale_in`], [`Runtime::rebalance_operator`],
+//! [`Runtime::consolidate`] and [`Runtime::recover`] are plan builders of a
+//! few lines over one entry point, which alone runs the executor
+//! (Algorithm 3 as a [`crate::reconfig::ReconfigPlan`]), journals the plan
+//! and records it in [`Metrics`]. The control loop in
+//! [`Runtime::try_advance_to`] calls only those five.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -15,80 +17,19 @@ use std::time::Instant;
 use seep_cloud::{CloudProvider, CpuMonitor, UtilizationReport, VmPool};
 use seep_core::operator::OperatorFactory;
 use seep_core::{
-    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result,
-    StreamId, TimestampVec,
+    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result, StreamId,
 };
 use seep_net::Network;
 use seep_store::{BackupCoordinator, StoreStats};
 
-use crate::bottleneck::BottleneckDetector;
 use crate::config::RuntimeConfig;
-use crate::metrics::{
-    CheckpointRecord, ConsolidateRecord, Metrics, RebalanceRecord, ReconfigTiming, RecoveryRecord,
-    ScaleInRecord, ScaleOutRecord,
-};
+use crate::metrics::{CheckpointRecord, Metrics};
+use crate::obs::health::plan_state;
 use crate::obs::{
-    Journal, JournalEvent, JournalKind, ObsShared, ObsSnapshot, OperatorHealth, PlanActivity,
-    PlanTrigger, ReconfigPhaseTotals, SlotBinding,
+    Journal, JournalKind, ObsShared, ObsSnapshot, OperatorHealth, PlanTrigger, ReconfigPhaseTotals,
 };
 use crate::placement::Placement;
-use crate::reconfig::ReconfigPlan;
-use crate::recovery::RecoveryStrategy;
 use crate::worker::{Capture, SharedClock, WorkerCore};
-
-/// Result of a scale-out (or recovery) action.
-#[derive(Debug, Clone)]
-pub struct ScaleOutOutcome {
-    /// The new partitioned operator instances replacing the old one.
-    pub new_operators: Vec<OperatorId>,
-    /// Tuples replayed from upstream buffers to bring the new partitions up
-    /// to date.
-    pub replayed_tuples: usize,
-}
-
-/// Result of a scale-in (operator merge) action.
-#[derive(Debug, Clone)]
-pub struct ScaleInOutcome {
-    /// The merged operator replacing the two partitions. It is hosted on the
-    /// VM that carried `target`, so no fresh VM is consumed.
-    pub merged_operator: OperatorId,
-    /// The VM freed by the merge, already released back to the provider.
-    /// `None` when the victim shared its VM with other partitions (multi-slot
-    /// placements), in which case only the slot was vacated and billing
-    /// continues for the co-residents.
-    pub released_vm: Option<seep_cloud::VmId>,
-    /// Tuples replayed from the merged checkpoint's buffers and from upstream
-    /// output buffers to bring the merged operator up to date.
-    pub replayed_tuples: usize,
-}
-
-/// Result of a rebalance (repartition-in-place) action.
-#[derive(Debug, Clone)]
-pub struct RebalanceOutcome {
-    /// The new partitions, in key order, hosted on the same VMs the replaced
-    /// partitions occupied.
-    pub new_operators: Vec<OperatorId>,
-    /// Tuples replayed from restored and upstream buffers.
-    pub replayed_tuples: usize,
-    /// How the key range was re-split and the imbalance the sampled keys
-    /// predict for the new boundaries.
-    pub timing: ReconfigTiming,
-}
-
-/// Result of a consolidation (partition bin-packing) action.
-#[derive(Debug, Clone)]
-pub struct ConsolidateOutcome {
-    /// The moved partitions, in key order. Parallelism is unchanged; only
-    /// the VM placement differs.
-    pub new_operators: Vec<OperatorId>,
-    /// VMs emptied by the packing, already released back to the provider
-    /// (billing stops).
-    pub released_vms: Vec<seep_cloud::VmId>,
-    /// Tuples replayed from restored and upstream buffers.
-    pub replayed_tuples: usize,
-    /// Per-phase wall-clock cost of the plan.
-    pub timing: ReconfigTiming,
-}
 
 /// The stream processing system.
 pub struct Runtime {
@@ -101,7 +42,6 @@ pub struct Runtime {
     provider: Arc<CloudProvider>,
     pub(crate) pool: VmPool,
     pub(crate) monitor: CpuMonitor,
-    detector: BottleneckDetector,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) clocks: HashMap<LogicalOpId, SharedClock>,
     /// Partition → VM-slot mapping (with per-VM capacity): the placement
@@ -119,21 +59,21 @@ pub struct Runtime {
     /// one-shot `balanced` flag: if re-drawing the boundary did not relieve
     /// the hot partition (e.g. a single mega-hot key), the next trigger must
     /// scale out instead of paying the same disruption every report
-    /// interval. A scale out or scale in of the operator re-arms it.
-    rebalanced: std::collections::HashSet<LogicalOpId>,
+    /// interval. Any other committed plan on the operator re-arms it.
+    pub(crate) rebalanced: std::collections::HashSet<LogicalOpId>,
     /// The reconfiguration event journal: every executed plan appends one
     /// event here (ops plane).
-    journal: Arc<Journal>,
+    pub(crate) journal: Arc<Journal>,
     /// Snapshot cell shared with the scrape endpoint; refreshed after every
     /// state change while a server holds the other reference.
     obs: Arc<ObsShared>,
-    /// Logical operators with a plan committed at the stamped virtual
-    /// instant — the health derivation reports them `Reconfiguring` /
-    /// `Recovering` until time advances past the stamp.
-    activity: HashMap<LogicalOpId, (PlanActivity, u64)>,
+    /// Logical operators with a plan of the given kind committed at the
+    /// stamped virtual instant — the health derivation reports them
+    /// `Reconfiguring` / `Recovering` until time advances past the stamp.
+    pub(crate) activity: HashMap<LogicalOpId, (JournalKind, u64)>,
     /// What initiates the plans currently being built (`AutoScale` inside
     /// the control loop, `Manual` otherwise).
-    plan_trigger: PlanTrigger,
+    pub(crate) plan_trigger: PlanTrigger,
 }
 
 impl Runtime {
@@ -142,7 +82,6 @@ impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
         let provider = Arc::new(CloudProvider::new(config.provider.clone()));
         let pool = VmPool::new(provider.clone(), config.pool.clone(), 0);
-        let detector = BottleneckDetector::new(config.scaling_policy);
         Runtime {
             network: Network::new(config.channel_capacity),
             graph: None,
@@ -152,7 +91,6 @@ impl Runtime {
             provider,
             pool,
             monitor: CpuMonitor::new(32),
-            detector,
             metrics: Arc::new(Metrics::new()),
             clocks: HashMap::new(),
             placement: Placement::new(config.pool.slots_per_vm),
@@ -584,8 +522,9 @@ impl Runtime {
                         .map(|i| i.id)
                         .collect()
                 };
-                let bottlenecks = self.detector.bottlenecks(&self.monitor, &candidates);
-                let pi = self.config.scaling_policy.partitions_per_action;
+                let policy = self.config.scaling_policy;
+                let bottlenecks = policy.bottlenecks(&self.monitor, &candidates);
+                let pi = policy.partitions_per_action;
                 for op in bottlenecks {
                     // A hot partition whose siblings are cold enough that the
                     // operator's aggregate CPU is fine does not need a fresh
@@ -594,7 +533,7 @@ impl Runtime {
                     // most once per topology shape: if the re-drawn
                     // boundaries did not relieve the partition, the next
                     // trigger escalates to a scale out.
-                    if self.config.scaling_policy.rebalance {
+                    if policy.rebalance {
                         if let Some(logical) = self.rebalance_worthwhile(op) {
                             if !self.rebalanced.contains(&logical)
                                 && self.rebalance_operator(logical).is_ok()
@@ -611,15 +550,15 @@ impl Runtime {
                 // them onto shared VM slots, keeping parallelism), then merge
                 // adjacent sibling pairs. The candidate list is re-derived
                 // because the scale outs above may have replaced instances.
-                if self.config.scaling_policy.scale_in {
+                if policy.scale_in {
                     let survivors: Vec<OperatorId> = self
                         .graph()
                         .instances()
                         .map(|i| i.id)
                         .filter(|id| candidates.contains(id))
                         .collect();
-                    let under = self.detector.underutilized(&self.monitor, &survivors);
-                    if self.config.scaling_policy.consolidate {
+                    let under = policy.underutilized(&self.monitor, &survivors);
+                    if policy.consolidate {
                         for logical in self.consolidatable(&under) {
                             let _ = self.consolidate(logical);
                         }
@@ -831,302 +770,6 @@ impl Runtime {
     pub fn store_backend(&self) -> &'static str {
         self.config.store.label()
     }
-
-    /// Scale out (or recover) `target` into `pi` new partitioned operators —
-    /// Algorithm 3, expressed as a [`ReconfigPlan`] and handed to the shared
-    /// executor in [`crate::reconfig`]. The key split follows the
-    /// configured [`crate::reconfig::SplitPolicy`]: even by default, or
-    /// distribution-guided from a sampled checkpoint when skew-aware.
-    /// Returns the new operator ids and the number of tuples replayed from
-    /// upstream buffers.
-    pub fn scale_out(&mut self, target: OperatorId, pi: usize) -> Result<ScaleOutOutcome> {
-        let (outcome, _) = self.scale_out_with_timing(target, pi)?;
-        Ok(outcome)
-    }
-
-    /// `scale_out` returning the plan timing as well, so `recover` can embed
-    /// it in the recovery record without re-reading the metrics registry.
-    fn scale_out_with_timing(
-        &mut self,
-        target: OperatorId,
-        pi: usize,
-    ) -> Result<(ScaleOutOutcome, ReconfigTiming)> {
-        self.scale_out_inner(target, pi, JournalKind::ScaleOut)
-    }
-
-    /// The shared scale-out body, journalled as `kind` — `ScaleOut` for a
-    /// plain scale out, `Recovery` when [`recover`](Self::recover) re-deploys
-    /// a failed operator through the same plan.
-    fn scale_out_inner(
-        &mut self,
-        target: OperatorId,
-        pi: usize,
-        kind: JournalKind,
-    ) -> Result<(ScaleOutOutcome, ReconfigTiming)> {
-        let logical = self.graph().instance(target)?.logical;
-        let vacated = self.slot_bindings(&[target]);
-        let plan = ReconfigPlan::scale_out(target, pi, self.config.split);
-        let outcome = match self.execute_plan(&plan) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.journal_rejected(kind, logical, vacated, &e);
-                return Err(e);
-            }
-        };
-        // The topology changed: the control loop may rebalance again.
-        self.rebalanced.remove(&outcome.logical);
-        self.metrics.record_scale_out(ScaleOutRecord {
-            logical: outcome.logical,
-            new_parallelism: outcome.new_parallelism,
-            at_ms: self.now_ms,
-            duration_us: outcome.timing.total_us,
-            timing: outcome.timing,
-        });
-        self.journal_committed(kind, vacated, &outcome);
-        Ok((
-            ScaleOutOutcome {
-                new_operators: outcome.new_operators,
-                replayed_tuples: outcome.replayed_tuples,
-            },
-            outcome.timing,
-        ))
-    }
-
-    /// Scale in: merge two adjacent partitions of one logical operator and
-    /// release a VM (§3.3, the merge primitive). `target` survives — the
-    /// merged operator is restored on its VM — while `victim`'s slot is
-    /// vacated; the victim's VM is released back to the provider (billing
-    /// stops) when the merge empties it.
-    ///
-    /// The plan is scale out run backwards: the executor drains and pauses
-    /// the pair, backs up their latest state, merges the backed-up
-    /// checkpoints at the backup VM (`seep-store`'s `merge_for_scale_in`),
-    /// rewrites the execution graph and upstream routing so the merged key
-    /// range maps to one operator, restores the merged state, and replays
-    /// both partitions' unreflected tuples — downstream duplicate filters
-    /// discard anything delivered twice. A failure before the graph rewrite
-    /// (full disk, unreachable backup store) unpauses the partitions and
-    /// rejects the request with the runtime exactly as it was.
-    pub fn scale_in(&mut self, target: OperatorId, victim: OperatorId) -> Result<ScaleInOutcome> {
-        let logical = self.graph().instance(target)?.logical;
-        let vacated = self.slot_bindings(&[target, victim]);
-        let plan = ReconfigPlan::scale_in(target, victim);
-        let outcome = match self.execute_plan(&plan) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.journal_rejected(JournalKind::ScaleIn, logical, vacated, &e);
-                return Err(e);
-            }
-        };
-        // The topology changed: the control loop may rebalance again.
-        self.rebalanced.remove(&outcome.logical);
-        self.journal_committed(JournalKind::ScaleIn, vacated, &outcome);
-        self.metrics.record_scale_in(ScaleInRecord {
-            logical: outcome.logical,
-            new_parallelism: outcome.new_parallelism,
-            at_ms: self.now_ms,
-            duration_us: outcome.timing.total_us,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-        });
-        Ok(ScaleInOutcome {
-            merged_operator: outcome.new_operators[0],
-            released_vm: outcome.released_vms.first().copied(),
-            replayed_tuples: outcome.replayed_tuples,
-        })
-    }
-
-    /// Rebalance **all π partitions** of a logical operator in one plan:
-    /// every partition is checkpointed, the pooled key sample of the merged
-    /// checkpoint (weighted by observed per-key traffic when available, by
-    /// state footprint otherwise) chooses π new weighted-quantile boundaries,
-    /// and each new partition is restored **onto the VM that owned that
-    /// slice of the key space** — a pure repartition that neither grows nor
-    /// shrinks the deployment. Triggered by the control loop when one
-    /// partition is hot while the operator's aggregate CPU is fine
-    /// ([`crate::ScalingPolicy::rebalance`]), or invoked directly by
-    /// experiments. The predicted post-split imbalance is reported in the
-    /// plan's [`ReconfigTiming`].
-    pub fn rebalance_operator(&mut self, logical: LogicalOpId) -> Result<RebalanceOutcome> {
-        let vacated = self.slot_bindings(&self.partitions_or_empty(logical));
-        let plan = ReconfigPlan::rebalance(logical);
-        let outcome = match self.execute_plan(&plan) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.journal_rejected(JournalKind::Rebalance, logical, vacated, &e);
-                return Err(e);
-            }
-        };
-        self.journal_committed(JournalKind::Rebalance, vacated, &outcome);
-        self.metrics.record_rebalance(RebalanceRecord {
-            logical: outcome.logical,
-            parallelism: outcome.new_parallelism,
-            at_ms: self.now_ms,
-            duration_us: outcome.timing.total_us,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-        });
-        Ok(RebalanceOutcome {
-            new_operators: outcome.new_operators,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-        })
-    }
-
-    /// Rebalance the logical operator that `target` and `victim` partition —
-    /// the pairwise entry point kept for callers that address partitions
-    /// directly. Since the plan engine re-splits **all** partitions of the
-    /// operator at once, the pair only names it: both must be live sibling
-    /// partitions, and the whole operator is rebalanced.
-    pub fn rebalance(
-        &mut self,
-        target: OperatorId,
-        victim: OperatorId,
-    ) -> Result<RebalanceOutcome> {
-        if target == victim {
-            return Err(Error::Invariant(
-                "rebalancing a pair needs two distinct partitions".into(),
-            ));
-        }
-        let logical_t = self.graph().instance(target)?.logical;
-        let logical_v = self.graph().instance(victim)?.logical;
-        if logical_t != logical_v {
-            return Err(Error::Invariant(format!(
-                "cannot rebalance partitions of different logical operators \
-                 ({target} is {logical_t}, {victim} is {logical_v})"
-            )));
-        }
-        self.rebalance_operator(logical_t)
-    }
-
-    /// Consolidate the partitions of a logical operator onto fewer VMs: the
-    /// key ranges stay as they are, but each partition is checkpoint-moved
-    /// onto a VM slot chosen by first-fit-decreasing bin packing (heaviest
-    /// state first) over the operator's current VMs, and every VM left empty
-    /// is released to the provider — scale-in that keeps parallelism and
-    /// does not require adjacent siblings. Needs a multi-slot placement
-    /// ([`seep_cloud::VmPoolConfig::slots_per_vm`] ≥ 2).
-    pub fn consolidate(&mut self, logical: LogicalOpId) -> Result<ConsolidateOutcome> {
-        if self.placement.slots_per_vm() < 2 {
-            return Err(Error::Invariant(
-                "consolidation needs multi-slot VMs (pool.slots_per_vm >= 2)".into(),
-            ));
-        }
-        let vms_before = self.vm_count();
-        let vacated = self.slot_bindings(&self.partitions_or_empty(logical));
-        let plan = ReconfigPlan::consolidate(logical);
-        let outcome = match self.execute_plan(&plan) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.journal_rejected(JournalKind::Consolidate, logical, vacated, &e);
-                return Err(e);
-            }
-        };
-        // The instance ids changed: the control loop may rebalance again.
-        self.rebalanced.remove(&logical);
-        self.journal_committed(JournalKind::Consolidate, vacated, &outcome);
-        self.metrics.record_consolidate(ConsolidateRecord {
-            logical: outcome.logical,
-            parallelism: outcome.new_parallelism,
-            vms_released: outcome.released_vms.len(),
-            at_ms: self.now_ms,
-            duration_us: outcome.timing.total_us,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-        });
-        debug_assert_eq!(
-            self.vm_count() + outcome.released_vms.len(),
-            vms_before,
-            "every released VM must have stopped running"
-        );
-        Ok(ConsolidateOutcome {
-            new_operators: outcome.new_operators,
-            released_vms: outcome.released_vms,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-        })
-    }
-
-    /// Recover a failed operator by scaling it out to `pi` partitions
-    /// (`pi = 1` is serial recovery, `pi >= 2` is parallel recovery, §4.2).
-    ///
-    /// Returns the recovery record, whose duration covers the full recovery:
-    /// restoring state on new VMs, replaying buffered tuples and re-processing
-    /// them until the system is caught up.
-    pub fn recover(&mut self, failed: OperatorId, pi: usize) -> Result<RecoveryRecord> {
-        let started = Instant::now();
-        let strategy = self.config.strategy;
-        let logical = self.graph().instance(failed)?.logical;
-        // Recovery *is* a scale out of the failed operator — the same plan,
-        // the same executor (the paper's integrated mechanism). Journalled
-        // under its own kind so a replay distinguishes growth from repair.
-        let (outcome, timing) = self.scale_out_inner(failed, pi, JournalKind::Recovery)?;
-        let mut replayed = outcome.replayed_tuples;
-
-        if strategy == RecoveryStrategy::SourceReplay {
-            replayed += self.source_replay(logical);
-        }
-
-        // Catch up: process everything that was replayed.
-        self.drain();
-
-        let record = RecoveryRecord {
-            operator: failed,
-            parallelism: pi,
-            duration_ms: started.elapsed().as_secs_f64() * 1_000.0,
-            replayed_tuples: replayed,
-            strategy: strategy.label().to_string(),
-            timing,
-        };
-        self.metrics.record_recovery(record.clone());
-        Ok(record)
-    }
-
-    /// Source-replay recovery (§6.2 baseline): reset the duplicate filters of
-    /// the operators between the sources and the recovered operator, then
-    /// replay every tuple buffered at the sources through the pipeline.
-    fn source_replay(&mut self, recovered: LogicalOpId) -> usize {
-        let graph = self.graph();
-        let query = graph.query();
-        // Logical ancestors of the recovered operator (excluding sources).
-        let mut ancestors = Vec::new();
-        let mut frontier = query.upstream(recovered);
-        while let Some(l) = frontier.pop() {
-            if query.operator(l).map(|o| o.kind) == Ok(OperatorKind::Source) {
-                continue;
-            }
-            if !ancestors.contains(&l) {
-                ancestors.push(l);
-                frontier.extend(query.upstream(l));
-            }
-        }
-        let ancestor_instances: Vec<OperatorId> = ancestors
-            .iter()
-            .flat_map(|l| graph.partitions(*l).to_vec())
-            .collect();
-        let source_instances: Vec<OperatorId> = query
-            .sources()
-            .into_iter()
-            .flat_map(|s| graph.partitions(s).to_vec())
-            .collect();
-
-        for id in ancestor_instances {
-            if let Some(worker) = self.workers.get_mut(&id) {
-                worker.reset_dedup();
-            }
-        }
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let mut replayed = 0;
-        for id in source_instances {
-            if let Some(worker) = self.workers.get(&id) {
-                for d in worker.buffer().downstreams() {
-                    replayed += worker.replay_to(d, &TimestampVec::new(), &network, &metrics);
-                }
-            }
-        }
-        replayed
-    }
 }
 
 impl Runtime {
@@ -1178,7 +821,7 @@ impl Runtime {
                 .activity
                 .get(&w.logical)
                 .filter(|(_, at)| *at >= self.now_ms)
-                .map(|(a, _)| a.state());
+                .map(|(kind, _)| plan_state(*kind));
             let state = if w.is_failed() {
                 seep_core::HealthState::Failed
             } else if let Some(busy) = active {
@@ -1219,60 +862,6 @@ impl Runtime {
     /// state: metrics, latency histogram, health, placement occupancy and
     /// the VM/billing counters.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        let mut reconfig_phases = Vec::new();
-        let mut add = |kind: &'static str, timings: Vec<ReconfigTiming>| {
-            if timings.is_empty() {
-                return;
-            }
-            let mut totals = ReconfigPhaseTotals {
-                kind,
-                count: timings.len() as u64,
-                ..ReconfigPhaseTotals::default()
-            };
-            for t in timings {
-                totals.drain_us += t.drain_us;
-                totals.checkpoint_us += t.checkpoint_us;
-                totals.rewrite_us += t.rewrite_us;
-                totals.transform_us += t.transform_us;
-                totals.restore_us += t.restore_us;
-                totals.commit_us += t.commit_us;
-                totals.replay_us += t.replay_us;
-                totals.total_us += t.total_us;
-            }
-            reconfig_phases.push(totals);
-        };
-        add(
-            "scale_out",
-            self.metrics
-                .scale_outs()
-                .into_iter()
-                .map(|r| r.timing)
-                .collect(),
-        );
-        add(
-            "scale_in",
-            self.metrics
-                .scale_ins()
-                .into_iter()
-                .map(|r| r.timing)
-                .collect(),
-        );
-        add(
-            "rebalance",
-            self.metrics
-                .rebalances()
-                .into_iter()
-                .map(|r| r.timing)
-                .collect(),
-        );
-        add(
-            "consolidate",
-            self.metrics
-                .consolidates()
-                .into_iter()
-                .map(|r| r.timing)
-                .collect(),
-        );
         let occupancy = self
             .placement
             .occupied_vms()
@@ -1284,7 +873,7 @@ impl Runtime {
             metrics: self.metrics.snapshot(),
             latency: self.metrics.latency_histogram(),
             store_io: self.metrics.store_io_all(),
-            reconfig_phases,
+            reconfig_phases: ReconfigPhaseTotals::from_records(&self.metrics.reconfigs()),
             health: self.health(),
             occupancy,
             slots_per_vm: self.placement.slots_per_vm(),
@@ -1319,127 +908,27 @@ impl Runtime {
             rpcs: Vec::new(),
         }
     }
-
-    /// The current slot bindings of `ops` (VM `None` for unplaced
-    /// instances, e.g. a failed operator whose slot was already released).
-    fn slot_bindings(&self, ops: &[OperatorId]) -> Vec<SlotBinding> {
-        ops.iter()
-            .map(|op| SlotBinding {
-                operator: op.raw(),
-                vm: self.placement.vm_of(*op).map(|vm| vm.0),
-            })
-            .collect()
-    }
-
-    /// Partitions of `logical`, or empty when the graph does not know it
-    /// (the plan executor will reject the plan with a proper error).
-    fn partitions_or_empty(&self, logical: LogicalOpId) -> Vec<OperatorId> {
-        self.graph
-            .as_ref()
-            .map(|g| g.partitions(logical).to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Name of a logical operator, for journal events.
-    fn logical_name(&self, logical: LogicalOpId) -> String {
-        self.graph
-            .as_ref()
-            .and_then(|g| g.query().operator(logical).ok())
-            .map(|o| o.name.clone())
-            .unwrap_or_else(|| format!("{logical}"))
-    }
-
-    /// Journal a committed plan: placement delta from the pre-plan slot
-    /// bindings to the new operators' slots, VM churn, per-phase timing —
-    /// and mark the logical operator busy for the health derivation.
-    fn journal_committed(
-        &mut self,
-        kind: JournalKind,
-        vacated: Vec<SlotBinding>,
-        outcome: &crate::reconfig::ReconfigOutcome,
-    ) {
-        let placed = self.slot_bindings(&outcome.new_operators);
-        let vacated_vms: std::collections::HashSet<u64> =
-            vacated.iter().filter_map(|s| s.vm).collect();
-        let mut acquired_vms: Vec<u64> = placed
-            .iter()
-            .filter_map(|s| s.vm)
-            .filter(|vm| !vacated_vms.contains(vm))
-            .collect();
-        acquired_vms.sort_unstable();
-        acquired_vms.dedup();
-        let activity = match kind {
-            JournalKind::Recovery => PlanActivity::Recovering,
-            _ => PlanActivity::Reconfiguring,
-        };
-        self.activity
-            .insert(outcome.logical, (activity, self.now_ms));
-        self.journal.append(JournalEvent {
-            seq: 0,
-            at_ms: self.now_ms,
-            kind,
-            trigger: self.plan_trigger,
-            logical: outcome.logical.0,
-            operator: self.logical_name(outcome.logical),
-            new_parallelism: outcome.new_parallelism,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-            vacated,
-            placed,
-            released_vms: outcome.released_vms.iter().map(|vm| vm.0).collect(),
-            acquired_vms,
-            outcome: "ok".into(),
-        });
-        self.refresh_obs();
-    }
-
-    /// Journal a plan the executor rejected (fail-before-rewrite: the
-    /// runtime is exactly as it was, so the event carries no delta).
-    fn journal_rejected(
-        &mut self,
-        kind: JournalKind,
-        logical: LogicalOpId,
-        vacated: Vec<SlotBinding>,
-        err: &Error,
-    ) {
-        self.journal.append(JournalEvent {
-            seq: 0,
-            at_ms: self.now_ms,
-            kind,
-            trigger: self.plan_trigger,
-            logical: logical.0,
-            operator: self.logical_name(logical),
-            new_parallelism: 0,
-            replayed_tuples: 0,
-            timing: ReconfigTiming::default(),
-            vacated,
-            placed: Vec::new(),
-            released_vms: Vec::new(),
-            acquired_vms: Vec::new(),
-            outcome: format!("rejected: {err}"),
-        });
-        self.refresh_obs();
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::recovery::RecoveryStrategy;
     use parking_lot::Mutex;
     use seep_core::{OutputTuple, StatefulOperator, StatelessFn, Tuple};
     use seep_operators::word_count::WordFrequency;
     use seep_operators::{WindowedWordCount, WordSplitter};
 
-    struct Harness {
-        runtime: Runtime,
+    pub(crate) struct Harness {
+        pub(crate) runtime: Runtime,
         src: LogicalOpId,
-        split: LogicalOpId,
-        count: LogicalOpId,
+        pub(crate) split: LogicalOpId,
+        pub(crate) count: LogicalOpId,
         results: Arc<Mutex<Vec<WordFrequency>>>,
     }
 
     /// Build the windowed word-frequency query used throughout §6.2/§6.3.
-    fn word_count_harness(config: RuntimeConfig) -> Harness {
+    pub(crate) fn word_count_harness(config: RuntimeConfig) -> Harness {
         let mut b = QueryGraph::builder();
         let src = b.source("data_feeder");
         let split = b.stateless("word_splitter");
@@ -1501,13 +990,13 @@ mod tests {
         }
     }
 
-    fn inject_sentence(h: &mut Harness, sentence: &str) {
+    pub(crate) fn inject_sentence(h: &mut Harness, sentence: &str) {
         let payload = bincode::serialize(&sentence.to_string()).unwrap();
         h.runtime
             .inject(h.src, Key::from_str_key(sentence), payload);
     }
 
-    fn counter_instance(h: &Harness) -> OperatorId {
+    pub(crate) fn counter_instance(h: &Harness) -> OperatorId {
         h.runtime.partitions(h.count)[0]
     }
 
@@ -1662,7 +1151,7 @@ mod tests {
         h.runtime.fail_operator(failed);
         let record = h.runtime.recover(failed, 1).unwrap();
         assert_eq!(record.strategy, "R+SM");
-        assert!(record.duration_ms >= 0.0);
+        assert!(record.duration_ms() >= 0.0);
         assert!(
             record.replayed_tuples >= 2,
             "phase-2 words must be replayed"
@@ -1792,8 +1281,9 @@ mod tests {
 
         assert_eq!(h.runtime.parallelism(h.count), 1);
         assert_eq!(h.runtime.vm_count(), vms_before - 1, "one VM released");
-        let released_vm = outcome
-            .released_vm
+        let released_vm = *outcome
+            .released_vms
+            .first()
             .expect("single-slot merge empties the VM");
         let released = h.runtime.provider().vm(released_vm).unwrap();
         assert!(!released.is_running(), "victim VM given back to the cloud");
@@ -1840,7 +1330,7 @@ mod tests {
         // operator's store; it stays retrievable.
         assert_eq!(
             h.runtime.backup.backup_of(owner),
-            Some(outcome.merged_operator)
+            Some(outcome.new_operators[0])
         );
         let restored = h.runtime.backup.retrieve(owner).unwrap();
         assert_eq!(restored.meta.operator, owner);
@@ -1933,7 +1423,7 @@ mod tests {
         assert_eq!(h.runtime.metrics().scale_ins().len(), 1);
         let record = &h.runtime.metrics().scale_ins()[0];
         assert_eq!(record.logical, h.count);
-        assert_eq!(record.new_parallelism, 1);
+        assert_eq!(record.parallelism, 1);
     }
 
     #[test]
@@ -1985,8 +1475,14 @@ mod tests {
         h.runtime.drain();
         assert_eq!(count_of(&h, "pack"), 5);
         assert_eq!(count_of(&h, "six"), 1);
-        assert_eq!(h.runtime.metrics().consolidates().len(), 1);
-        let record = &h.runtime.metrics().consolidates()[0];
+        assert_eq!(
+            h.runtime
+                .metrics()
+                .reconfigs_of(JournalKind::Consolidate)
+                .len(),
+            1
+        );
+        let record = &h.runtime.metrics().reconfigs_of(JournalKind::Consolidate)[0];
         assert_eq!(record.parallelism, 4);
         assert_eq!(record.vms_released, 2);
         assert_eq!(h.runtime.metrics().snapshot().consolidates, 1);
@@ -2010,7 +1506,11 @@ mod tests {
         h.runtime.drain();
         // A single partition has nothing to consolidate with.
         assert!(h.runtime.consolidate(h.count).is_err());
-        assert!(h.runtime.metrics().consolidates().is_empty());
+        assert!(h
+            .runtime
+            .metrics()
+            .reconfigs_of(JournalKind::Consolidate)
+            .is_empty());
     }
 
     #[test]
@@ -2060,8 +1560,14 @@ mod tests {
         assert_eq!(outcome.new_operators.len(), 4);
         assert_eq!(h.runtime.parallelism(h.count), 4);
         assert_eq!(h.runtime.vm_count(), vms_before);
-        assert_eq!(h.runtime.metrics().rebalances().len(), 1);
-        let record = &h.runtime.metrics().rebalances()[0];
+        assert_eq!(
+            h.runtime
+                .metrics()
+                .reconfigs_of(JournalKind::Rebalance)
+                .len(),
+            1
+        );
+        let record = &h.runtime.metrics().reconfigs_of(JournalKind::Rebalance)[0];
         assert_eq!(record.parallelism, 4);
         assert!(
             record.timing.post_split_imbalance > 0.0,
@@ -2114,7 +1620,10 @@ mod tests {
             h.runtime.advance_to(step * 5_000);
         }
         assert!(
-            !h.runtime.metrics().consolidates().is_empty(),
+            !h.runtime
+                .metrics()
+                .reconfigs_of(JournalKind::Consolidate)
+                .is_empty(),
             "idle partitions must be consolidated"
         );
         assert!(h.runtime.vm_count() < vms_before, "VMs handed back");
@@ -2287,7 +1796,7 @@ mod tests {
         assert!(snapshot.latency_p95_ms >= 0.0);
     }
 
-    fn health_of(h: &Harness, instance: OperatorId) -> seep_core::HealthState {
+    pub(crate) fn health_of(h: &Harness, instance: OperatorId) -> seep_core::HealthState {
         h.runtime
             .health()
             .into_iter()
@@ -2519,7 +2028,7 @@ mod tests {
             1,
             "only scale_out timings so far"
         );
-        assert_eq!(snap.reconfig_phases[0].kind, "scale_out");
+        assert_eq!(snap.reconfig_phases[0].kind, JournalKind::ScaleOut);
         assert_eq!(snap.reconfig_phases[0].count, 1);
         // The exposition of a live snapshot passes the scrape-side parser.
         let text = crate::obs::render_prometheus(&snap);

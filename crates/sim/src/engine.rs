@@ -11,7 +11,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{BottleneckTracker, SimScalingPolicy};
+use seep_cloud::ScalingPolicy;
+
+use crate::policy::BottleneckTracker;
 use crate::spec::QuerySpec;
 use crate::trace::{SimRecord, SimTrace};
 
@@ -79,8 +81,11 @@ impl Default for SimStoreProfile {
 pub struct SimConfig {
     /// The query pipeline.
     pub query: QuerySpec,
-    /// Scaling policy (threshold δ, k, r).
-    pub policy: SimScalingPolicy,
+    /// Scaling policy (threshold δ, k, r) — the runtime's struct. The engine
+    /// steps in seconds, so `report_interval_ms` is used in whole seconds;
+    /// it always splits a bottleneck in two and derives no health states, so
+    /// `partitions_per_action` and `backpressure_queue` are not read.
+    pub policy: ScalingPolicy,
     /// Whether the bottleneck detector may scale stages out at runtime.
     /// When false, the initial parallelism is kept (manual allocation).
     pub dynamic_scaling: bool,
@@ -114,13 +119,13 @@ pub struct SimConfig {
     /// of hot segments). `0.0` (the default) is the uniform workload. An
     /// even key split cannot move hot keys, so the pinned share sticks to
     /// one partition through every scale out; only a distribution-guided
-    /// **rebalance** (see [`SimScalingPolicy::rebalance`]) spreads it.
+    /// **rebalance** (see [`ScalingPolicy::rebalance`]) spreads it.
     #[serde(default)]
     pub hot_fraction: f64,
     /// Operator slots per VM, mirroring the runtime placement layer's
     /// capacity (`VmPoolConfig::slots_per_vm`). With the default of 1 every
     /// partition owns a VM; above 1 a **consolidation** (see
-    /// [`SimScalingPolicy::consolidate`]) can pack an under-utilised stage's
+    /// [`ScalingPolicy::consolidate`]) can pack an under-utilised stage's
     /// partitions onto shared VMs, whose compute the residents then share.
     #[serde(default = "default_slots_per_vm")]
     pub slots_per_vm: usize,
@@ -134,7 +139,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             query: crate::spec::lrb_query(),
-            policy: SimScalingPolicy::default(),
+            policy: ScalingPolicy::default(),
             dynamic_scaling: true,
             initial_parallelism: Vec::new(),
             vm_pool_size: 4,
@@ -376,7 +381,7 @@ impl SimEngine {
         let mut scaled_in = false;
         let mut rebalanced = false;
         let mut consolidated = false;
-        if t > 0 && t.saturating_sub(self.last_report_s) >= self.config.policy.report_interval_s {
+        if t > 0 && t.saturating_sub(self.last_report_s) >= self.report_interval_s() {
             self.last_report_s = t;
             (scaled_out, scaled_in, rebalanced, consolidated) = self.evaluate_policy(t);
         }
@@ -399,8 +404,14 @@ impl SimEngine {
         }
     }
 
+    /// The policy's report interval in the engine's one-second steps (at
+    /// least one: the engine cannot report more often than it steps).
+    fn report_interval_s(&self) -> u64 {
+        (self.config.policy.report_interval_ms / 1_000).max(1)
+    }
+
     fn evaluate_policy(&mut self, t: u64) -> (bool, bool, bool, bool) {
-        let interval_us = self.config.policy.report_interval_s as f64 * VM_BUDGET_US;
+        let interval_us = self.report_interval_s() as f64 * VM_BUDGET_US;
         let mut to_scale: Vec<usize> = Vec::new();
         // Stages with at least two partitions under the low watermark for the
         // full streak — the sim analogue of an adjacent idle sibling pair.
@@ -717,7 +728,7 @@ mod tests {
         let duration = 600u64;
         let run_with = |threshold: f64| {
             let mut engine = SimEngine::new(SimConfig {
-                policy: SimScalingPolicy::default().with_threshold(threshold),
+                policy: ScalingPolicy::default().with_threshold(threshold),
                 ..lrb_config()
             });
             let trace = engine.run(duration, |t| {
@@ -822,7 +833,7 @@ mod tests {
     #[test]
     fn ramp_down_releases_vms_when_scale_in_enabled() {
         let config = SimConfig {
-            policy: SimScalingPolicy::default().with_scale_in(0.2),
+            policy: ScalingPolicy::default().with_scale_in(0.2),
             ..lrb_config()
         };
         let mut engine = SimEngine::new(config);
@@ -850,7 +861,7 @@ mod tests {
     #[test]
     fn ramp_down_consolidates_before_merging_with_multislot_vms() {
         let config = SimConfig {
-            policy: SimScalingPolicy::default()
+            policy: ScalingPolicy::default()
                 .with_scale_in(0.2)
                 .with_consolidate(),
             slots_per_vm: 2,
@@ -882,7 +893,7 @@ mod tests {
     #[test]
     fn single_slot_vms_never_consolidate() {
         let config = SimConfig {
-            policy: SimScalingPolicy::default()
+            policy: ScalingPolicy::default()
                 .with_scale_in(0.2)
                 .with_consolidate(),
             // slots_per_vm stays 1: there is nothing to pack onto.
@@ -916,9 +927,9 @@ mod tests {
         // rebalance-aware policy re-draws the boundary once and stops.
         let run = |rebalance: bool| {
             let policy = if rebalance {
-                SimScalingPolicy::default().with_rebalance()
+                ScalingPolicy::default().with_rebalance()
             } else {
-                SimScalingPolicy::default()
+                ScalingPolicy::default()
             };
             let mut engine = SimEngine::new(SimConfig {
                 hot_fraction: 0.6,
@@ -951,7 +962,7 @@ mod tests {
     #[test]
     fn uniform_load_never_rebalances() {
         let mut engine = SimEngine::new(SimConfig {
-            policy: SimScalingPolicy::default().with_rebalance(),
+            policy: ScalingPolicy::default().with_rebalance(),
             ..lrb_config()
         });
         let summary = engine.run(300, |_| 30_000.0).summary();

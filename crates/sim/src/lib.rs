@@ -27,6 +27,7 @@ pub mod spec;
 pub mod trace;
 
 pub use engine::{SimConfig, SimEngine, SimStoreProfile};
-pub use policy::SimScalingPolicy;
+// The policy parameters are the runtime's: one struct for both.
+pub use seep_cloud::ScalingPolicy;
 pub use spec::{lrb_query, mapreduce_query, word_count_query, QuerySpec, StageSpec};
 pub use trace::{SimRecord, SimSummary, SimTrace};

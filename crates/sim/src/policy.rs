@@ -1,113 +1,21 @@
-//! The simulator's scaling policy (§5.1), mirroring the runtime's
-//! bidirectional policy.
+//! The simulator's side of the scaling policy (§5.1): the per-partition
+//! report streaks. The policy parameters themselves are the runtime's
+//! [`ScalingPolicy`] — one struct, one set of defaults, one hysteresis clamp.
 //!
-//! Every `report_interval_s` seconds each partition's CPU utilisation over
-//! the interval is reported; when `consecutive_reports` successive reports of
-//! a partition exceed `threshold`, the partition is declared a bottleneck and
-//! split in two (if a VM can be obtained from the pool). Symmetrically, when
-//! scale in is enabled and `scale_in_reports` successive reports of *two*
-//! partitions of a stage fall below `low_threshold`, the stage merges one
+//! Every report interval each partition's CPU utilisation over the interval
+//! is reported; when `consecutive_reports` successive reports of a partition
+//! exceed `threshold`, the partition is declared a bottleneck and split in
+//! two (if a VM can be obtained from the pool). Symmetrically, when scale in
+//! is enabled and `scale_in_reports` successive reports of *two* partitions
+//! of a stage fall below the clamped low watermark, the stage merges one
 //! partition away and the VM is returned — the paper's merge primitive
-//! (§3.3). The low watermark is clamped to half the scale-out threshold, so a
-//! merged partition (whose load is roughly the sum of the two) can never trip
-//! the bottleneck detector immediately: the policy cannot flap.
+//! (§3.3). Which partitions are then picked differs from the runtime (any
+//! two idle partitions here, an adjacent idle pair there) and lives in the
+//! engine.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Scaling policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimScalingPolicy {
-    /// Utilisation threshold δ in `[0, 1]`.
-    pub threshold: f64,
-    /// Consecutive reports above δ required (k).
-    pub consecutive_reports: usize,
-    /// Report interval r in seconds.
-    pub report_interval_s: u64,
-    /// Low-water utilisation threshold for scale in; clamped below
-    /// `threshold / 2` when applied. Ignored unless `scale_in` is set.
-    #[serde(default = "default_low_threshold")]
-    pub low_threshold: f64,
-    /// Consecutive reports below the low watermark required before a stage
-    /// gives a partition back.
-    #[serde(default = "default_scale_in_reports")]
-    pub scale_in_reports: usize,
-    /// Whether the policy may merge partitions and release VMs.
-    #[serde(default)]
-    pub scale_in: bool,
-    /// Whether the policy may **rebalance** a skewed stage instead of
-    /// scaling it out: when a partition runs hot while the stage's mean
-    /// utilisation is below the threshold, the key split — not aggregate
-    /// demand — is the problem, and repartitioning by the observed key
-    /// distribution fixes it without consuming a VM (mirrors the runtime's
-    /// `ScalingPolicy::rebalance`).
-    #[serde(default)]
-    pub rebalance: bool,
-    /// Whether the policy may **consolidate** an under-utilised stage: pack
-    /// its partitions onto shared VM slots (`SimConfig::slots_per_vm`) and
-    /// return the emptied VMs to the pool without reducing parallelism
-    /// (mirrors the runtime's `ScalingPolicy::consolidate`). Takes effect
-    /// only together with `scale_in` and a multi-slot configuration.
-    #[serde(default)]
-    pub consolidate: bool,
-}
-
-fn default_low_threshold() -> f64 {
-    0.20
-}
-
-fn default_scale_in_reports() -> usize {
-    3
-}
-
-impl Default for SimScalingPolicy {
-    fn default() -> Self {
-        SimScalingPolicy {
-            threshold: 0.70,
-            consecutive_reports: 2,
-            report_interval_s: 5,
-            low_threshold: default_low_threshold(),
-            scale_in_reports: default_scale_in_reports(),
-            scale_in: false,
-            rebalance: false,
-            consolidate: false,
-        }
-    }
-}
-
-impl SimScalingPolicy {
-    /// Same policy with a different threshold (for the δ sweep of Fig. 9).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Enable scale in with the given low-water threshold.
-    pub fn with_scale_in(mut self, low_threshold: f64) -> Self {
-        self.scale_in = true;
-        self.low_threshold = low_threshold;
-        self
-    }
-
-    /// Enable skew-driven rebalancing.
-    pub fn with_rebalance(mut self) -> Self {
-        self.rebalance = true;
-        self
-    }
-
-    /// Enable consolidation of under-utilised stages onto shared VM slots.
-    pub fn with_consolidate(mut self) -> Self {
-        self.consolidate = true;
-        self
-    }
-
-    /// The low watermark actually applied, clamped for hysteresis (merging
-    /// two partitions at most doubles utilisation, so `threshold / 2` is the
-    /// highest value that cannot cause an immediate re-split).
-    pub fn effective_low_threshold(&self) -> f64 {
-        self.low_threshold.min(self.threshold / 2.0)
-    }
-}
+use seep_cloud::ScalingPolicy;
 
 /// Tracks consecutive above-threshold and below-watermark reports per
 /// partition.
@@ -131,7 +39,7 @@ impl BottleneckTracker {
         stage: usize,
         partition: usize,
         utilization: f64,
-        policy: &SimScalingPolicy,
+        policy: &ScalingPolicy,
     ) -> bool {
         let streak = self.streaks.entry((stage, partition)).or_insert(0);
         if utilization > policy.threshold {
@@ -155,7 +63,7 @@ impl BottleneckTracker {
         stage: usize,
         partition: usize,
         utilization: f64,
-        policy: &SimScalingPolicy,
+        policy: &ScalingPolicy,
     ) -> bool {
         if !policy.scale_in {
             return false;
@@ -188,7 +96,7 @@ mod tests {
 
     #[test]
     fn triggers_after_k_consecutive_high_reports() {
-        let policy = SimScalingPolicy::default();
+        let policy = ScalingPolicy::default();
         let mut tracker = BottleneckTracker::new();
         assert!(!tracker.record(0, 0, 0.9, &policy));
         assert!(tracker.record(0, 0, 0.8, &policy));
@@ -198,7 +106,7 @@ mod tests {
 
     #[test]
     fn dip_resets_streak() {
-        let policy = SimScalingPolicy::default();
+        let policy = ScalingPolicy::default();
         let mut tracker = BottleneckTracker::new();
         assert!(!tracker.record(1, 0, 0.9, &policy));
         assert!(!tracker.record(1, 0, 0.3, &policy));
@@ -208,7 +116,7 @@ mod tests {
 
     #[test]
     fn partitions_are_tracked_independently_and_forgettable() {
-        let policy = SimScalingPolicy::default().with_threshold(0.5);
+        let policy = ScalingPolicy::default().with_threshold(0.5);
         let mut tracker = BottleneckTracker::new();
         assert!(!tracker.record(0, 0, 0.9, &policy));
         assert!(!tracker.record(0, 1, 0.9, &policy));
@@ -222,13 +130,13 @@ mod tests {
 
     #[test]
     fn low_watermark_triggers_only_when_enabled() {
-        let off = SimScalingPolicy::default();
+        let off = ScalingPolicy::default();
         let mut tracker = BottleneckTracker::new();
         for _ in 0..10 {
             assert!(!tracker.record_low(0, 0, 0.01, &off));
         }
 
-        let on = SimScalingPolicy::default().with_scale_in(0.2);
+        let on = ScalingPolicy::default().with_scale_in(0.2);
         assert!(!tracker.record_low(0, 0, 0.05, &on));
         assert!(!tracker.record_low(0, 0, 0.05, &on));
         assert!(tracker.record_low(0, 0, 0.05, &on), "third low report");
@@ -244,9 +152,15 @@ mod tests {
 
     #[test]
     fn effective_low_threshold_is_clamped() {
-        let p = SimScalingPolicy::default().with_scale_in(0.6);
+        let p = ScalingPolicy::default().with_scale_in(0.6);
         assert!((p.effective_low_threshold() - 0.35).abs() < 1e-9);
-        let q = SimScalingPolicy::default().with_scale_in(0.1);
+        let q = ScalingPolicy::default().with_scale_in(0.1);
         assert!((q.effective_low_threshold() - 0.1).abs() < 1e-9);
+        // The tracker applies the clamped watermark, not the configured one:
+        // 0.4 is under 0.6 but over δ/2, so it never builds a streak.
+        let mut tracker = BottleneckTracker::new();
+        for _ in 0..p.scale_in_reports {
+            assert!(!tracker.record_low(0, 0, 0.4, &p));
+        }
     }
 }

@@ -42,7 +42,7 @@ fn main() {
         .recover(victim, 1)
         .expect("recovery succeeds");
     let io_after = harness.handle.metrics().store_io("file");
-    println!("\nrecovered in {:.2} ms", record.duration_ms);
+    println!("\nrecovered in {:.2} ms", record.duration_ms());
     println!(
         "  tuples replayed from upstream buffers: {}",
         record.replayed_tuples

@@ -61,7 +61,7 @@ fn main() {
         "  merged after {} idle report(s): parallelism {} -> {}, in {:.2} ms",
         step,
         2,
-        record.new_parallelism,
+        record.parallelism,
         record.duration_us as f64 / 1_000.0
     );
     println!(

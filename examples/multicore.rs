@@ -65,7 +65,8 @@ fn main() {
     let record = handle.recover(victim, 1).expect("recovery");
     println!(
         "recovered {victim} in {:.2} ms, {} tuples replayed",
-        record.duration_ms, record.replayed_tuples
+        record.duration_ms(),
+        record.replayed_tuples
     );
 
     // 5. Close the window and read the typed results.

@@ -69,7 +69,8 @@ fn main() {
     let record = handle.recover(victim, 1).expect("recovery");
     println!(
         "recovered in {:.2} ms, {} tuples replayed",
-        record.duration_ms, record.replayed_tuples
+        record.duration_ms(),
+        record.replayed_tuples
     );
     println!("after recovery:      {}", counts_line(&handle));
     println!("word 'set' count must still be 3, and 'second' must now be 2.");

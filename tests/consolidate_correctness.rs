@@ -6,7 +6,7 @@
 //! duplicates), and consolidation must provably stop billing on the
 //! released VMs (mirroring `scale_in_correctness.rs`).
 
-use seep::runtime::{RuntimeConfig, StoreConfig};
+use seep::runtime::{JournalKind, RuntimeConfig, StoreConfig};
 use seep_bench::harness::WordCountHarness;
 use seep_cloud::VmPoolConfig;
 
@@ -60,7 +60,10 @@ fn four_partition_rebalance_is_one_plan_and_matches_baseline() {
     );
     // Exactly one rebalance record covering all four partitions, with the
     // pooled sample's post-split imbalance prediction in the plan timing.
-    let rebalances = harness.handle.metrics().rebalances();
+    let rebalances = harness
+        .handle
+        .metrics()
+        .reconfigs_of(JournalKind::Rebalance);
     assert_eq!(rebalances.len(), 1);
     assert_eq!(rebalances[0].parallelism, 4);
     assert!(rebalances[0].timing.total_us > 0);
@@ -194,14 +197,14 @@ fn consolidated_partitions_merge_and_recover() {
     harness.handle.drain();
     assert_eq!(harness.handle.parallelism(harness.counter), 3);
     assert!(
-        outcome.released_vm.is_none(),
+        outcome.released_vms.is_empty(),
         "merging co-residents vacates a slot, not a VM"
     );
     assert_eq!(harness.handle.vm_count(), vms_before);
     assert_eq!(harness.total_counted_words(), words_before);
 
     // Crash the VM hosting the merged operator and recover: counts survive.
-    let merged = outcome.merged_operator;
+    let merged = outcome.new_operators[0];
     harness.handle.fail_operator(merged);
     harness.handle.recover(merged, 1).expect("recovery");
     harness.handle.drain();

@@ -3,7 +3,7 @@
 //! that never scaled at all (no lost tuples, no duplicates), one VM has been
 //! handed back to the provider, and the billing ledger stops charging for it.
 
-use seep::runtime::{RuntimeConfig, StoreConfig};
+use seep::runtime::{JournalKind, RuntimeConfig, StoreConfig};
 use seep_bench::harness::WordCountHarness;
 
 /// Drive the word-count query for `seconds` at `rate`, optionally splitting
@@ -69,8 +69,9 @@ fn scale_in_releases_the_vm_and_stops_billing() {
 
     // The released VM stops accruing cost: its terminated timestamp is set
     // and the provider's total no longer grows on its account.
-    let released_vm = outcome
-        .released_vm
+    let released_vm = *outcome
+        .released_vms
+        .first()
         .expect("a single-slot merge empties the victim's VM");
     let vm = harness
         .handle
@@ -126,10 +127,9 @@ fn even_split_rebalance_merge_round_trip_keeps_counts() {
         }
         if s == 4 {
             let vms_before = harness.handle.vm_count();
-            let parts = harness.handle.partitions(harness.counter);
             let outcome = harness
                 .handle
-                .rebalance(parts[0], parts[1])
+                .rebalance_operator(harness.counter)
                 .expect("rebalance");
             harness.handle.drain();
             assert_eq!(outcome.new_operators.len(), 2);
@@ -157,10 +157,14 @@ fn even_split_rebalance_merge_round_trip_keeps_counts() {
     );
     assert_eq!(harness.handle.parallelism(harness.counter), 1);
     assert_eq!(harness.handle.metrics().scale_outs().len(), 1);
-    assert_eq!(harness.handle.metrics().rebalances().len(), 1);
     assert_eq!(harness.handle.metrics().scale_ins().len(), 1);
     // The rebalance record carries the plan's split decision and timing.
-    let record = &harness.handle.metrics().rebalances()[0];
+    let rebalances = harness
+        .handle
+        .metrics()
+        .reconfigs_of(JournalKind::Rebalance);
+    assert_eq!(rebalances.len(), 1);
+    let record = &rebalances[0];
     assert_eq!(record.parallelism, 2);
     assert!(record.timing.total_us > 0);
 }
