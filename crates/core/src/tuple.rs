@@ -105,8 +105,8 @@ pub struct Tuple {
     pub payload: Bytes,
 }
 
-/// `Bytes` does not implement serde out of the box in the configuration we
-/// use, so (de)serialise it through a `Vec<u8>` view.
+/// The payload travels as one byte blob, and decodes whole through `Bytes`'
+/// own `Deserialize` (real `bytes` provides it with its `serde` feature).
 mod serde_bytes_compat {
     use bytes::Bytes;
     use serde::{Deserialize, Deserializer, Serializer};
@@ -116,8 +116,7 @@ mod serde_bytes_compat {
     }
 
     pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        Ok(Bytes::from(v))
+        Bytes::deserialize(d)
     }
 }
 

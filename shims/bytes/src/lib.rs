@@ -122,10 +122,10 @@ impl serde_shim::Serialize for Bytes {
     }
 }
 
+/// A blob decodes whole, with one copy out of the input.
 impl<'de> serde_shim::Deserialize<'de> for Bytes {
     fn deserialize<D: serde_shim::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v: Vec<u8> = serde_shim::Deserialize::deserialize(d)?;
-        Ok(Bytes::from(v))
+        d.deserialize_byte_buf().map(Bytes::from)
     }
 }
 

@@ -5,6 +5,14 @@
 //! structs (named, tuple, unit) and enums (unit, tuple and struct variants),
 //! plus the field attributes `#[serde(default)]` and
 //! `#[serde(with = "path")]`.
+//!
+//! The generated code streams: `Serialize` makes one typed call per value
+//! (a struct is a record of its fields by name, a tuple struct a sequence,
+//! an enum variant its name followed by its payload), and `Deserialize`
+//! hands the deserializer a visitor that matches each incoming field name
+//! against the type's `&'static str` field names, skips unknown and
+//! repeated fields (the first occurrence wins), and fills in
+//! `#[serde(default)]` fields that are absent.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -16,16 +24,19 @@ struct FieldAttrs {
 }
 
 #[derive(Debug)]
-struct NamedField {
+struct Field {
+    /// The field's name (named fields) or position (tuple fields).
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     attrs: FieldAttrs,
 }
 
 #[derive(Debug)]
 enum Shape {
     Unit,
-    Tuple(usize),
-    Named(Vec<NamedField>),
+    Tuple(Vec<Field>),
+    Named(Vec<Field>),
 }
 
 #[derive(Debug)]
@@ -76,6 +87,8 @@ fn parse_attr_group(stream: TokenStream, attrs: &mut FieldAttrs) {
     while let Some(tt) = it.next() {
         if let TokenTree::Ident(id) = tt {
             match id.to_string().as_str() {
+                // `default = "path"` is read as plain `default`: an absent
+                // field takes its type's `Default::default()`.
                 "default" => attrs.default = true,
                 "with" => {
                     // with = "path"
@@ -107,15 +120,17 @@ fn skip_visibility(iter: &mut Iter) {
     }
 }
 
-/// Consume tokens of one type, stopping at a top-level comma (angle-bracket
-/// depth aware; parens/brackets/braces arrive as opaque groups).
-fn skip_type(iter: &mut Iter) {
+/// Consume the tokens of one type, stopping at a top-level comma (angle-
+/// bracket depth aware; parens/brackets/braces arrive as opaque groups), and
+/// return them as source text.
+fn take_type(iter: &mut Iter) -> String {
     let mut depth = 0i32;
+    let mut tokens = Vec::new();
     while let Some(tt) = iter.peek() {
         if let TokenTree::Punct(p) = tt {
             let c = p.as_char();
             if c == ',' && depth == 0 {
-                return;
+                break;
             }
             if c == '<' {
                 depth += 1;
@@ -124,11 +139,12 @@ fn skip_type(iter: &mut Iter) {
                 depth -= 1;
             }
         }
-        iter.next();
+        tokens.extend(iter.next());
     }
+    tokens.into_iter().collect::<TokenStream>().to_string()
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<NamedField> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut iter = stream.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
@@ -142,38 +158,43 @@ fn parse_named_fields(stream: TokenStream) -> Vec<NamedField> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             _ => break,
         }
-        skip_type(&mut iter);
+        let ty = take_type(&mut iter);
         // consume the comma, if any
         if let Some(TokenTree::Punct(p)) = iter.peek() {
             if p.as_char() == ',' {
                 iter.next();
             }
         }
-        fields.push(NamedField {
+        fields.push(Field {
             name: name.to_string(),
+            ty,
             attrs,
         });
     }
     fields
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
+fn parse_tuple_fields(stream: TokenStream) -> Vec<Field> {
     let mut iter = stream.into_iter().peekable();
-    let mut count = 0;
+    let mut fields = Vec::new();
     loop {
-        let _ = skip_attrs_collect(&mut iter);
+        let attrs = skip_attrs_collect(&mut iter);
         skip_visibility(&mut iter);
         if iter.peek().is_none() {
             break;
         }
-        skip_type(&mut iter);
-        count += 1;
+        let ty = take_type(&mut iter);
+        fields.push(Field {
+            name: fields.len().to_string(),
+            ty,
+            attrs,
+        });
         match iter.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ',' => continue,
             _ => break,
         }
     }
-    count
+    fields
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<Variant> {
@@ -188,7 +209,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let g = g.stream();
                 iter.next();
-                Shape::Tuple(count_tuple_fields(g))
+                Shape::Tuple(parse_tuple_fields(g))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let g = g.stream();
@@ -241,7 +262,7 @@ fn parse_input(input: TokenStream) -> Input {
                     Shape::Named(parse_named_fields(g.stream()))
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Shape::Tuple(count_tuple_fields(g.stream()))
+                    Shape::Tuple(parse_tuple_fields(g.stream()))
                 }
                 _ => Shape::Unit,
             };
@@ -261,226 +282,278 @@ fn parse_input(input: TokenStream) -> Input {
 }
 
 // ---------------------------------------------------------------------------
-// Code generation
+// Code generation. Generated code names everything by absolute path and
+// prefixes its own identifiers with `__`.
 // ---------------------------------------------------------------------------
 
-fn gen_serialize(input: &Input) -> String {
-    let mut out = String::new();
-    match input {
-        Input::Struct { name, shape } => {
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S) \
-                 -> ::core::result::Result<__S::Ok, __S::Error> {{\n"
-            ));
-            out.push_str(&ser_shape_body(shape, name, "self", true));
-            out.push_str("}\n}\n");
-        }
-        Input::Enum { name, variants } => {
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S) \
-                 -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
-                 match self {{\n"
-            ));
-            for v in variants {
-                let vn = &v.name;
-                match &v.shape {
-                    Shape::Unit => out.push_str(&format!(
-                        "{name}::{vn} => __serializer.serialize_value(::serde::Value::Variant(\
-                         ::std::string::String::from(\"{vn}\"), \
-                         ::std::boxed::Box::new(::serde::Value::Unit))),\n"
-                    )),
-                    Shape::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        out.push_str(&format!(
-                            "{name}::{vn}({}) => {{\n\
-                             let mut __items: ::std::vec::Vec<::serde::Value> = ::std::vec::Vec::new();\n",
-                            binders.join(", ")
-                        ));
-                        for b in &binders {
-                            out.push_str(&format!("__items.push(::serde::to_value({b})?);\n"));
-                        }
-                        out.push_str(&format!(
-                            "__serializer.serialize_value(::serde::Value::Variant(\
-                             ::std::string::String::from(\"{vn}\"), \
-                             ::std::boxed::Box::new(::serde::Value::Seq(__items))))\n}}\n"
-                        ));
-                    }
-                    Shape::Named(fields) => {
-                        let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        out.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{\n\
-                             let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                            binders.join(", ")
-                        ));
-                        for f in fields {
-                            out.push_str(&format!(
-                                "__fields.push((::std::string::String::from(\"{0}\"), ::serde::to_value({0})?));\n",
-                                f.name
-                            ));
-                        }
-                        out.push_str(&format!(
-                            "__serializer.serialize_value(::serde::Value::Variant(\
-                             ::std::string::String::from(\"{vn}\"), \
-                             ::std::boxed::Box::new(::serde::Value::Record(__fields))))\n}}\n"
-                        ));
-                    }
-                }
-            }
-            out.push_str("}\n}\n}\n");
-        }
-    }
-    out
+const RESULT: &str = "::core::result::Result";
+
+/// `"a", "b"` — a field or variant name list for a `&'static [&'static str]`.
+fn name_list<'a>(names: impl Iterator<Item = &'a str>) -> String {
+    names
+        .map(|n| format!("\"{n}\""))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
-fn ser_shape_body(shape: &Shape, _name: &str, recv: &str, is_struct: bool) -> String {
-    debug_assert!(is_struct);
-    let mut out = String::new();
-    match shape {
-        Shape::Unit => {
-            out.push_str("__serializer.serialize_value(::serde::Value::Unit)\n");
-        }
-        Shape::Tuple(n) => {
-            out.push_str(
-                "let mut __items: ::std::vec::Vec<::serde::Value> = ::std::vec::Vec::new();\n",
-            );
-            for i in 0..*n {
-                out.push_str(&format!("__items.push(::serde::to_value(&{recv}.{i})?);\n"));
+/// Declarations of `Serialize` wrappers for `with` fields, and the
+/// expression serialising each field (given the expression of a reference
+/// to it).
+fn ser_field_exprs(fields: &[Field], refs: &[String], decls: &mut Vec<String>) -> Vec<String> {
+    fields
+        .iter()
+        .zip(refs)
+        .map(|(f, r)| match &f.attrs.with {
+            None => r.clone(),
+            Some(path) => {
+                let wrapper = format!("__SerializeWith{}", decls.len());
+                decls.push(format!(
+                    "struct {wrapper}<'__a>(&'__a {ty});\n\
+                     impl ::serde::Serialize for {wrapper}<'_> {{\n\
+                     fn serialize<__S: ::serde::Serializer>(&self, __s: __S) \
+                     -> {RESULT}<__S::Ok, __S::Error> {{ {path}::serialize(self.0, __s) }}\n}}\n",
+                    ty = f.ty
+                ));
+                format!("&{wrapper}({r})")
             }
-            out.push_str("__serializer.serialize_value(::serde::Value::Seq(__items))\n");
+        })
+        .collect()
+}
+
+/// Statements writing a shape through the serializer `__s`, given the
+/// expression of a reference to each field.
+fn ser_shape(shape: &Shape, refs: &[String], decls: &mut Vec<String>) -> String {
+    match shape {
+        Shape::Unit => "::serde::Serializer::serialize_unit(__s)".to_string(),
+        Shape::Tuple(fields) => {
+            let exprs = ser_field_exprs(fields, refs, decls);
+            let mut out = format!(
+                "let mut __seq = ::serde::Serializer::serialize_seq(__s, {})?;\n",
+                fields.len()
+            );
+            for e in exprs {
+                out.push_str(&format!(
+                    "::serde::ser::SerializeSeq::serialize_element(&mut __seq, {e})?;\n"
+                ));
+            }
+            out.push_str("::serde::ser::SerializeSeq::end(__seq)");
+            out
         }
         Shape::Named(fields) => {
-            out.push_str(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
+            let exprs = ser_field_exprs(fields, refs, decls);
+            let mut out = format!(
+                "let mut __record = ::serde::Serializer::serialize_record(__s, {})?;\n",
+                fields.len()
             );
-            for f in fields {
-                if let Some(with) = &f.attrs.with {
-                    out.push_str(&format!(
-                        "__fields.push((::std::string::String::from(\"{0}\"), \
-                         {with}::serialize(&{recv}.{0}, ::serde::ValueSerializer)?));\n",
-                        f.name
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "__fields.push((::std::string::String::from(\"{0}\"), \
-                         ::serde::to_value(&{recv}.{0})?));\n",
-                        f.name
-                    ));
-                }
+            for (f, e) in fields.iter().zip(exprs) {
+                out.push_str(&format!(
+                    "::serde::ser::SerializeRecord::serialize_field(&mut __record, \"{}\", {e})?;\n",
+                    f.name
+                ));
             }
-            out.push_str("__serializer.serialize_value(::serde::Value::Record(__fields))\n");
+            out.push_str("::serde::ser::SerializeRecord::end(__record)");
+            out
         }
     }
-    out
 }
 
-fn de_named_fields(fields: &[NamedField], access: &str) -> String {
-    let mut out = String::new();
-    for f in fields {
-        if let Some(with) = &f.attrs.with {
-            out.push_str(&format!(
-                "{0}: {{\n\
-                 let __v = {access}.take(\"{0}\").ok_or_else(|| \
-                 <__D::Error as ::core::convert::From<::serde::Error>>::from(\
-                 ::serde::Error::missing_field(\"{0}\")))?;\n\
-                 {with}::deserialize(::serde::ValueDeserializer::new(__v))?\n\
-                 }},\n",
-                f.name
-            ));
-        } else if f.attrs.default {
-            out.push_str(&format!(
-                "{0}: {access}.field_or_default(\"{0}\")?,\n",
-                f.name
-            ));
-        } else {
-            out.push_str(&format!("{0}: {access}.field(\"{0}\")?,\n", f.name));
+fn gen_serialize(input: &Input) -> String {
+    let mut decls = Vec::new();
+    let (name, body) = match input {
+        Input::Struct { name, shape } => {
+            let refs: Vec<String> = match shape {
+                Shape::Unit => Vec::new(),
+                Shape::Tuple(fields) | Shape::Named(fields) => {
+                    fields.iter().map(|f| format!("&self.{}", f.name)).collect()
+                }
+            };
+            (name, ser_shape(shape, &refs, &mut decls))
         }
+        Input::Enum { name, variants } => {
+            let mut arms = String::new();
+            for v in variants {
+                let vn = &v.name;
+                let (pattern, refs) = match &v.shape {
+                    Shape::Unit => (String::new(), Vec::new()),
+                    Shape::Tuple(fields) => {
+                        let binders: Vec<String> =
+                            (0..fields.len()).map(|i| format!("__f{i}")).collect();
+                        (format!("({})", binders.join(", ")), binders)
+                    }
+                    Shape::Named(fields) => {
+                        let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+                        (format!(" {{ {} }}", binders.join(", ")), binders)
+                    }
+                };
+                arms.push_str(&format!(
+                    "{name}::{vn}{pattern} => {{\n\
+                     let __s = ::serde::Serializer::serialize_variant(__s, \"{vn}\")?;\n\
+                     {}\n}}\n",
+                    ser_shape(&v.shape, &refs, &mut decls)
+                ));
+            }
+            (name, format!("match self {{\n{arms}}}"))
+        }
+    };
+    format!(
+        "#[automatically_derived]\n\
+         impl ::serde::Serialize for {name} {{\n\
+         fn serialize<__S: ::serde::Serializer>(&self, __s: __S) \
+         -> {RESULT}<__S::Ok, __S::Error> {{\n\
+         {}{body}\n}}\n}}\n",
+        decls.concat()
+    )
+}
+
+/// The error `__A::Error` (or another error type) built from a serde error.
+fn de_error(error_ty: &str, error: &str) -> String {
+    format!("<{error_ty} as ::core::convert::From<::serde::Error>>::from(::serde::Error::{error})")
+}
+
+/// Declarations of a visitor `vis` building `ctor` (a struct or a variant
+/// path) of type `ty` from a tuple of `fields.len()` elements.
+fn de_tuple_visitor(vis: &str, ty: &str, ctor: &str, fields: &[Field]) -> String {
+    let elements: Vec<&str> = fields
+        .iter()
+        .map(|_| "::serde::de::SeqAccess::element(__seq)?")
+        .collect();
+    format!(
+        "struct {vis};\n\
+         impl<'de> ::serde::de::SeqVisitor<'de> for {vis} {{\n\
+         type Value = {ty};\n\
+         #[allow(unused_variables)]\n\
+         fn visit_seq<__A: ::serde::de::SeqAccess<'de>>(self, __seq: &mut __A) \
+         -> {RESULT}<{ty}, __A::Error> {{\n\
+         {RESULT}::Ok({ctor}({}))\n}}\n}}\n",
+        elements.join(", ")
+    )
+}
+
+/// Declarations of a visitor `vis` building `ctor` (a struct or a variant
+/// path) of type `ty` from a record with the given named fields.
+fn de_record_visitor(vis: &str, ty: &str, ctor: &str, fields: &[Field]) -> String {
+    let mut decls = String::new();
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let (fname, fty) = (&f.name, &f.ty);
+        slots.push_str(&format!(
+            "let mut __v{i}: ::core::option::Option<{fty}> = ::core::option::Option::None;\n"
+        ));
+        let read = match &f.attrs.with {
+            None => "::serde::de::RecordAccess::field_value(__record)?".to_string(),
+            Some(path) => {
+                let wrapper = format!("{vis}With{i}");
+                decls.push_str(&format!(
+                    "struct {wrapper}({fty});\n\
+                     impl<'de> ::serde::Deserialize<'de> for {wrapper} {{\n\
+                     fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) \
+                     -> {RESULT}<Self, __D::Error> {{ {path}::deserialize(__d).map({wrapper}) }}\n}}\n"
+                ));
+                format!("::serde::de::RecordAccess::field_value::<{wrapper}>(__record)?.0")
+            }
+        };
+        arms.push_str(&format!(
+            "{i} if __v{i}.is_none() => __v{i} = ::core::option::Option::Some({read}),\n"
+        ));
+        let value = if f.attrs.default && f.attrs.with.is_none() {
+            format!("__v{i}.unwrap_or_default()")
+        } else {
+            format!(
+                "match __v{i} {{\n\
+                 ::core::option::Option::Some(__v) => __v,\n\
+                 ::core::option::Option::None => return {RESULT}::Err({}),\n}}",
+                de_error("__A::Error", &format!("missing_field(\"{fname}\")"))
+            )
+        };
+        inits.push_str(&format!("{fname}: {value},\n"));
     }
-    out
+    format!(
+        "{decls}struct {vis};\n\
+         impl<'de> ::serde::de::RecordVisitor<'de> for {vis} {{\n\
+         type Value = {ty};\n\
+         fn visit_record<__A: ::serde::de::RecordAccess<'de>>(self, __record: &mut __A) \
+         -> {RESULT}<{ty}, __A::Error> {{\n\
+         {slots}\
+         while let ::core::option::Option::Some(__i) = \
+         ::serde::de::RecordAccess::next_field(__record)? {{\n\
+         match __i {{\n\
+         {arms}\
+         _ => ::serde::de::RecordAccess::skip_value(__record)?,\n\
+         }}\n}}\n\
+         {RESULT}::Ok({ctor} {{\n{inits}}})\n}}\n}}\n"
+    )
+}
+
+/// Declarations for, and the expression of, pulling a shape from the
+/// deserializer expression `de` into `ctor`.
+fn de_shape(shape: &Shape, de: &str, ty: &str, ctor: &str, vis: &str) -> (String, String) {
+    match shape {
+        Shape::Unit => (
+            String::new(),
+            format!(
+                "::serde::Deserializer::deserialize_ignored({de})\
+                 .map(|()| {ctor})"
+            ),
+        ),
+        Shape::Tuple(fields) => (
+            de_tuple_visitor(vis, ty, ctor, fields),
+            format!("::serde::Deserializer::deserialize_tuple({de}, {vis})"),
+        ),
+        Shape::Named(fields) => (
+            de_record_visitor(vis, ty, ctor, fields),
+            format!(
+                "::serde::Deserializer::deserialize_record({de}, &[{}], {vis})",
+                name_list(fields.iter().map(|f| f.name.as_str()))
+            ),
+        ),
+    }
 }
 
 fn gen_deserialize(input: &Input) -> String {
-    let mut out = String::new();
-    match input {
+    let (name, decls, body) = match input {
         Input::Struct { name, shape } => {
-            out.push_str(&format!(
-                "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-                 fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
-                 -> ::core::result::Result<Self, __D::Error> {{\n"
-            ));
-            match shape {
-                Shape::Unit => {
-                    out.push_str(&format!(
-                        "let _ = __deserializer.take_value()?;\n\
-                         ::core::result::Result::Ok({name})\n"
-                    ));
-                }
-                Shape::Tuple(n) => {
-                    out.push_str(
-                        "let mut __seq = ::serde::SeqAccess::new(__deserializer.take_value()?)?;\n",
-                    );
-                    let items: Vec<String> = (0..*n).map(|_| "__seq.next()?".to_string()).collect();
-                    out.push_str(&format!(
-                        "::core::result::Result::Ok({name}({}))\n",
-                        items.join(", ")
-                    ));
-                }
-                Shape::Named(fields) => {
-                    out.push_str(
-                        "let mut __rec = ::serde::RecordAccess::new(__deserializer.take_value()?)?;\n",
-                    );
-                    out.push_str(&format!(
-                        "::core::result::Result::Ok({name} {{\n{}}})\n",
-                        de_named_fields(fields, "__rec")
-                    ));
-                }
-            }
-            out.push_str("}\n}\n");
+            let (decls, body) = de_shape(shape, "__d", name, name, "__Visitor");
+            (name, decls, body)
         }
         Input::Enum { name, variants } => {
-            out.push_str(&format!(
-                "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-                 fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
-                 -> ::core::result::Result<Self, __D::Error> {{\n\
-                 let (__name, __payload) = ::serde::enum_access(__deserializer.take_value()?)?;\n\
-                 match __name.as_str() {{\n"
-            ));
-            for v in variants {
-                let vn = &v.name;
-                match &v.shape {
-                    Shape::Unit => out.push_str(&format!(
-                        "\"{vn}\" => {{ let _ = __payload; ::core::result::Result::Ok({name}::{vn}) }},\n"
-                    )),
-                    Shape::Tuple(n) => {
-                        let items: Vec<String> =
-                            (0..*n).map(|_| "__seq.next()?".to_string()).collect();
-                        out.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let mut __seq = ::serde::SeqAccess::new(__payload)?;\n\
-                             ::core::result::Result::Ok({name}::{vn}({}))\n}},\n",
-                            items.join(", ")
-                        ));
-                    }
-                    Shape::Named(fields) => {
-                        out.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let mut __rec = ::serde::RecordAccess::new(__payload)?;\n\
-                             ::core::result::Result::Ok({name}::{vn} {{\n{}}})\n}},\n",
-                            de_named_fields(fields, "__rec")
-                        ));
-                    }
-                }
+            let mut decls = String::new();
+            let mut arms = String::new();
+            for (i, v) in variants.iter().enumerate() {
+                let ctor = format!("{name}::{}", v.name);
+                let (d, pull) =
+                    de_shape(&v.shape, "__payload", name, &ctor, &format!("__Variant{i}"));
+                decls.push_str(&d);
+                arms.push_str(&format!("{i} => {pull},\n"));
             }
-            out.push_str(&format!(
-                "__other => ::core::result::Result::Err(\
-                 <__D::Error as ::core::convert::From<::serde::Error>>::from(\
-                 ::serde::Error::custom(::std::format!(\"unknown variant `{{}}` of {name}\", __other)))),\n\
-                 }}\n}}\n}}\n"
-            ));
+            let visitor = format!(
+                "struct __Visitor;\n\
+                 impl<'de> ::serde::de::EnumVisitor<'de> for __Visitor {{\n\
+                 type Value = {name};\n\
+                 fn visit_variant<__P: ::serde::Deserializer<'de>>(self, __index: usize, \
+                 __payload: __P) -> {RESULT}<{name}, __P::Error> {{\n\
+                 match __index {{\n\
+                 {arms}\
+                 _ => {RESULT}::Err({}),\n\
+                 }}\n}}\n}}\n",
+                de_error("__P::Error", "custom(\"variant index out of range\")")
+            );
+            decls.push_str(&visitor);
+            let body = format!(
+                "::serde::Deserializer::deserialize_enum(__d, \"{name}\", &[{}], __Visitor)",
+                name_list(variants.iter().map(|v| v.name.as_str()))
+            );
+            (name, decls, body)
         }
-    }
-    out
+    };
+    format!(
+        "#[automatically_derived]\n\
+         impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
+         fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) \
+         -> {RESULT}<Self, __D::Error> {{\n\
+         {decls}{body}\n}}\n}}\n"
+    )
 }
 
 /// Derive `serde::Serialize` (shim).
