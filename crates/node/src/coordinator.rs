@@ -4,20 +4,31 @@
 //! cluster size is reached, deploys the job's execution graph across the
 //! workers' slots, and then drives rounds of the same schedule the
 //! in-process baseline uses — inject, quiesce, tick virtual time, quiesce,
-//! checkpoint, publish — entirely over the control protocol. Checkpoints are
-//! shipped back and stored coordinator-side, making the coordinator the
-//! checkpoint store of the deployment.
+//! checkpoint, publish — entirely over the control protocol.
+//!
+//! The coordinator is the runtime's second [`ClusterBackend`]. It keeps the
+//! runtime's own bookkeeping types — a [`Placement`] of instances on
+//! workers, and a [`BackupCoordinator`] with one in-memory checkpoint store
+//! per instance, held in this process on the instance's behalf — and runs
+//! every checkpoint round through the runtime's [`checkpoint_operator`] and
+//! every plan through the runtime's [`reconfigure`]. What those do to an
+//! instance travels as one [`NodeMsg::Step`] and is carried out on the
+//! worker by the same `WorkerCore::apply` the in-process runtime calls, so a
+//! checkpoint round ships a delta whenever the backup holds the previous
+//! capture, and every plan kind runs against live workers.
 //!
 //! # What a round costs
 //!
 //! The control plane is reply-driven: a command's round trip ends the moment
 //! its reply frame is in (`read_reply` blocks in `read`; no timeout or sleep
 //! sits on the path), and a command that goes to several workers — `Probe`,
-//! `Tick`, `Pause`, `Stats`, the `TrimBuffer`s of one checkpoint — is written
-//! to all of them before the first reply is awaited (`fan_out`), so it costs
-//! one round trip, not one per worker. A round's `InjectMany` is encoded
-//! once, whatever number of attempts it takes. The time each phase took and
-//! the commands sent are exported as
+//! `Tick`, `Pause`, `Stats`, `SetPeers` — is written to all of them before
+//! the first reply is awaited (`fan_out`), so it costs one round trip, not
+//! one per worker. A checkpoint round is one `Capture` and one `TrimBuffer`
+//! step per captured instance and upstream partition. A round's
+//! `InjectMany` is encoded once, whatever number of attempts it takes. The
+//! time each phase took and the commands sent — a step under its own name —
+//! are exported as
 //! `seep_node_round_phase_seconds_total{phase}` and
 //! `seep_node_rpcs_total{verb}`.
 //!
@@ -53,18 +64,24 @@
 //! alive, and workers heartbeat from a thread of their own, so a worker is
 //! declared dead only when its connection closes or stays silent for the
 //! heartbeat timeout (the sockets' read timeout), never for being busy. A
-//! dead worker is marked failed in the [`RemoteVmRegistry`], and every
-//! instance it hosted is recovered through the paper's R+SM sequence —
-//! pause, redeploy from the last checkpoint on a surviving worker, replay
-//! the restored output buffer, rewire and replay upstream buffers, resume —
-//! after which the interrupted step is retried. Each recovery is journalled
-//! as a [`JournalKind::Recovery`] event and recorded in [`Metrics`], so a
-//! real `kill -9` shows up on `/metrics` exactly like a simulated VM crash.
+//! dead worker gets the bookkeeping a crashed VM gets in-process: it is
+//! marked failed in the [`RemoteVmRegistry`], and its instances lose their
+//! slots and the stores held on their behalf. Each lost instance — operator
+//! or sink — is then recovered by the recovery plan, [`ReconfigPlan::recover`]
+//! at π = 1, run through [`reconfigure`] while every worker is paused; the
+//! workers resume, the plane quiesces, the last tick is re-sent, and the
+//! interrupted step is retried. The plan is journalled as a
+//! [`JournalKind::Recovery`] event and recorded in [`Metrics`] by the same
+//! entry point as in-process, so a real `kill -9` shows up on `/metrics`
+//! exactly like a simulated VM crash.
 //!
 //! Known limits of the demo driver: sources are assumed reliable (the paper
 //! delegates source durability upstream), so killing the worker hosting the
-//! source mid-injection can lose that round's tuples; and only stateful
-//! operators are recovered.
+//! source mid-injection can lose that round's tuples. Partitions of one
+//! operator share its emit clock, and over TCP a clock lives in one worker
+//! process, so every partition of an operator is placed on the worker that
+//! already hosts one; recovering an operator with π ≥ 2 over TCP would need
+//! a clock that outlives that worker, and is not supported.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -79,17 +96,19 @@ use bytes::Bytes;
 use seep_cloud::{RemoteVmRegistry, VmId};
 use seep_core::graph::OperatorInstance;
 use seep_core::{
-    Checkpoint, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, ProcessingState,
-    StreamId, TimestampVec, Tuple, TupleBatch,
+    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, ProcessingState, Result,
+    StreamId, Tuple, TupleBatch,
 };
 use seep_net::{wire, Envelope, FrameReader, Message};
-use seep_runtime::metrics::CheckpointRecord;
-use seep_runtime::obs::{ObsShared, SlotBinding, TransportConn};
-use seep_runtime::reconfig::PlanCommit;
-use seep_runtime::{
-    Journal, JournalKind, Metrics, ObsServer, ObsSnapshot, PlanTrigger, ReconfigOutcome,
-    ReconfigTiming,
+use seep_runtime::obs::{ObsShared, ReconfigPhaseTotals, TransportConn};
+use seep_runtime::reconfig::{
+    checkpoint_operator, reconfigure, ClusterBackend, InstanceStep, PlanContext, StepReply,
 };
+use seep_runtime::{
+    Journal, JournalKind, Metrics, ObsServer, ObsSnapshot, Placement, PlanTrigger, ReconfigOutcome,
+    ReconfigPlan, RecoveryStrategy, SplitPolicy, StoreBackendKind,
+};
+use seep_store::{BackupCoordinator, MemStore};
 
 use crate::jobs::{self, RunOutcome};
 use crate::protocol::{
@@ -150,44 +169,20 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// Why a coordinator step failed.
-#[derive(Debug)]
-enum CoordError {
-    /// The worker's control connection is dead or its heartbeats timed
-    /// out; recovery should run and the step be retried.
-    WorkerDead(VmId),
-    /// A non-recoverable protocol or invariant violation.
-    Protocol(String),
-    /// A local I/O failure.
-    Io(io::Error),
-}
-
-impl From<io::Error> for CoordError {
-    fn from(e: io::Error) -> Self {
-        CoordError::Io(e)
-    }
-}
-
-fn to_io(e: CoordError) -> io::Error {
-    match e {
-        CoordError::Io(e) => e,
-        CoordError::Protocol(what) => io::Error::new(io::ErrorKind::InvalidData, what),
-        CoordError::WorkerDead(vm) => io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            format!("worker vm{} died and recovery did not converge", vm.0),
-        ),
-    }
+/// A local failure (an encode, a socket option) as the coordinator's error.
+fn local(e: io::Error) -> Error {
+    Error::Invariant(e.to_string())
 }
 
 fn invalid(e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-fn unexpected(wanted: &str, got: &NodeMsg) -> CoordError {
-    CoordError::Protocol(format!("expected {wanted}, got {got:?}"))
+fn unexpected(wanted: &str, got: &NodeMsg) -> Error {
+    Error::Invariant(format!("expected {wanted}, got {got:?}"))
 }
 
-fn expect_ack(reply: &NodeMsg) -> Result<(), CoordError> {
+fn expect_ack(reply: &NodeMsg) -> Result<()> {
     match reply {
         NodeMsg::Ack => Ok(()),
         other => Err(unexpected("Ack", other)),
@@ -250,13 +245,17 @@ struct Coordinator {
     registry: RemoteVmRegistry,
     conns: BTreeMap<VmId, WorkerConn>,
     graph: ExecutionGraph,
-    placement: BTreeMap<OperatorId, VmId>,
-    /// Latest checkpoint per logical operator — the deployment's store.
-    /// Keyed by logical id so a replaced-then-killed instance still finds
-    /// its state.
-    checkpoints: BTreeMap<LogicalOpId, Checkpoint>,
+    /// Which worker hosts which instance. Its capacity is the largest
+    /// worker's slot count; each worker's own count is checked on top.
+    placement: Placement,
+    /// One in-memory checkpoint store per instance, held in this process on
+    /// the instance's behalf: the deployment's checkpoint store.
+    backup: BackupCoordinator,
+    checkpoint_seq: BTreeMap<OperatorId, u64>,
     /// Last per-instance processed totals, as reported by probes.
     processed: BTreeMap<OperatorId, u64>,
+    /// The first worker the current step found dead.
+    lost: Option<VmId>,
     metrics: Metrics,
     journal: Journal,
     obs: Arc<ObsShared>,
@@ -290,23 +289,42 @@ impl Coordinator {
         vms.into_iter().map(|(_, vm)| vm).collect()
     }
 
-    fn occupancy(&self, vm: VmId) -> usize {
-        self.placement.values().filter(|v| **v == vm).count()
+    /// Whether live worker `vm` has a slot free once the instances in
+    /// `outgoing` have left it.
+    fn has_free_slot(&self, vm: VmId, outgoing: &[OperatorId]) -> bool {
+        let staying = self
+            .placement
+            .residents(vm)
+            .iter()
+            .filter(|r| !outgoing.contains(r))
+            .count();
+        self.conns.contains_key(&vm) && self.registry.get(vm).is_some_and(|w| w.slots > staying)
     }
 
-    fn free_slots(&self, vm: VmId) -> usize {
-        self.registry
-            .get(vm)
-            .map(|w| w.slots.saturating_sub(self.occupancy(vm)))
-            .unwrap_or(0)
+    /// Place `op` on `vm` and open the checkpoint store held on its behalf.
+    fn adopt(&mut self, op: OperatorId, vm: VmId, outgoing: &[OperatorId]) -> Result<()> {
+        self.placement.assign(op, vm, outgoing)?;
+        self.backup.register_store(op, Arc::new(MemStore::new()));
+        self.checkpoint_seq.insert(op, 0);
+        Ok(())
+    }
+
+    /// `vm`'s worker is dead: remembered for [`with_retry`](Self::with_retry)
+    /// to recover, whatever error the command that found out returns.
+    fn dead(&mut self, vm: VmId) -> Error {
+        self.lost.get_or_insert(vm);
+        Error::Invariant(format!("worker vm{} is dead", vm.0))
     }
 
     /// Write one encoded command frame to a worker.
-    fn send(&mut self, vm: VmId, verb: &'static str, frame: &[u8]) -> Result<(), CoordError> {
-        let conn = self.conns.get_mut(&vm).ok_or(CoordError::WorkerDead(vm))?;
-        conn.stream
-            .write_all(frame)
-            .map_err(|_| CoordError::WorkerDead(vm))?;
+    fn send(&mut self, vm: VmId, verb: &'static str, frame: &[u8]) -> Result<()> {
+        let written = match self.conns.get_mut(&vm) {
+            Some(conn) => conn.stream.write_all(frame).is_ok(),
+            None => false,
+        };
+        if !written {
+            return Err(self.dead(vm));
+        }
         *self.rpcs.entry(verb).or_default() += 1;
         Ok(())
     }
@@ -315,17 +333,20 @@ impl Coordinator {
     /// absorbing heartbeats that interleave with it. Returns the moment the
     /// reply frame is in; the worker is dead when its connection closes or
     /// stays silent for the heartbeat timeout (the socket's read timeout).
-    fn read_reply(&mut self, vm: VmId) -> Result<NodeMsg, CoordError> {
+    fn read_reply(&mut self, vm: VmId) -> Result<NodeMsg> {
         loop {
-            let conn = self.conns.get_mut(&vm).ok_or(CoordError::WorkerDead(vm))?;
-            let Ok(Some(frame)) = next_msg(&mut conn.stream, &mut conn.reader) else {
-                return Err(CoordError::WorkerDead(vm));
+            let frame = match self.conns.get_mut(&vm) {
+                Some(conn) => next_msg(&mut conn.stream, &mut conn.reader),
+                None => Ok(None),
+            };
+            let Ok(Some(frame)) = frame else {
+                return Err(self.dead(vm));
             };
             let now = self.now_ms();
             match absorb(&mut self.registry, vm, now, frame) {
                 None => {}
                 Some(NodeMsg::Error { what }) => {
-                    return Err(CoordError::Protocol(format!("worker vm{}: {what}", vm.0)))
+                    return Err(Error::Invariant(format!("worker vm{}: {what}", vm.0)))
                 }
                 Some(reply) => return Ok(reply),
             }
@@ -333,12 +354,12 @@ impl Coordinator {
     }
 
     /// One request/response exchange with a worker.
-    fn rpc(&mut self, vm: VmId, msg: &NodeMsg) -> Result<NodeMsg, CoordError> {
-        self.send(vm, msg.verb(), &encode_msg(msg)?)?;
+    fn rpc(&mut self, vm: VmId, msg: &NodeMsg) -> Result<NodeMsg> {
+        self.send(vm, msg.verb(), &encode_msg(msg).map_err(local)?)?;
         self.read_reply(vm)
     }
 
-    fn rpc_ack(&mut self, vm: VmId, msg: &NodeMsg) -> Result<(), CoordError> {
+    fn rpc_ack(&mut self, vm: VmId, msg: &NodeMsg) -> Result<()> {
         expect_ack(&self.rpc(vm, msg)?)
     }
 
@@ -349,31 +370,23 @@ impl Coordinator {
     ///
     /// After a failure the replies still on their way are read all the same,
     /// so a retry finds every surviving connection with nothing outstanding.
-    fn fan_out(&mut self, calls: &[(VmId, NodeMsg)]) -> Result<Vec<NodeMsg>, CoordError> {
+    fn fan_out(&mut self, calls: &[(VmId, NodeMsg)]) -> Result<Vec<NodeMsg>> {
         let mut failure = None;
-        let mut lost = BTreeSet::new();
+        let mut unanswered = BTreeSet::new();
         for (vm, msg) in calls {
             let sent = encode_msg(msg)
-                .map_err(CoordError::from)
+                .map_err(local)
                 .and_then(|frame| self.send(*vm, msg.verb(), &frame));
             if let Err(e) = sent {
-                lost.insert(*vm);
+                unanswered.insert(*vm);
                 failure.get_or_insert(e);
             }
         }
         let mut replies = Vec::with_capacity(calls.len());
-        for (vm, _) in calls {
-            if lost.contains(vm) {
-                continue;
-            }
+        for (vm, _) in calls.iter().filter(|(vm, _)| !unanswered.contains(vm)) {
             match self.read_reply(*vm) {
                 Ok(reply) => replies.push(reply),
-                Err(e) => {
-                    if matches!(e, CoordError::WorkerDead(_)) {
-                        lost.insert(*vm);
-                    }
-                    failure.get_or_insert(e);
-                }
+                Err(e) => failure = failure.or(Some(e)),
             }
         }
         match failure {
@@ -382,12 +395,12 @@ impl Coordinator {
         }
     }
 
-    fn fan_out_ack(&mut self, calls: &[(VmId, NodeMsg)]) -> Result<(), CoordError> {
+    fn fan_out_ack(&mut self, calls: &[(VmId, NodeMsg)]) -> Result<()> {
         self.fan_out(calls)?.iter().try_for_each(expect_ack)
     }
 
     /// The same command to every live worker, in VM-id order.
-    fn broadcast(&mut self, msg: &NodeMsg) -> Result<Vec<NodeMsg>, CoordError> {
+    fn broadcast(&mut self, msg: &NodeMsg) -> Result<Vec<NodeMsg>> {
         let calls: Vec<(VmId, NodeMsg)> = self
             .live_vms()
             .into_iter()
@@ -396,13 +409,13 @@ impl Coordinator {
         self.fan_out(&calls)
     }
 
-    fn broadcast_ack(&mut self, msg: &NodeMsg) -> Result<(), CoordError> {
+    fn broadcast_ack(&mut self, msg: &NodeMsg) -> Result<()> {
         self.broadcast(msg)?.iter().try_for_each(expect_ack)
     }
 
-    fn set_nonblocking(&mut self, on: bool) -> Result<(), CoordError> {
+    fn set_nonblocking(&mut self, on: bool) -> Result<()> {
         for conn in self.conns.values() {
-            conn.stream.set_nonblocking(on)?;
+            conn.stream.set_nonblocking(on).map_err(local)?;
         }
         Ok(())
     }
@@ -411,31 +424,29 @@ impl Coordinator {
     /// without issuing commands, absorbing heartbeats and noticing closed
     /// connections or timeouts. The one place the coordinator polls: it has
     /// nothing to wait *for* here, only time to pass.
-    fn pump(&mut self, ms: u64) -> Result<(), CoordError> {
+    fn pump(&mut self, ms: u64) -> Result<()> {
         self.set_nonblocking(true)?;
         let outcome = self.pump_nonblocking(ms);
         self.set_nonblocking(false)?;
         outcome
     }
 
-    fn pump_nonblocking(&mut self, ms: u64) -> Result<(), CoordError> {
+    fn pump_nonblocking(&mut self, ms: u64) -> Result<()> {
         let until = Instant::now() + Duration::from_millis(ms);
         loop {
             let now = self.now_ms();
             for vm in self.live_vms() {
-                let Some(conn) = self.conns.get_mut(&vm) else {
-                    return Err(CoordError::WorkerDead(vm));
+                let drained = match self.conns.get_mut(&vm) {
+                    Some(conn) => drain_msgs(&mut conn.stream, &mut conn.reader),
+                    None => Ok((Vec::new(), false)),
                 };
-                match drain_msgs(&mut conn.stream, &mut conn.reader) {
-                    Ok((msgs, open)) => {
+                match drained {
+                    Ok((msgs, true)) => {
                         for msg in msgs {
                             absorb(&mut self.registry, vm, now, msg);
                         }
-                        if !open {
-                            return Err(CoordError::WorkerDead(vm));
-                        }
                     }
-                    Err(_) => return Err(CoordError::WorkerDead(vm)),
+                    _ => return Err(self.dead(vm)),
                 }
             }
             if let Some(&vm) = self
@@ -443,7 +454,7 @@ impl Coordinator {
                 .timed_out(self.now_ms(), self.cfg.heartbeat_timeout_ms)
                 .first()
             {
-                return Err(CoordError::WorkerDead(vm));
+                return Err(self.dead(vm));
             }
             if Instant::now() >= until {
                 return Ok(());
@@ -452,44 +463,34 @@ impl Coordinator {
         }
     }
 
-    /// Run `step`, recovering failed workers and retrying until it
-    /// succeeds. Bounded: a cluster that keeps losing workers errors out.
-    fn with_retry<T>(
-        &mut self,
-        mut step: impl FnMut(&mut Self) -> Result<T, CoordError>,
-    ) -> io::Result<T> {
+    /// Run `step`, recovering the workers it found dead and retrying until
+    /// it succeeds. Bounded: a cluster that keeps losing workers errors out.
+    fn with_retry<T>(&mut self, mut step: impl FnMut(&mut Self) -> Result<T>) -> io::Result<T> {
+        let give_up = || io::Error::other("too many worker failures; giving up");
         let mut attempts = 0;
         loop {
             attempts += 1;
             if attempts > 8 {
-                return Err(io::Error::other("too many worker failures; giving up"));
+                return Err(give_up());
             }
-            match step(self) {
+            self.lost = None;
+            let e = match step(self) {
                 Ok(v) => return Ok(v),
-                Err(CoordError::WorkerDead(vm)) => {
-                    let mut dead = vm;
-                    loop {
-                        match self.recover(dead) {
-                            Ok(()) => break,
-                            Err(CoordError::WorkerDead(next)) => {
-                                attempts += 1;
-                                if attempts > 8 {
-                                    return Err(io::Error::other(
-                                        "too many worker failures; giving up",
-                                    ));
-                                }
-                                dead = next;
-                            }
-                            Err(e) => return Err(to_io(e)),
-                        }
-                    }
+                Err(e) => e,
+            };
+            let mut dead = self.lost.take().ok_or_else(|| invalid(e))?;
+            // Recovery talks to the survivors, and may find another dead.
+            while let Err(e) = self.recover(dead) {
+                dead = self.lost.take().ok_or_else(|| invalid(e))?;
+                attempts += 1;
+                if attempts > 8 {
+                    return Err(give_up());
                 }
-                Err(e) => return Err(to_io(e)),
             }
         }
     }
 
-    fn routing_entries(&self, logical: LogicalOpId) -> Result<Vec<RoutingEntry>, CoordError> {
+    fn routing_entries(&self, logical: LogicalOpId) -> Result<Vec<RoutingEntry>> {
         self.graph
             .query()
             .downstream(logical)
@@ -497,22 +498,14 @@ impl Coordinator {
             .map(|d| {
                 Ok(RoutingEntry {
                     downstream: d.0,
-                    routing: self
-                        .graph
-                        .routing(d)
-                        .map_err(|e| CoordError::Protocol(e.to_string()))?
-                        .clone(),
+                    routing: self.graph.routing(d)?.clone(),
                 })
             })
             .collect()
     }
 
-    fn deploy_msg(&self, inst: &OperatorInstance) -> Result<DeployInstance, CoordError> {
-        let meta = self
-            .graph
-            .query()
-            .operator(inst.logical)
-            .map_err(|e| CoordError::Protocol(e.to_string()))?;
+    fn deploy_msg(&self, inst: &OperatorInstance) -> Result<DeployInstance> {
+        let meta = self.graph.query().operator(inst.logical)?;
         Ok(DeployInstance {
             op: inst.id.raw(),
             logical: inst.logical.0,
@@ -522,65 +515,49 @@ impl Coordinator {
         })
     }
 
+    /// The data-plane address of `vm`'s worker, as a route to `op`.
+    fn route_to(&self, op: OperatorId, vm: VmId) -> Option<PeerRoute> {
+        self.registry.get(vm).map(|w| PeerRoute {
+            op: op.raw(),
+            addr: w.data_addr.clone(),
+        })
+    }
+
     /// Remote routes a worker needs: every instance hosted elsewhere.
     fn peers_for(&self, vm: VmId) -> Vec<PeerRoute> {
-        self.placement
-            .iter()
-            .filter(|(_, host)| **host != vm)
-            .filter_map(|(op, host)| {
-                self.registry.get(*host).map(|w| PeerRoute {
-                    op: op.raw(),
-                    addr: w.data_addr.clone(),
-                })
+        self.graph
+            .instances()
+            .filter_map(|i| {
+                let host = self.placement.vm_of(i.id)?;
+                (host != vm).then(|| self.route_to(i.id, host))?
             })
             .collect()
     }
 
-    fn host_of(&self, op: OperatorId) -> Result<VmId, CoordError> {
-        self.placement
-            .get(&op)
-            .copied()
-            .ok_or_else(|| CoordError::Protocol(format!("instance {op:?} is unplaced")))
-    }
-
     /// Initial placement: round-robin over name-sorted workers, skipping
     /// full ones.
-    fn place_all(&mut self) -> Result<(), CoordError> {
+    fn place_all(&mut self) -> Result<()> {
         let vms = self.live_by_name();
         let instances: Vec<OperatorId> = self.graph.instances().map(|i| i.id).collect();
         let mut next = 0usize;
         for op in instances {
-            let mut placed = false;
-            for k in 0..vms.len() {
-                let vm = vms[(next + k) % vms.len()];
-                if self.free_slots(vm) > 0 {
-                    self.placement.insert(op, vm);
-                    next += k + 1;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                return Err(CoordError::Protocol(format!(
-                    "no free slot for instance {op:?}"
-                )));
-            }
+            let slot = (next..next + vms.len())
+                .find(|k| self.has_free_slot(vms[k % vms.len()], &[]))
+                .ok_or_else(|| Error::Invariant(format!("no free slot for instance {op}")))?;
+            self.adopt(op, vms[slot % vms.len()], &[])?;
+            next = slot + 1;
         }
         Ok(())
     }
 
-    fn deploy_all(&mut self) -> Result<(), CoordError> {
+    fn deploy_all(&mut self) -> Result<()> {
         for vm in self.live_vms() {
-            let mine: Vec<OperatorInstance> = self
+            let instances: Vec<DeployInstance> = self
                 .graph
                 .instances()
-                .filter(|i| self.placement.get(&i.id) == Some(&vm))
-                .cloned()
-                .collect();
-            let instances: Vec<DeployInstance> = mine
-                .iter()
+                .filter(|i| self.placement.vm_of(i.id) == Some(vm))
                 .map(|i| self.deploy_msg(i))
-                .collect::<Result<_, _>>()?;
+                .collect::<Result<_>>()?;
             let peers = self.peers_for(vm);
             self.rpc_ack(vm, &NodeMsg::Deploy { instances, peers })?;
         }
@@ -589,7 +566,7 @@ impl Coordinator {
 
     /// One probe wave: every live worker's counters, in VM-id order, taken
     /// with one pipelined round trip.
-    fn probe_wave(&mut self) -> Result<Vec<Probe>, CoordError> {
+    fn probe_wave(&mut self) -> Result<Vec<Probe>> {
         let mut wave = Vec::new();
         for reply in self.broadcast(&NodeMsg::Probe)? {
             let NodeMsg::ProbeReply(probe) = reply else {
@@ -611,12 +588,12 @@ impl Coordinator {
     /// A wave costs a busy worker nothing until it finishes the step it is
     /// in, and returns at once from an idle one, so the barrier adds two
     /// round trips to the time the plane takes to drain.
-    fn quiesce(&mut self) -> Result<(), CoordError> {
+    fn quiesce(&mut self) -> Result<()> {
         let mut previous: Option<Vec<Probe>> = None;
         loop {
             let wave = self.probe_wave()?;
             if plane_is_quiet(previous.as_deref(), &wave, |op| {
-                self.placement.contains_key(&op)
+                self.placement.vm_of(op).is_some()
             }) {
                 return Ok(());
             }
@@ -624,17 +601,23 @@ impl Coordinator {
         }
     }
 
-    fn tick_all(&mut self, now_ms: u64) -> Result<(), CoordError> {
+    fn tick_all(&mut self, now_ms: u64) -> Result<()> {
         self.broadcast_ack(&NodeMsg::Tick { now_ms })
     }
 
-    /// Stateful and sink instances, downstream operators first.
-    fn capture_targets(&self) -> Result<Vec<OperatorInstance>, CoordError> {
+    /// Checkpoint every stateful and sink instance through the runtime's own
+    /// [`checkpoint_operator`]: a delta when the instance's backup holds the
+    /// previous capture, the whole state otherwise, backed up in the store
+    /// this process holds for the upstream, then the upstream buffers
+    /// trimmed to it. Instances are visited downstream-first, as the
+    /// in-process runtime does: by the time an operator is captured, its own
+    /// output buffer has been trimmed by this round's checkpoints of its
+    /// downstreams, so the stored checkpoint carries no tuple a downstream
+    /// checkpoint already reflects.
+    fn capture_round(&mut self) -> Result<()> {
         let query = self.graph.query();
-        let order = query
-            .topological_order()
-            .map_err(|e| CoordError::Protocol(e.to_string()))?;
-        Ok(order
+        let targets: Vec<OperatorId> = query
+            .topological_order()?
             .into_iter()
             .rev()
             .filter(|logical| {
@@ -642,257 +625,63 @@ impl Coordinator {
                     .operator(*logical)
                     .is_ok_and(|o| matches!(o.kind, OperatorKind::Stateful | OperatorKind::Sink))
             })
-            .flat_map(|logical| self.graph.instances().filter(move |i| i.logical == logical))
-            .cloned()
-            .collect())
-    }
-
-    /// Checkpoint every stateful and sink instance, store the checkpoint
-    /// coordinator-side, and trim upstream output buffers to the reflected
-    /// timestamps (the paper's checkpoint-then-trim protocol). Instances are
-    /// visited downstream-first, as the in-process runtime does: by the time
-    /// an operator is captured, its own output buffer has been trimmed by
-    /// this round's checkpoints of its downstreams, so the stored checkpoint
-    /// carries no tuple a downstream checkpoint already reflects.
-    fn capture_round(&mut self, round: u64) -> Result<(), CoordError> {
-        let at_ms = (round + 1) * 1_000;
-        for inst in self.capture_targets()? {
-            let host = self.host_of(inst.id)?;
-            let started = Instant::now();
-            let reply = self.rpc(
-                host,
-                &NodeMsg::Capture {
-                    op: inst.id.raw(),
-                    sequence: round + 1,
-                },
-            )?;
-            let NodeMsg::Captured { bytes, .. } = reply else {
-                return Err(unexpected("Captured", &reply));
-            };
-            let cp = Checkpoint::from_bytes(&bytes)
-                .map_err(|e| CoordError::Protocol(format!("undecodable checkpoint: {e}")))?;
-            self.metrics.record_checkpoint(CheckpointRecord {
-                operator: inst.id,
-                at_ms,
-                duration_us: started.elapsed().as_micros() as u64,
-                size_bytes: cp.size_bytes(),
-                stored_bytes: bytes.len(),
-                incremental: false,
-            });
-            let reflected = cp.timestamps().clone();
-            self.checkpoints.insert(inst.logical, cp);
-            let mut trims = Vec::new();
-            for up_logical in self.graph.query().upstream(inst.logical) {
-                let Some(ts) = reflected.get(StreamId(up_logical.0)) else {
-                    continue;
-                };
-                for &up in self.graph.partitions(up_logical) {
-                    let trim = NodeMsg::TrimBuffer {
-                        op: up.raw(),
-                        downstream: inst.id.raw(),
-                        ts,
-                    };
-                    trims.push((self.host_of(up)?, trim));
-                }
-            }
-            self.fan_out_ack(&trims)?;
+            .flat_map(|logical| self.graph.partitions(logical).to_vec())
+            .collect();
+        for op in targets {
+            checkpoint_operator(self, op)?;
         }
         Ok(())
     }
 
-    /// Recover every instance stranded on a dead VM: the executor's R+SM
-    /// sequence, driven over the control protocol.
-    fn recover(&mut self, dead: VmId) -> Result<(), CoordError> {
-        let t0 = Instant::now();
-        self.registry.mark_failed(dead);
-        self.conns.remove(&dead);
-
-        let alive: BTreeSet<VmId> = self.live_vms().into_iter().collect();
-        let failed: Vec<(OperatorId, LogicalOpId)> = self
-            .graph
-            .instances()
-            .filter(|i| match self.placement.get(&i.id) {
-                Some(vm) => !alive.contains(vm),
-                None => false,
-            })
-            .map(|i| (i.id, i.logical))
-            .collect();
-        if failed.is_empty() {
-            return Ok(());
-        }
-
+    /// Run `plans` against the live workers through the runtime's own entry
+    /// point ([`reconfigure`]), inside the frame a remote cluster needs:
+    /// every worker paused while they run, then resumed and the plane
+    /// quiesced.
+    fn run_plans(&mut self, plans: &[(ReconfigPlan, JournalKind)]) -> Result<Vec<ReconfigOutcome>> {
         self.broadcast_ack(&NodeMsg::Pause { on: true })?;
-
-        let mut recovered = Vec::new();
-        for (old_id, logical) in failed {
-            let meta = self
-                .graph
-                .query()
-                .operator(logical)
-                .map_err(|e| CoordError::Protocol(e.to_string()))?;
-            if meta.kind != OperatorKind::Stateful {
-                return Err(CoordError::Protocol(format!(
-                    "cannot recover non-stateful operator {:?} lost with vm{}",
-                    meta.name, dead.0
-                )));
-            }
-            let name = meta.name.clone();
-            let restore_started = Instant::now();
-            let new_inst = self
-                .graph
-                .scale_out_instance(old_id, 1)
-                .map_err(|e| CoordError::Protocol(e.to_string()))?
-                .remove(0);
-            self.placement.remove(&old_id);
-            let host = self
-                .live_by_name()
-                .into_iter()
-                .find(|vm| self.free_slots(*vm) > 0)
-                .ok_or_else(|| {
-                    CoordError::Protocol("no live worker with a free slot".to_string())
-                })?;
-            self.placement.insert(new_inst.id, host);
-
-            let deploy = self.deploy_msg(&new_inst)?;
-            let peers = self.peers_for(host);
-            self.rpc_ack(
-                host,
-                &NodeMsg::Deploy {
-                    instances: vec![deploy],
-                    peers,
-                },
-            )?;
-            let host_addr = self
-                .registry
-                .get(host)
-                .map(|w| w.data_addr.clone())
-                .unwrap_or_default();
-            let new_route = NodeMsg::SetPeers {
-                peers: vec![PeerRoute {
-                    op: new_inst.id.raw(),
-                    addr: host_addr,
-                }],
-            };
-            let others: Vec<(VmId, NodeMsg)> = self
-                .live_vms()
-                .into_iter()
-                .filter(|vm| *vm != host)
-                .map(|vm| (vm, new_route.clone()))
-                .collect();
-            self.fan_out_ack(&others)?;
-
-            let mut reflected = TimestampVec::new();
-            if let Some(cp) = self.checkpoints.get(&logical) {
-                reflected = cp.timestamps().clone();
-                let bytes = cp
-                    .to_bytes()
-                    .map_err(|e| CoordError::Protocol(e.to_string()))?;
-                self.rpc_ack(
-                    host,
-                    &NodeMsg::Restore {
-                        op: new_inst.id.raw(),
-                        bytes: Bytes::from(bytes),
-                    },
-                )?;
-            }
-            let restore_us = restore_started.elapsed().as_micros() as u64;
-
-            let replay_started = Instant::now();
-            let routing_entries = self.routing_entries(logical)?;
-            let mut replayed = match self.rpc(
-                host,
-                &NodeMsg::ReplayRestored {
-                    op: new_inst.id.raw(),
-                    routing: routing_entries,
-                },
-            )? {
-                NodeMsg::Replayed { tuples } => tuples,
-                other => return Err(unexpected("Replayed", &other)),
-            };
-
-            let routing = self
-                .graph
-                .routing(logical)
-                .map_err(|e| CoordError::Protocol(e.to_string()))?
-                .clone();
-            for up_logical in self.graph.query().upstream(logical) {
-                for up in self.graph.partitions(up_logical).to_vec() {
-                    let up_host = self.host_of(up)?;
-                    replayed += match self.rpc(
-                        up_host,
-                        &NodeMsg::Rewire {
-                            at: up.raw(),
-                            logical: logical.0,
-                            olds: vec![old_id.raw()],
-                            routing: routing.clone(),
-                            new_targets: vec![new_inst.id.raw()],
-                            reflected: reflected.clone(),
-                        },
-                    )? {
-                        NodeMsg::Replayed { tuples } => tuples,
-                        other => return Err(unexpected("Replayed", &other)),
-                    };
-                }
-            }
-            let replay_us = replay_started.elapsed().as_micros() as u64;
-            // What the executor would report for this instance, remembered
-            // once the cluster has resumed and the total is known.
-            let outcome = ReconfigOutcome {
-                logical,
-                new_operators: vec![new_inst.id],
-                new_parallelism: self.graph.parallelism(logical),
-                replayed_tuples: replayed as usize,
-                released_vms: vec![dead],
-                timing: ReconfigTiming {
-                    restore_us,
-                    replay_us,
-                    ..Default::default()
-                },
-            };
-            recovered.push((name, old_id, host, outcome));
-        }
-
+        let outcomes = plans
+            .iter()
+            .map(|(plan, kind)| reconfigure(self, plan, *kind))
+            .collect::<Result<_>>()?;
         self.broadcast_ack(&NodeMsg::Pause { on: false })?;
         self.quiesce()?;
+        // Best effort: surface the plans on /metrics immediately.
+        let _ = self.refresh_obs();
+        Ok(outcomes)
+    }
+
+    /// A worker died: the failure bookkeeping `Runtime::fail_operator` does
+    /// for a crashed VM — the worker is marked failed, and its instances
+    /// lose their slots and the stores held on their behalf — then the
+    /// recovery plan of every lost instance, serial (π = 1), and the last
+    /// tick re-sent for whatever was restored from before it.
+    fn recover(&mut self, dead: VmId) -> Result<()> {
+        self.registry.mark_failed(dead);
+        self.conns.remove(&dead);
+        let lost = self.placement.residents(dead).to_vec();
+        if lost.is_empty() {
+            return Ok(());
+        }
+        let mut plans = Vec::with_capacity(lost.len());
+        for op in lost {
+            self.placement.release(op);
+            self.backup.unregister_store(op);
+            let plan = ReconfigPlan::recover(op, 1, SplitPolicy::Even);
+            plans.push((plan, JournalKind::Recovery));
+        }
+        self.run_plans(&plans)?;
         if self.last_tick > 0 {
             self.tick_all(self.last_tick)?;
             self.quiesce()?;
         }
-
-        let total_us = t0.elapsed().as_micros() as u64;
-        let at_ms = self.now_ms();
-        for (operator, old_id, host, mut outcome) in recovered {
-            outcome.timing.total_us = total_us;
-            let slot = |op: OperatorId, vm: VmId| SlotBinding {
-                operator: op.raw(),
-                vm: Some(vm.0),
-            };
-            let (mut event, record) = PlanCommit {
-                kind: JournalKind::Recovery,
-                trigger: PlanTrigger::Manual,
-                at_ms,
-                operator,
-                strategy: "R+SM",
-                vacated: vec![slot(old_id, dead)],
-                placed: vec![slot(outcome.new_operators[0], host)],
-                outcome: &outcome,
-            }
-            .into_event_and_record();
-            // The host is a worker that was already running: nothing was
-            // drawn from a pool.
-            event.acquired_vms.clear();
-            self.journal.append(event);
-            self.metrics.record_reconfig(record);
-        }
-        // Best effort: surface the recovery on /metrics immediately.
-        let _ = self.refresh_obs();
         Ok(())
     }
 
     /// Publish a fresh snapshot to the scrape endpoint: coordinator
-    /// metrics, round phase times and command counts, plus every worker's
-    /// transport counters and heartbeat lags.
-    fn refresh_obs(&mut self) -> Result<(), CoordError> {
+    /// metrics, store I/O, per-kind plan phase times, round phase times and
+    /// command counts, plus every worker's transport counters and heartbeat
+    /// lags.
+    fn refresh_obs(&mut self) -> Result<()> {
         let vms = self.live_vms();
         let replies = self.broadcast(&NodeMsg::Stats)?;
         let mut transport = Vec::new();
@@ -914,24 +703,19 @@ impl Coordinator {
         }
         let now = self.now_ms();
         let occupancy = self
-            .live_vms()
+            .placement
+            .occupied_vms()
             .into_iter()
-            .map(|vm| (vm.0, self.occupancy(vm)))
-            .filter(|(_, n)| *n > 0)
+            .map(|vm| (vm.0, self.placement.occupancy(vm)))
             .collect();
-        let slots_per_vm = self
-            .registry
-            .live()
-            .iter()
-            .map(|w| w.slots)
-            .max()
-            .unwrap_or(1);
         self.obs.update(ObsSnapshot {
             now_ms: now,
             metrics: self.metrics.snapshot(),
             latency: self.metrics.latency_histogram(),
+            store_io: self.metrics.store_io_all(),
+            reconfig_phases: ReconfigPhaseTotals::from_records(&self.metrics.reconfigs()),
             occupancy,
-            slots_per_vm,
+            slots_per_vm: self.placement.slots_per_vm(),
             vms_running: self.registry.live_count(),
             journal_events: self.journal.total(),
             transport,
@@ -943,31 +727,24 @@ impl Coordinator {
         Ok(())
     }
 
-    fn logical_by_name(&self, name: &str) -> Result<LogicalOpId, CoordError> {
+    fn logical_by_name(&self, name: &str) -> Result<LogicalOpId> {
         self.graph
             .query()
             .operators()
             .find(|o| o.name == name)
             .map(|o| o.id)
-            .ok_or_else(|| CoordError::Protocol(format!("job has no operator {name:?}")))
+            .ok_or_else(|| Error::Invariant(format!("job has no operator {name:?}")))
     }
 
     /// Collect the sink state and assemble the run's outcome.
-    fn collect_outcome(&mut self) -> Result<RunOutcome, CoordError> {
-        let sink = self.logical_by_name("results")?;
-        let sink_inst = self.graph.partitions(sink)[0];
-        let host = self.host_of(sink_inst)?;
-        let bytes = match self.rpc(
-            host,
-            &NodeMsg::CollectState {
-                op: sink_inst.raw(),
-            },
-        )? {
+    fn collect_outcome(&mut self) -> Result<RunOutcome> {
+        let sink = self.graph.partitions(self.logical_by_name("results")?)[0];
+        let host = self.placement.vm_of_required(sink)?;
+        let bytes = match self.rpc(host, &NodeMsg::CollectState { op: sink.raw() })? {
             NodeMsg::StateBytes { bytes, .. } => bytes,
             other => return Err(unexpected("StateBytes", &other)),
         };
-        let state: ProcessingState = bincode::deserialize(&bytes)
-            .map_err(|e| CoordError::Protocol(format!("undecodable sink state: {e}")))?;
+        let state: ProcessingState = bincode::deserialize(&bytes)?;
         let results = jobs::decode_sink_state(&state);
         let processed = ["feed", "count", "results"]
             .into_iter()
@@ -1000,19 +777,18 @@ impl Coordinator {
         out
     }
 
-    /// The encoded `InjectMany` of one round: built once, written on every
-    /// attempt.
-    fn inject_request(&self, source: OperatorId, round: u64) -> io::Result<Vec<u8>> {
+    /// The encoded `InjectMany` of one round into `source`.
+    fn inject_request(&self, source: OperatorId, round: u64) -> Result<Vec<u8>> {
         let mut batch = TupleBatch::with_capacity(self.cfg.rate as usize);
         for word in jobs::round_words(round, self.cfg.rate, jobs::VOCAB) {
-            let tuple = Tuple::encode(0, Key::from_str_key(&word), &word).map_err(invalid)?;
-            batch.push(tuple, 0);
+            batch.push(Tuple::encode(0, Key::from_str_key(&word), &word)?, 0);
         }
         let envelope = Envelope::new(source, source, Message::data_batch(StreamId(0), batch));
         encode_msg(&NodeMsg::InjectMany {
             op: source.raw(),
             batch: Bytes::from(wire::encode(&envelope)),
         })
+        .map_err(local)
     }
 
     /// Place and deploy the job, and publish the first snapshot.
@@ -1027,14 +803,19 @@ impl Coordinator {
     /// One round of the baseline's schedule: inject, quiesce, tick, quiesce,
     /// capture, publish.
     fn round(&mut self, round: u64) -> io::Result<()> {
-        let feed = self.logical_by_name("feed").map_err(to_io)?;
-        // Sources are not recovered, so the instance outlives the retries.
-        let source = self.graph.partitions(feed)[0];
+        let feed = self.logical_by_name("feed").map_err(invalid)?;
         self.phase("inject", |c| {
-            let request = c.inject_request(source, round)?;
+            // Encoded once, whatever number of attempts it takes — again
+            // only if the source itself was lost and replaced.
+            let mut request: Option<(OperatorId, Vec<u8>)> = None;
             c.with_retry(|c| {
-                let host = c.host_of(source)?;
-                c.send(host, "InjectMany", &request)?;
+                let source = c.graph.partitions(feed)[0];
+                if request.as_ref().is_none_or(|(op, _)| *op != source) {
+                    request = Some((source, c.inject_request(source, round)?));
+                }
+                let host = c.placement.vm_of_required(source)?;
+                let (_, frame) = request.as_ref().expect("encoded above");
+                c.send(host, "InjectMany", frame)?;
                 expect_ack(&c.read_reply(host)?)
             })
         })?;
@@ -1043,7 +824,7 @@ impl Coordinator {
         self.phase("tick", |c| c.with_retry(|c| c.tick_all(now_ms)))?;
         self.last_tick = now_ms;
         self.phase("quiesce", |c| c.with_retry(|c| c.quiesce()))?;
-        self.phase("capture", |c| c.with_retry(|c| c.capture_round(round)))?;
+        self.phase("capture", |c| c.with_retry(|c| c.capture_round()))?;
         self.phase("publish", |c| c.with_retry(|c| c.refresh_obs()))
     }
 
@@ -1078,6 +859,133 @@ impl Coordinator {
         }
         self.finish()
     }
+}
+
+/// The remote backend: a step goes to the worker process hosting the
+/// instance, a new instance goes to a live worker with a free slot — one
+/// already hosting a partition of the same operator when there is one,
+/// because partitions share their operator's emit clock and a clock lives in
+/// one process — and an emptied worker stays registered.
+impl ClusterBackend for Coordinator {
+    fn graph(&self) -> &ExecutionGraph {
+        &self.graph
+    }
+
+    fn graph_mut(&mut self) -> &mut ExecutionGraph {
+        &mut self.graph
+    }
+
+    fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
+    fn backup(&self) -> &BackupCoordinator {
+        &self.backup
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    fn context(&self) -> PlanContext {
+        PlanContext {
+            now_ms: self.last_tick,
+            trigger: PlanTrigger::Manual,
+            strategy: RecoveryStrategy::StateManagement,
+            store: StoreBackendKind::Mem.label(),
+        }
+    }
+
+    fn hosts(&self, op: OperatorId) -> bool {
+        self.placement.vm_of(op).is_some()
+    }
+
+    fn is_live(&self, op: OperatorId) -> bool {
+        self.hosts(op)
+    }
+
+    fn apply(&mut self, op: OperatorId, step: InstanceStep) -> Result<StepReply> {
+        let host = self.placement.vm_of_required(op)?;
+        match self.rpc(host, &NodeMsg::Step { op: op.raw(), step })? {
+            NodeMsg::Stepped(reply) => Ok(reply),
+            other => Err(unexpected("Stepped", &other)),
+        }
+    }
+
+    fn deploy(
+        &mut self,
+        instance: &OperatorInstance,
+        vm: Option<VmId>,
+        replaced: &[OperatorId],
+    ) -> Result<()> {
+        let near: Vec<VmId> = replaced
+            .iter()
+            .chain(self.graph.partitions(instance.logical))
+            .filter_map(|op| self.placement.vm_of(*op))
+            .chain(self.live_by_name())
+            .collect();
+        let vm = vm
+            .or_else(|| {
+                near.into_iter()
+                    .find(|vm| self.has_free_slot(*vm, replaced))
+            })
+            .ok_or_else(|| Error::Invariant("no live worker with a free slot".into()))?;
+        self.adopt(instance.id, vm, replaced)?;
+        let deploy = NodeMsg::Deploy {
+            instances: vec![self.deploy_msg(instance)?],
+            peers: self.peers_for(vm),
+        };
+        self.rpc_ack(vm, &deploy)?;
+        let route = NodeMsg::SetPeers {
+            peers: self.route_to(instance.id, vm).into_iter().collect(),
+        };
+        let others: Vec<(VmId, NodeMsg)> = self
+            .live_vms()
+            .into_iter()
+            .filter(|other| *other != vm)
+            .map(|other| (other, route.clone()))
+            .collect();
+        self.fan_out_ack(&others)
+    }
+
+    fn retire(&mut self, olds: &[OperatorId]) -> Vec<VmId> {
+        let mut emptied = Vec::new();
+        for old in olds {
+            if let Some(vm) = self.placement.vm_of(*old) {
+                // A dead host is left to the next command to find.
+                let _ = self.rpc_ack(vm, &NodeMsg::Retire { op: old.raw() });
+            }
+            self.backup.unregister_store(*old);
+            self.backup.clear_backup_of(*old);
+            self.checkpoint_seq.remove(old);
+            if let Some((vm, true)) = self.placement.release(*old) {
+                emptied.push(vm);
+            }
+        }
+        emptied
+    }
+
+    /// An emptied worker stays registered: it is a live process, not a VM
+    /// drawn from a pool.
+    fn release_vm(&mut self, _vm: VmId) {}
+
+    fn next_checkpoint_seq(&mut self, op: OperatorId) -> u64 {
+        let seq = self.checkpoint_seq.entry(op).or_insert(0);
+        *seq += 1;
+        *seq
+    }
+
+    fn checkpoint_taken(&mut self, _op: OperatorId) {}
+
+    fn committed(&mut self, _logical: LogicalOpId, _kind: JournalKind) {}
+
+    /// [`run_plans`](Coordinator::run_plans) publishes once the cluster has
+    /// resumed.
+    fn publish(&self) {}
 }
 
 /// A counter map as the `(label, value)` pairs a snapshot carries.
@@ -1134,14 +1042,17 @@ fn form_cluster(
     }
 
     let graph = ExecutionGraph::deploy(jobs::query().map_err(invalid)?).map_err(invalid)?;
+    let slots = registry.live().iter().map(|w| w.slots).max().unwrap_or(1);
     Ok(Coordinator {
         cfg,
         registry,
         conns,
         graph,
-        placement: BTreeMap::new(),
-        checkpoints: BTreeMap::new(),
+        placement: Placement::new(slots),
+        backup: BackupCoordinator::new(),
+        checkpoint_seq: BTreeMap::new(),
         processed: BTreeMap::new(),
+        lost: None,
         metrics: Metrics::new(),
         journal,
         obs,
@@ -1185,8 +1096,13 @@ pub fn run_coordinator(cfg: CoordinatorConfig) -> io::Result<RunOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::JoinHandle;
+
+    use seep_operators::word_count::WordFrequency;
+    use seep_runtime::{Job, JobHandle, RuntimeConfig};
+
     use crate::protocol::OpCount;
-    use crate::worker::{run_worker, WorkerConfig};
+    use crate::worker::{run_worker, WorkerConfig, WorkerError};
 
     fn edge(from: u64, to: u64, tuples: u64) -> EdgeCount {
         EdgeCount { from, to, tuples }
@@ -1314,16 +1230,17 @@ mod tests {
         assert_eq!(registry.timed_out(4_550, TIMEOUT_MS), vec![busy]);
     }
 
-    /// A coordinator and two workers in this process, over loopback TCP.
-    /// After every round, the `count` checkpoint the coordinator stored
-    /// holds no tuple towards `results` that the `results` checkpoint of the
-    /// same round already reflects: `results` was captured, and `count`'s
-    /// buffer trimmed, before `count` was captured.
-    #[test]
-    fn capture_is_downstream_first() {
+    /// A coordinator and two workers in this process, over loopback TCP,
+    /// deployed and ready for rounds of `rate` words.
+    fn cluster_in_process(
+        rate: u64,
+    ) -> (
+        Coordinator,
+        Vec<JoinHandle<std::result::Result<(), WorkerError>>>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let workers: Vec<_> = ["w1", "w2"]
+        let workers = ["w1", "w2"]
             .into_iter()
             .map(|name| {
                 let config = WorkerConfig {
@@ -1335,22 +1252,38 @@ mod tests {
             })
             .collect();
         let cfg = CoordinatorConfig {
-            rate: 500,
+            rate,
             ..CoordinatorConfig::default()
         };
         let mut c = form_cluster(cfg, &listener, Arc::default(), Journal::default()).unwrap();
         c.start().unwrap();
+        (c, workers)
+    }
 
+    /// After every round, the `count` checkpoint the coordinator holds has
+    /// no tuple towards `results` that the `results` checkpoint of the same
+    /// round already reflects: `results` was captured, and `count`'s buffer
+    /// trimmed, before `count` was captured.
+    #[test]
+    fn capture_is_downstream_first() {
+        let (mut c, workers) = cluster_in_process(500);
         let count = c.logical_by_name("count").unwrap();
         let results = c.logical_by_name("results").unwrap();
         let sink = c.graph.partitions(results)[0];
+        let counter = c.graph.partitions(count)[0];
         for round in 0..3 {
             c.round(round).unwrap();
-            let reflected = c.checkpoints[&results]
+            let reflected = c
+                .backup
+                .retrieve(sink)
+                .unwrap()
                 .timestamps()
                 .get(StreamId(count.0))
                 .expect("results has seen the window's frequencies");
-            let stale: Vec<u64> = c.checkpoints[&count]
+            let stale: Vec<u64> = c
+                .backup
+                .retrieve(counter)
+                .unwrap()
                 .buffer
                 .iter_for(sink)
                 .map(|t| t.ts)
@@ -1364,5 +1297,139 @@ mod tests {
         for worker in workers {
             worker.join().unwrap().expect("worker exits cleanly");
         }
+    }
+
+    /// Plans other than recovery run against live workers through the same
+    /// entry point and executor as in-process: `count` is scaled out to two
+    /// partitions, rebalanced and scaled back in between rounds, each plan
+    /// journalled and recorded once, every partition beside its operator's
+    /// emit clock; a round that follows a round, not a plan, ships the
+    /// sink's checkpoint as a delta; and the results are exactly those of
+    /// the in-process runtime running the same plans at the same points.
+    ///
+    /// Not those of a never-reconfigured run: a split hands the counter's
+    /// window bookkeeping to one partition only, so the other restarts its
+    /// window numbering — in-process as much as here.
+    #[test]
+    fn every_plan_kind_runs_against_live_workers() {
+        const ROUNDS: u64 = 8;
+        let (mut c, workers) = cluster_in_process(500);
+        let count = c.logical_by_name("count").unwrap();
+        let results = c.logical_by_name("results").unwrap();
+        let mut after_plan = BTreeSet::new();
+        for round in 0..ROUNDS {
+            c.round(round).unwrap();
+            let parts = c.graph.partitions(count).to_vec();
+            let (plan, kind, parallelism) = match round {
+                1 => (
+                    ReconfigPlan::scale_out(parts[0], 2, SplitPolicy::Even),
+                    JournalKind::ScaleOut,
+                    2,
+                ),
+                3 => (ReconfigPlan::rebalance(count), JournalKind::Rebalance, 2),
+                5 => (
+                    ReconfigPlan::scale_in(parts[0], parts[1]),
+                    JournalKind::ScaleIn,
+                    1,
+                ),
+                _ => continue,
+            };
+            let outcome = c.run_plans(&[(plan, kind)]).unwrap().remove(0);
+            assert_eq!(outcome.new_parallelism, parallelism, "{kind:?}");
+            assert_eq!(c.graph.partitions(count), outcome.new_operators.as_slice());
+            let hosts: BTreeSet<VmId> = outcome
+                .new_operators
+                .iter()
+                .map(|op| c.placement.vm_of(*op).unwrap())
+                .collect();
+            assert_eq!(hosts.len(), 1, "{kind:?}: {hosts:?}");
+            after_plan.insert(round + 1);
+        }
+
+        let events = c.journal.events();
+        let kinds: Vec<JournalKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                JournalKind::ScaleOut,
+                JournalKind::Rebalance,
+                JournalKind::ScaleIn
+            ]
+        );
+        assert!(events.iter().all(|e| e.committed()));
+        assert_eq!(c.metrics.reconfigs().len(), 3);
+
+        let sink = c.graph.partitions(results)[0];
+        let captures: Vec<(u64, bool)> = c
+            .metrics
+            .checkpoints()
+            .iter()
+            .filter(|r| r.operator == sink)
+            .map(|r| (r.at_ms / 1_000 - 1, r.incremental))
+            .collect();
+        assert_eq!(captures.len() as u64, ROUNDS);
+        for (round, incremental) in captures {
+            if round > 0 && !after_plan.contains(&round) {
+                assert!(incremental, "round {round} shipped a full capture");
+            }
+        }
+
+        let outcome = c.finish().unwrap();
+        let twin = in_process_twin(ROUNDS, 500, |round, handle| {
+            let parts = handle.partitions("count");
+            match round {
+                1 => drop(handle.scale_out(parts[0], 2).unwrap()),
+                3 => drop(handle.rebalance_operator("count").unwrap()),
+                5 => drop(handle.scale_in(parts[0], parts[1]).unwrap()),
+                _ => {}
+            }
+        });
+        assert!(outcome.results == twin, "results differ from in-process");
+        for worker in workers {
+            worker.join().unwrap().expect("worker exits cleanly");
+        }
+    }
+
+    /// The `wordfreq` job in-process on the coordinator's schedule — inject,
+    /// drain, tick, drain, checkpoint `results` then `count` — with
+    /// `between_rounds` run after each round; the sink's results.
+    fn in_process_twin(
+        rounds: u64,
+        rate: u64,
+        between_rounds: impl Fn(u64, &mut JobHandle),
+    ) -> Vec<WordFrequency> {
+        let mut config = RuntimeConfig::default()
+            .with_batch_size(jobs::OUT_BATCH)
+            .with_checkpoint_interval(u64::MAX);
+        config.scaling_policy.report_interval_ms = u64::MAX;
+        let build =
+            |name: &'static str| move || jobs::build_operator(jobs::DEFAULT_JOB, name).unwrap();
+        let mut handle = Job::builder(config)
+            .source("feed", build("feed"))
+            .then_stateful("count", build("count"))
+            .sink("results", build("results"))
+            .deploy()
+            .unwrap();
+        for round in 0..rounds {
+            for word in jobs::round_words(round, rate, jobs::VOCAB) {
+                handle
+                    .inject_encoded("feed", Key::from_str_key(&word), &word)
+                    .unwrap();
+            }
+            handle.drain();
+            handle.advance_to((round + 1) * 1_000);
+            handle.drain();
+            let targets = [handle.partitions("results"), handle.partitions("count")];
+            for op in targets.concat() {
+                handle.checkpoint_operator(op).unwrap();
+            }
+            between_rounds(round, &mut handle);
+            handle.drain();
+        }
+        let sink = handle.partitions("results")[0];
+        let state = handle
+            .with_operator(sink, |op| op.get_processing_state())
+            .unwrap();
+        jobs::decode_sink_state(&state)
     }
 }

@@ -9,14 +9,17 @@
 //! and answer the coordinator's control commands ([`protocol::NodeMsg`]) on
 //! a persistent TCP connection.
 //!
-//! Failure handling follows the paper's recover-with-state-management path
-//! (§3.3): workers heartbeat the coordinator; a missed heartbeat (or a
-//! dropped control connection) surfaces as a VM failure through
-//! [`seep_cloud::RemoteVmRegistry`], and the coordinator re-runs the same
-//! restore / replay-restored-buffers / rewire-upstreams sequence the
-//! in-process executor uses — so a real `kill -9` recovers with identical
-//! semantics to a simulated VM crash, journalled through the same
-//! [`seep_runtime::Journal`].
+//! The coordinator is the runtime's second cluster backend
+//! ([`seep_runtime::reconfig::ClusterBackend`]): checkpoint rounds and
+//! reconfiguration plans run through the runtime's own code, and what they
+//! do to an instance travels to its worker as one step. Failure handling
+//! follows the paper's recover-with-state-management path (§3.3): workers
+//! heartbeat the coordinator; a missed heartbeat (or a dropped control
+//! connection) surfaces as a VM failure through
+//! [`seep_cloud::RemoteVmRegistry`], and the coordinator runs the runtime's
+//! recovery plan through the runtime's executor — so a real `kill -9`
+//! recovers by the same code as a simulated VM crash, journalled through the
+//! same [`seep_runtime::Journal`].
 
 #![warn(missing_docs)]
 

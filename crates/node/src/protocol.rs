@@ -12,7 +12,8 @@
 //!
 //! Data-plane tuples never travel here: workers stream batches peer-to-peer
 //! over [`seep_net::TcpTransport`]. The control plane only carries commands,
-//! checkpoints and state collections. Bulk fields (a round's source tuples,
+//! the executor's [`InstanceStep`]s (whose captures and restores carry
+//! checkpoints) and state collections. Bulk fields (a round's source tuples,
 //! checkpoints, collected state) are [`Bytes`] blobs, written raw; a
 //! `Vec<u8>` would be lowered to a sequence of tagged integers.
 
@@ -21,8 +22,9 @@ use std::io::{self, Read, Write};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use seep_core::{RoutingState, TimestampVec};
+use seep_core::RoutingState;
 use seep_net::{build_frame, FrameReader};
+use seep_runtime::reconfig::{InstanceStep, StepReply};
 
 /// One operator instance a worker is asked to host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,75 +170,27 @@ pub enum NodeMsg {
     Probe,
     /// Reply to [`NodeMsg::Probe`].
     ProbeReply(Probe),
-    /// Take a checkpoint of a local instance.
-    Capture {
-        /// The instance to checkpoint.
+    /// Carry out one step of a reconfiguration plan or a checkpoint round on
+    /// a local instance: what the in-process runtime does to its own
+    /// workers, shipped (see [`seep_runtime::reconfig`]).
+    Step {
+        /// The instance.
         op: u64,
-        /// Checkpoint sequence number.
-        sequence: u64,
+        /// What to do.
+        step: InstanceStep,
     },
-    /// Reply to [`NodeMsg::Capture`]: the serialised checkpoint.
-    Captured {
-        /// The checkpointed instance.
-        op: u64,
-        /// `Checkpoint::to_bytes` output.
-        bytes: Bytes,
-    },
-    /// Trim a local instance's output buffer towards a downstream instance
-    /// (Algorithm 1, line 4 — after the downstream checkpoint committed).
-    TrimBuffer {
-        /// The upstream instance whose buffer to trim.
-        op: u64,
-        /// The downstream instance the buffer feeds.
-        downstream: u64,
-        /// Trim up to and including this timestamp.
-        ts: u64,
-    },
-    /// Pause or resume every local instance.
+    /// Reply to [`NodeMsg::Step`].
+    Stepped(StepReply),
+    /// Pause or resume the worker: a paused worker steps none of its
+    /// instances; a plan's [`InstanceStep`]s still run.
     Pause {
         /// `true` to pause, `false` to resume.
         on: bool,
     },
-    /// Restore a local instance from a serialised checkpoint. Resets the
-    /// instance's output clock to the checkpoint's emit clock so re-emitted
-    /// tuples are recognised as duplicates downstream.
-    Restore {
-        /// The instance to restore.
+    /// Stop hosting an instance a plan replaced.
+    Retire {
+        /// The replaced instance.
         op: u64,
-        /// `Checkpoint::to_bytes` output.
-        bytes: Bytes,
-    },
-    /// A restored instance replays its restored output buffers downstream
-    /// (Algorithm 3, line 7); downstream duplicate filters discard what they
-    /// already processed.
-    ReplayRestored {
-        /// The restored instance.
-        op: u64,
-        /// Fresh routing towards each logical downstream operator.
-        routing: Vec<RoutingEntry>,
-    },
-    /// Update one upstream instance after a recovery: install the new
-    /// routing towards the recovered logical operator, migrate tuples
-    /// buffered for the replaced instances, replay everything `reflected`
-    /// does not cover (Algorithm 3, lines 9–14).
-    Rewire {
-        /// The local upstream instance to update.
-        at: u64,
-        /// Raw id of the reconfigured logical downstream operator.
-        logical: u32,
-        /// The replaced (failed) instances.
-        olds: Vec<u64>,
-        /// New routing towards the logical operator's partitions.
-        routing: RoutingState,
-        /// The new partitions to replay buffered tuples to.
-        new_targets: Vec<u64>,
-        /// Timestamps already reflected in the restored checkpoint.
-        reflected: TimestampVec,
-    },
-    /// Reply to replay commands: how many tuples were re-sent.
-    Replayed {
-        /// Tuples replayed.
-        tuples: u64,
     },
     /// Fetch a local instance's processing state (result collection).
     CollectState {
@@ -283,14 +237,10 @@ impl NodeMsg {
             NodeMsg::Tick { .. } => "Tick",
             NodeMsg::Probe => "Probe",
             NodeMsg::ProbeReply(_) => "ProbeReply",
-            NodeMsg::Capture { .. } => "Capture",
-            NodeMsg::Captured { .. } => "Captured",
-            NodeMsg::TrimBuffer { .. } => "TrimBuffer",
+            NodeMsg::Step { step, .. } => step.verb(),
+            NodeMsg::Stepped(_) => "Stepped",
             NodeMsg::Pause { .. } => "Pause",
-            NodeMsg::Restore { .. } => "Restore",
-            NodeMsg::ReplayRestored { .. } => "ReplayRestored",
-            NodeMsg::Rewire { .. } => "Rewire",
-            NodeMsg::Replayed { .. } => "Replayed",
+            NodeMsg::Retire { .. } => "Retire",
             NodeMsg::CollectState { .. } => "CollectState",
             NodeMsg::StateBytes { .. } => "StateBytes",
             NodeMsg::Stats => "Stats",
@@ -386,7 +336,7 @@ pub fn drain_msgs<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seep_core::{KeyRange, OperatorId};
+    use seep_core::{Checkpoint, KeyRange, LogicalOpId, OperatorId, TimestampVec};
 
     #[test]
     fn messages_roundtrip_through_bincode() {
@@ -433,18 +383,29 @@ mod tests {
                 }],
                 received: Vec::new(),
             }),
-            NodeMsg::Captured {
+            NodeMsg::Step {
                 op: 2,
-                bytes: Bytes::new(),
+                step: InstanceStep::Restore {
+                    checkpoint: Checkpoint::empty(OperatorId::new(2)),
+                    reset_clock: true,
+                },
             },
-            NodeMsg::Rewire {
-                at: 0,
-                logical: 1,
-                olds: vec![1],
-                routing,
-                new_targets: vec![4],
-                reflected,
+            NodeMsg::Step {
+                op: 0,
+                step: InstanceStep::SetRouting {
+                    downstream: LogicalOpId(1),
+                    routing,
+                },
             },
+            NodeMsg::Step {
+                op: 0,
+                step: InstanceStep::ReplayTo {
+                    target: OperatorId::new(4),
+                    reflected: reflected.clone(),
+                },
+            },
+            NodeMsg::Stepped(StepReply::Reflected(reflected)),
+            NodeMsg::Retire { op: 1 },
             NodeMsg::Error {
                 what: "nope".into(),
             },

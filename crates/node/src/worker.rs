@@ -24,9 +24,13 @@
 //! worker look dead.
 //!
 //! The worker is deliberately dumb: it owns no graph, no placement and no
-//! recovery logic. Every state transition — deploy, pause, restore, replay,
-//! rewire — is a coordinator command, which is what lets the coordinator
-//! re-run the in-process executor's recovery sequence verbatim over TCP.
+//! reconfiguration logic. Every state transition is a coordinator command:
+//! deploy, retire, pause, and the executor's [`InstanceStep`]s, which the
+//! worker hands to [`WorkerCore::apply`] — the function the in-process
+//! runtime calls on its own workers. That is what lets one executor run
+//! every plan, and every checkpoint round, over TCP.
+//!
+//! [`InstanceStep`]: seep_runtime::reconfig::InstanceStep
 
 use std::collections::BTreeMap;
 use std::io;
@@ -38,7 +42,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use seep_core::{Checkpoint, LogicalOpId, OperatorId, RoutingState, TimestampVec};
+use seep_core::{LogicalOpId, OperatorId, RoutingState};
 use seep_net::{
     wire, ConnectionStats, Envelope, FrameReader, IngressServer, Network, SendError, TcpTransport,
     Transport,
@@ -197,6 +201,9 @@ impl NodeState {
     }
 
     fn step(&mut self) {
+        if self.paused {
+            return;
+        }
         let (network, metrics, epoch) = (&self.network, &self.metrics, self.epoch);
         for core in self.cores.values_mut() {
             core.step(network, metrics, epoch, STEP_BUDGET);
@@ -227,7 +234,6 @@ impl NodeState {
                         true,
                     );
                     core.out_batch = jobs::OUT_BATCH;
-                    core.set_paused(self.paused);
                     self.cores.insert(inst.op, core);
                 }
                 NodeMsg::Ack
@@ -284,103 +290,26 @@ impl NodeState {
                     received,
                 })
             }
-            NodeMsg::Capture { op, sequence } => match self.cores.get(&op) {
-                None => Self::missing(op),
-                Some(core) => match core.take_checkpoint(sequence).to_bytes() {
-                    Ok(bytes) => NodeMsg::Captured {
-                        op,
-                        bytes: Bytes::from(bytes),
-                    },
-                    Err(e) => NodeMsg::Error {
-                        what: format!("checkpoint failed: {e}"),
-                    },
-                },
-            },
-            NodeMsg::TrimBuffer { op, downstream, ts } => match self.cores.get_mut(&op) {
-                None => Self::missing(op),
-                Some(core) => {
-                    core.buffer_mut().trim(OperatorId::new(downstream), ts);
-                    NodeMsg::Ack
-                }
-            },
-            NodeMsg::Pause { on } => {
-                self.paused = on;
-                let (network, metrics) = (&self.network, &self.metrics);
-                for core in self.cores.values_mut() {
-                    if on {
-                        core.flush_pending(network, metrics);
-                    }
-                    core.set_paused(on);
-                }
-                NodeMsg::Ack
-            }
-            NodeMsg::Restore { op, bytes } => match self.cores.get_mut(&op) {
-                None => Self::missing(op),
-                Some(core) => match Checkpoint::from_bytes(&bytes) {
-                    Ok(cp) => {
-                        // Re-emitted tuples must carry the timestamps of the
-                        // originals so downstream duplicate filters drop them.
-                        core.clock().reset_to(cp.emit_clock);
-                        core.restore(cp);
-                        NodeMsg::Ack
-                    }
-                    Err(e) => NodeMsg::Error {
-                        what: format!("bad checkpoint: {e}"),
-                    },
-                },
-            },
-            NodeMsg::ReplayRestored { op, routing } => {
-                let (network, metrics) = (&self.network, &self.metrics);
+            NodeMsg::Step { op, step } => {
+                let (network, metrics, epoch) = (&self.network, &self.metrics, self.epoch);
                 match self.cores.get_mut(&op) {
                     None => Self::missing(op),
-                    Some(core) => {
-                        for entry in &routing {
-                            core.set_routing(LogicalOpId(entry.downstream), entry.routing.clone());
-                        }
-                        let mut tuples = 0u64;
-                        for target in core.buffer().downstreams() {
-                            tuples += core.replay_to(target, &TimestampVec::new(), network, metrics)
-                                as u64;
-                        }
-                        NodeMsg::Replayed { tuples }
-                    }
+                    Some(core) => match core.apply(step, network, metrics, epoch) {
+                        Ok(reply) => NodeMsg::Stepped(reply),
+                        Err(e) => NodeMsg::Error {
+                            what: e.to_string(),
+                        },
+                    },
                 }
             }
-            NodeMsg::Rewire {
-                at,
-                logical,
-                olds,
-                routing,
-                new_targets,
-                reflected,
-            } => {
-                let (network, metrics) = (&self.network, &self.metrics);
-                match self.cores.get_mut(&at) {
-                    None => Self::missing(at),
-                    Some(core) => {
-                        core.set_routing(LogicalOpId(logical), routing.clone());
-                        for old in olds {
-                            let old = OperatorId::new(old);
-                            if let Some(buffered) = core.buffer_mut().remove_downstream(old) {
-                                for tuple in buffered {
-                                    if let Some(target) = routing.route(tuple.key) {
-                                        core.buffer_mut().push(target, tuple);
-                                    }
-                                }
-                            }
-                        }
-                        let mut tuples = 0u64;
-                        for target in &new_targets {
-                            tuples += core.replay_to(
-                                OperatorId::new(*target),
-                                &reflected,
-                                network,
-                                metrics,
-                            ) as u64;
-                        }
-                        NodeMsg::Replayed { tuples }
-                    }
-                }
+            NodeMsg::Pause { on } => {
+                self.paused = on;
+                NodeMsg::Ack
+            }
+            NodeMsg::Retire { op } => {
+                self.cores.remove(&op);
+                self.network.disconnect(OperatorId::new(op));
+                NodeMsg::Ack
             }
             NodeMsg::CollectState { op } => match self.cores.get(&op) {
                 None => Self::missing(op),

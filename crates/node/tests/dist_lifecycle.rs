@@ -84,7 +84,7 @@ fn a_long_command_is_not_a_dead_worker() {
 }
 
 /// The fixed cost of a round can be read off `/metrics`: wall time per
-/// phase, and commands sent per verb.
+/// phase, commands sent per verb, and what the checkpoint store wrote.
 #[test]
 fn round_phases_and_commands_are_exported() {
     let dir = scratch("round-metrics");
@@ -144,6 +144,10 @@ fn round_phases_and_commands_are_exported() {
     );
     assert_eq!(sent("TrimBuffer"), 2.0 * rounds, "one upstream each");
     assert_eq!(sent("Deploy"), 2.0);
+    // The checkpoint store the coordinator holds is exported like the
+    // runtime's.
+    let writes = util::family_sum(&body, "seep_store_writes_total");
+    assert!(writes >= 2.0 * rounds, "{writes} store writes");
     // Two barriers a round, at least two waves each, two workers a wave.
     assert!(sent("Probe") >= 8.0 * rounds, "{} probes", sent("Probe"));
 

@@ -1,156 +1,178 @@
 //! The one way to run a plan and the one way to remember it.
 //!
-//! [`Runtime::reconfigure`] is the only caller of the executor. Around the
-//! plan it snapshots the slots the plan vacates, journals the commit or the
-//! rejection with the current [`PlanTrigger`], stamps the logical operator
-//! busy for the health derivation, re-arms the control loop's one-shot
-//! rebalance, records one [`ReconfigRecord`] in the metrics registry and
-//! refreshes the ops snapshot. Everything public here is a plan builder of a
+//! [`reconfigure`] is the only caller of the executor, whichever
+//! [`ClusterBackend`] it runs over. Around the plan it snapshots the slots
+//! the plan vacates, journals the commit or the rejection with the current
+//! [`PlanTrigger`](crate::obs::PlanTrigger), tells the backend the plan committed (the in-process
+//! runtime stamps the logical operator busy for the health derivation and
+//! re-arms the control loop's one-shot rebalance), records one
+//! [`ReconfigRecord`] in the metrics registry and publishes the ops
+//! snapshot. Everything public on [`Runtime`] here is a plan builder of a
 //! few lines over it; [`Runtime::recover`] adds the strategy-specific source
-//! replay and the catch-up drain it owns.
-//!
-//! [`PlanCommit`] is how a committed plan becomes its journal event and its
-//! record. `seep-node`'s coordinator, which still runs its recovery over RPC
-//! instead of through the executor, remembers it through the same
-//! constructor.
+//! replay and the catch-up drain it owns. `seep-node`'s coordinator runs its
+//! recoveries, and any other plan, through the same function.
 
 use std::time::Instant;
 
 use seep_core::{Error, LogicalOpId, OperatorId, OperatorKind, Result, TimestampVec};
 
 use crate::metrics::{ReconfigRecord, ReconfigTiming};
-use crate::obs::{JournalEvent, JournalKind, PlanTrigger, SlotBinding};
+use crate::obs::{JournalEvent, JournalKind, SlotBinding};
+use crate::reconfig::cluster::{ClusterBackend, PlanContext};
+use crate::reconfig::executor::execute_plan;
 use crate::reconfig::{ReconfigKind, ReconfigOutcome, ReconfigPlan};
 use crate::recovery::RecoveryStrategy;
 use crate::runtime::Runtime;
 
-/// A plan that committed, with what only its caller knows: turned into the
-/// journal event and the metrics record that remember it.
-#[derive(Debug)]
-pub struct PlanCommit<'a> {
-    /// Which plan ran.
-    pub kind: JournalKind,
-    /// What initiated it.
-    pub trigger: PlanTrigger,
-    /// Virtual time of the commit (ms).
-    pub at_ms: u64,
-    /// Name of the reconfigured logical operator.
-    pub operator: String,
-    /// Label of the fault-tolerance strategy in force ("R+SM", "UB", "SR").
-    pub strategy: &'static str,
-    /// The slots the replaced instances held before the plan.
-    pub vacated: Vec<SlotBinding>,
-    /// The slots the new instances hold now.
-    pub placed: Vec<SlotBinding>,
-    /// What the executor reports.
-    pub outcome: &'a ReconfigOutcome,
+/// Run `plan` over `cluster` and remember it as a plan of `kind` (recovery
+/// shares the scale-out shape, so the shape alone does not name it). A
+/// rejected plan is journalled as `rejected: <error>` and leaves the cluster
+/// exactly as it was (fail-before-rewrite); only a plan addressing an
+/// instance the graph has never heard of fails before there is an operator
+/// to journal it under.
+pub fn reconfigure<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    plan: &ReconfigPlan,
+    kind: JournalKind,
+) -> Result<ReconfigOutcome> {
+    let graph = cluster.graph();
+    let (logical, replaced) = match plan.kind {
+        ReconfigKind::ScaleOut { target, .. } => (graph.instance(target)?.logical, vec![target]),
+        ReconfigKind::ScaleIn { target, victim } => {
+            (graph.instance(target)?.logical, vec![target, victim])
+        }
+        ReconfigKind::Rebalance { logical } | ReconfigKind::Consolidate { logical } => {
+            (logical, graph.partitions(logical).to_vec())
+        }
+    };
+    let vacated = slot_bindings(cluster, &replaced);
+    let outcome = match execute_plan(cluster, plan) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            journal_rejected(cluster, kind, logical, vacated, &e);
+            return Err(e);
+        }
+    };
+    cluster.committed(logical, kind);
+    let placed = slot_bindings(cluster, &outcome.new_operators);
+    let (event, record) = remember(
+        kind,
+        cluster.context(),
+        logical_name(cluster, logical),
+        vacated,
+        placed,
+        &outcome,
+    );
+    cluster.journal().append(event);
+    cluster.metrics().record_reconfig(record);
+    cluster.publish();
+    Ok(outcome)
 }
 
-impl PlanCommit<'_> {
-    /// The journal event (`seq` is assigned on append) and the metrics
-    /// record of the plan. The VMs the plan acquired are those hosting a new
-    /// instance but none of the replaced ones; a recovery's record names the
-    /// failed instance it replaced.
-    pub fn into_event_and_record(self) -> (JournalEvent, ReconfigRecord) {
-        let outcome = self.outcome;
-        let mut acquired_vms: Vec<u64> = self
-            .placed
-            .iter()
-            .filter_map(|s| s.vm)
-            .filter(|vm| !self.vacated.iter().any(|s| s.vm == Some(*vm)))
-            .collect();
-        acquired_vms.sort_unstable();
-        acquired_vms.dedup();
-        let record = ReconfigRecord {
-            kind: self.kind,
-            logical: outcome.logical,
-            parallelism: outcome.new_parallelism,
-            at_ms: self.at_ms,
-            duration_us: outcome.timing.total_us,
-            replayed_tuples: outcome.replayed_tuples,
-            vms_released: outcome.released_vms.len(),
-            timing: outcome.timing,
-            failed: self
-                .vacated
-                .first()
-                .filter(|_| self.kind == JournalKind::Recovery)
-                .map(|s| OperatorId::new(s.operator)),
-            strategy: self.strategy,
-        };
-        let event = JournalEvent {
-            seq: 0,
-            at_ms: self.at_ms,
-            kind: self.kind,
-            trigger: self.trigger,
-            logical: outcome.logical.0,
-            operator: self.operator,
-            new_parallelism: outcome.new_parallelism,
-            replayed_tuples: outcome.replayed_tuples,
-            timing: outcome.timing,
-            vacated: self.vacated,
-            placed: self.placed,
-            released_vms: outcome.released_vms.iter().map(|vm| vm.0).collect(),
-            acquired_vms,
-            outcome: "ok".into(),
-        };
-        (event, record)
-    }
+/// The journal event (`seq` is assigned on append) and the metrics record of
+/// a committed plan. The VMs the plan acquired are those hosting a new
+/// instance but none of the replaced ones; a recovery's record names the
+/// failed instance it replaced.
+fn remember(
+    kind: JournalKind,
+    ctx: PlanContext,
+    operator: String,
+    vacated: Vec<SlotBinding>,
+    placed: Vec<SlotBinding>,
+    outcome: &ReconfigOutcome,
+) -> (JournalEvent, ReconfigRecord) {
+    let mut acquired_vms: Vec<u64> = placed
+        .iter()
+        .filter_map(|s| s.vm)
+        .filter(|vm| !vacated.iter().any(|s| s.vm == Some(*vm)))
+        .collect();
+    acquired_vms.sort_unstable();
+    acquired_vms.dedup();
+    let record = ReconfigRecord {
+        kind,
+        logical: outcome.logical,
+        parallelism: outcome.new_parallelism,
+        at_ms: ctx.now_ms,
+        duration_us: outcome.timing.total_us,
+        replayed_tuples: outcome.replayed_tuples,
+        vms_released: outcome.released_vms.len(),
+        timing: outcome.timing,
+        failed: vacated
+            .first()
+            .filter(|_| kind == JournalKind::Recovery)
+            .map(|s| OperatorId::new(s.operator)),
+        strategy: ctx.strategy.label(),
+    };
+    let event = JournalEvent {
+        seq: 0,
+        at_ms: ctx.now_ms,
+        kind,
+        trigger: ctx.trigger,
+        logical: outcome.logical.0,
+        operator,
+        new_parallelism: outcome.new_parallelism,
+        replayed_tuples: outcome.replayed_tuples,
+        timing: outcome.timing,
+        vacated,
+        placed,
+        released_vms: outcome.released_vms.iter().map(|vm| vm.0).collect(),
+        acquired_vms,
+        outcome: "ok".into(),
+    };
+    (event, record)
+}
+
+/// The current slot bindings of `ops` (VM `None` for unplaced instances,
+/// e.g. a failed operator whose slot was already released).
+fn slot_bindings<C: ClusterBackend + ?Sized>(cluster: &C, ops: &[OperatorId]) -> Vec<SlotBinding> {
+    ops.iter()
+        .map(|op| SlotBinding {
+            operator: op.raw(),
+            vm: cluster.placement().vm_of(*op).map(|vm| vm.0),
+        })
+        .collect()
+}
+
+/// Name of a logical operator, for journal events.
+fn logical_name<C: ClusterBackend + ?Sized>(cluster: &C, logical: LogicalOpId) -> String {
+    cluster
+        .graph()
+        .query()
+        .operator(logical)
+        .map(|o| o.name.clone())
+        .unwrap_or_else(|_| format!("{logical}"))
+}
+
+/// Journal a plan the executor rejected (fail-before-rewrite: the cluster is
+/// exactly as it was, so the event carries no delta).
+fn journal_rejected<C: ClusterBackend + ?Sized>(
+    cluster: &C,
+    kind: JournalKind,
+    logical: LogicalOpId,
+    vacated: Vec<SlotBinding>,
+    err: &Error,
+) {
+    let ctx = cluster.context();
+    cluster.journal().append(JournalEvent {
+        seq: 0,
+        at_ms: ctx.now_ms,
+        kind,
+        trigger: ctx.trigger,
+        logical: logical.0,
+        operator: logical_name(cluster, logical),
+        new_parallelism: 0,
+        replayed_tuples: 0,
+        timing: ReconfigTiming::default(),
+        vacated,
+        placed: Vec::new(),
+        released_vms: Vec::new(),
+        acquired_vms: Vec::new(),
+        outcome: format!("rejected: {err}"),
+    });
+    cluster.publish();
 }
 
 impl Runtime {
-    /// Run `plan` and remember it as a plan of `kind` (recovery shares the
-    /// scale-out shape, so the shape alone does not name it). A rejected plan
-    /// is journalled as `rejected: <error>` and leaves the runtime exactly as
-    /// it was (fail-before-rewrite); only a plan addressing an instance the
-    /// graph has never heard of fails before there is an operator to journal
-    /// it under.
-    pub(crate) fn reconfigure(
-        &mut self,
-        plan: &ReconfigPlan,
-        kind: JournalKind,
-    ) -> Result<ReconfigOutcome> {
-        let (logical, replaced) = match plan.kind {
-            ReconfigKind::ScaleOut { target, .. } => {
-                (self.graph().instance(target)?.logical, vec![target])
-            }
-            ReconfigKind::ScaleIn { target, victim } => {
-                (self.graph().instance(target)?.logical, vec![target, victim])
-            }
-            ReconfigKind::Rebalance { logical } | ReconfigKind::Consolidate { logical } => {
-                (logical, self.graph().partitions(logical).to_vec())
-            }
-        };
-        let vacated = self.slot_bindings(&replaced);
-        let outcome = match self.execute_plan(plan) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.journal_rejected(kind, logical, vacated, &e);
-                return Err(e);
-            }
-        };
-        // The topology changed: the control loop may rebalance the operator
-        // again. A rebalance itself leaves the one-shot mark to the loop.
-        if kind != JournalKind::Rebalance {
-            self.rebalanced.remove(&logical);
-        }
-        self.activity.insert(logical, (kind, self.now_ms));
-        let (event, record) = PlanCommit {
-            kind,
-            trigger: self.plan_trigger,
-            at_ms: self.now_ms,
-            operator: self.logical_name(logical),
-            strategy: self.config.strategy.label(),
-            vacated,
-            placed: self.slot_bindings(&outcome.new_operators),
-            outcome: &outcome,
-        }
-        .into_event_and_record();
-        self.journal.append(event);
-        self.metrics.record_reconfig(record);
-        self.refresh_obs();
-        Ok(outcome)
-    }
-
     /// Scale `target` out into `pi` new partitions on fresh VMs — Algorithm
     /// 3. The key split follows the configured
     /// [`crate::reconfig::SplitPolicy`]: even by default, or
@@ -158,7 +180,7 @@ impl Runtime {
     /// outcome's `replayed_tuples` counts the upstream replays.
     pub fn scale_out(&mut self, target: OperatorId, pi: usize) -> Result<ReconfigOutcome> {
         let plan = ReconfigPlan::scale_out(target, pi, self.config.split);
-        self.reconfigure(&plan, JournalKind::ScaleOut)
+        reconfigure(self, &plan, JournalKind::ScaleOut)
     }
 
     /// Scale in: merge two adjacent partitions of one logical operator
@@ -179,7 +201,7 @@ impl Runtime {
     /// rejects the request with the runtime exactly as it was.
     pub fn scale_in(&mut self, target: OperatorId, victim: OperatorId) -> Result<ReconfigOutcome> {
         let plan = ReconfigPlan::scale_in(target, victim);
-        self.reconfigure(&plan, JournalKind::ScaleIn)
+        reconfigure(self, &plan, JournalKind::ScaleIn)
     }
 
     /// Rebalance **all π partitions** of a logical operator in one plan:
@@ -194,7 +216,11 @@ impl Runtime {
     /// experiments. The predicted post-split imbalance is reported in the
     /// outcome's [`ReconfigTiming`].
     pub fn rebalance_operator(&mut self, logical: LogicalOpId) -> Result<ReconfigOutcome> {
-        self.reconfigure(&ReconfigPlan::rebalance(logical), JournalKind::Rebalance)
+        reconfigure(
+            self,
+            &ReconfigPlan::rebalance(logical),
+            JournalKind::Rebalance,
+        )
     }
 
     /// Consolidate the partitions of a logical operator onto fewer VMs: the
@@ -206,7 +232,8 @@ impl Runtime {
     /// ([`seep_cloud::VmPoolConfig::slots_per_vm`] ≥ 2).
     pub fn consolidate(&mut self, logical: LogicalOpId) -> Result<ReconfigOutcome> {
         let vms_before = self.vm_count();
-        let outcome = self.reconfigure(
+        let outcome = reconfigure(
+            self,
             &ReconfigPlan::consolidate(logical),
             JournalKind::Consolidate,
         )?;
@@ -231,7 +258,7 @@ impl Runtime {
     pub fn recover(&mut self, failed: OperatorId, pi: usize) -> Result<ReconfigRecord> {
         let started = Instant::now();
         let plan = ReconfigPlan::recover(failed, pi, self.config.split);
-        let outcome = self.reconfigure(&plan, JournalKind::Recovery)?;
+        let outcome = reconfigure(self, &plan, JournalKind::Recovery)?;
         let mut replayed = outcome.replayed_tuples;
         if self.config.strategy == RecoveryStrategy::SourceReplay {
             replayed += self.source_replay(outcome.logical);
@@ -290,61 +317,13 @@ impl Runtime {
         }
         replayed
     }
-
-    /// The current slot bindings of `ops` (VM `None` for unplaced
-    /// instances, e.g. a failed operator whose slot was already released).
-    fn slot_bindings(&self, ops: &[OperatorId]) -> Vec<SlotBinding> {
-        ops.iter()
-            .map(|op| SlotBinding {
-                operator: op.raw(),
-                vm: self.placement.vm_of(*op).map(|vm| vm.0),
-            })
-            .collect()
-    }
-
-    /// Name of a logical operator, for journal events.
-    fn logical_name(&self, logical: LogicalOpId) -> String {
-        self.graph()
-            .query()
-            .operator(logical)
-            .map(|o| o.name.clone())
-            .unwrap_or_else(|_| format!("{logical}"))
-    }
-
-    /// Journal a plan the executor rejected (fail-before-rewrite: the
-    /// runtime is exactly as it was, so the event carries no delta).
-    fn journal_rejected(
-        &mut self,
-        kind: JournalKind,
-        logical: LogicalOpId,
-        vacated: Vec<SlotBinding>,
-        err: &Error,
-    ) {
-        self.journal.append(JournalEvent {
-            seq: 0,
-            at_ms: self.now_ms,
-            kind,
-            trigger: self.plan_trigger,
-            logical: logical.0,
-            operator: self.logical_name(logical),
-            new_parallelism: 0,
-            replayed_tuples: 0,
-            timing: ReconfigTiming::default(),
-            vacated,
-            placed: Vec::new(),
-            released_vms: Vec::new(),
-            acquired_vms: Vec::new(),
-            outcome: format!("rejected: {err}"),
-        });
-        self.refresh_obs();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
-    use crate::obs::{render_prometheus, validate_exposition};
+    use crate::obs::{render_prometheus, validate_exposition, PlanTrigger};
     use crate::runtime::tests::{
         counter_instance, health_of, inject_sentence, word_count_harness, Harness,
     };

@@ -1,6 +1,9 @@
 //! The reconfiguration-plan executor.
 //!
-//! One choreography serves every plan shape. The phases, in order:
+//! One choreography serves every plan shape, over either cluster backend: it
+//! acts on instances only through [`InstanceStep`]s and asks the
+//! [`ClusterBackend`] only to deploy, retire and release. The phases, in
+//! order:
 //!
 //! 1. **Resolve & validate** — nothing is touched if the plan is rejected.
 //! 2. **Drain & pause** — merge-shaped plans (scale in, rebalance,
@@ -11,16 +14,16 @@
 //!    partitions' fresh checkpoints (pairwise for scale in, N-way for
 //!    rebalance/consolidate). *Every fallible state acquisition happens
 //!    here, before the graph is rewritten*: a failure unpauses the
-//!    partitions and rejects the plan with the runtime exactly as it was.
+//!    partitions and rejects the plan with the cluster exactly as it was.
 //! 4. **Rewrite** — choose the key split (even, distribution-guided from a
 //!    load-weighted checkpoint sample, or the unchanged ranges for a
 //!    consolidation) and rewrite the execution graph.
 //! 5. **Transform** — partition the captured checkpoint over the new ranges
 //!    (Algorithm 2; a merge is the 1-range special case).
 //! 6. **Restore** — create workers on VM slots resolved through the
-//!    [placement layer](crate::placement): fresh from the pool for scale
-//!    out, reused in key order for merge/rebalance, first-fit-decreasing
-//!    packed for consolidate — and install the state.
+//!    [placement layer](crate::placement): acquired by the backend for
+//!    scale out, reused in key order for merge/rebalance,
+//!    first-fit-decreasing packed for consolidate — and install the state.
 //! 7. **Commit** — store the new partitions' initial backups, migrate
 //!    third-party backups living on reused VMs, retire the replaced
 //!    instances and release every VM the placement reports emptied.
@@ -35,16 +38,19 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use seep_cloud::VmId;
+use seep_core::graph::OperatorInstance;
 use seep_core::primitives::partition_checkpoint;
 use seep_core::{
-    Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, TimestampVec, Tuple,
+    Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, RoutingState, Timestamp,
+    TimestampVec,
 };
+use seep_store::BackupCoordinator;
 
 use crate::metrics::{ReconfigTiming, SplitKind};
 use crate::placement::first_fit_decreasing;
+use crate::reconfig::cluster::{checkpoint_operator, ClusterBackend, InstanceStep};
 use crate::reconfig::plan::{ReconfigKind, ReconfigPlan, SplitDecision};
-use crate::runtime::Runtime;
-use crate::worker::{WorkerCore, STEP_BUDGET};
 
 /// The result of executing a reconfiguration plan.
 #[derive(Debug, Clone)]
@@ -63,7 +69,7 @@ pub struct ReconfigOutcome {
     /// VMs released back to the provider, if the plan shrank the deployment
     /// (one for a merge that empties the victim's VM, possibly several for a
     /// consolidation).
-    pub released_vms: Vec<seep_cloud::VmId>,
+    pub released_vms: Vec<VmId>,
     /// Per-phase wall-clock cost and the key-split decision taken.
     pub timing: ReconfigTiming,
 }
@@ -124,704 +130,683 @@ struct ResolvedPlan {
     fixed_ranges: Option<Vec<KeyRange>>,
 }
 
-impl Runtime {
-    /// Execute a reconfiguration plan. See the [module docs](self) for the
-    /// phase sequence and failure semantics. Called from exactly one place,
-    /// [`Runtime::reconfigure`], which journals and records what happens here.
-    pub(super) fn execute_plan(&mut self, plan: &ReconfigPlan) -> Result<ReconfigOutcome> {
-        let mut timer = PhaseTimer::start();
-        let mut timing = ReconfigTiming::default();
+/// Execute a reconfiguration plan over `cluster`. See the [module
+/// docs](self) for the phase sequence and failure semantics. Called from
+/// exactly one place, [`super::reconfigure`], which journals and records
+/// what happens here.
+pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    plan: &ReconfigPlan,
+) -> Result<ReconfigOutcome> {
+    let mut timer = PhaseTimer::start();
+    let mut timing = ReconfigTiming::default();
 
-        // Phase 1: resolve & validate.
-        let resolved = self.resolve_plan(plan)?;
+    // Phase 1: resolve & validate.
+    let resolved = resolve_plan(cluster, plan)?;
 
-        // Partial output batches anywhere in the topology must reach their
-        // channels before the plan drains, pauses or captures state: a tuple
-        // held in a pending batch would otherwise be invisible to the drain
-        // below and to the checkpoint/replay protocol's view of "in flight".
-        // A no-op at batch size 1, so the seed path is untouched.
-        self.flush_all_pending();
+    // Partial output batches anywhere in the topology must reach their
+    // channels before the plan drains, pauses or captures state: a tuple
+    // held in a pending batch would otherwise be invisible to the drain
+    // below and to the checkpoint/replay protocol's view of "in flight".
+    // A no-op at batch size 1, so the seed path is untouched.
+    let mut hosted: Vec<OperatorId> = cluster
+        .graph()
+        .instances()
+        .map(|i| i.id)
+        .filter(|id| cluster.hosts(*id))
+        .collect();
+    hosted.sort_unstable();
+    for id in hosted {
+        cluster.apply(id, InstanceStep::Flush)?;
+    }
 
-        // Phase 2: drain & pause.
-        if resolved.pause_olds {
-            self.drain_inbound(&resolved.olds);
-            self.set_all_paused(&resolved.olds, true);
+    // Phase 2: drain & pause.
+    if resolved.pause_olds {
+        for id in &resolved.olds {
+            cluster.apply(*id, InstanceStep::Drain)?;
         }
-        timing.drain_us = timer.lap();
+        set_paused(cluster, &resolved.olds, true)?;
+    }
+    timing.drain_us = timer.lap();
 
-        // Phase 3: capture state (fail-before-rewrite: any error here leaves
-        // the runtime untouched apart from the checkpoints themselves).
-        let captured = match self.capture_state(plan, &resolved) {
-            Ok(checkpoint) => checkpoint,
-            Err(e) => return Err(self.abort_paused(&resolved, e)),
+    // Phase 3: capture state (fail-before-rewrite: any error here leaves
+    // the cluster untouched apart from the checkpoints themselves).
+    let captured = match capture_state(cluster, plan, &resolved) {
+        Ok(checkpoint) => checkpoint,
+        Err(e) => return Err(abort_paused(cluster, &resolved, e)),
+    };
+    let reflected = captured.processing.timestamps().clone();
+    let emit_clock = captured.emit_clock;
+    timing.checkpoint_us = timer.lap();
+
+    // Phase 4: choose the split and rewrite the execution graph.
+    let decision = match choose_split(plan, &resolved, &captured) {
+        Ok(decision) => decision,
+        Err(e) => return Err(abort_paused(cluster, &resolved, e)),
+    };
+    timing.split = decision.kind;
+    timing.post_split_imbalance = decision.post_split_imbalance;
+    let new_instances =
+        match cluster
+            .graph_mut()
+            .repartition(resolved.logical, &resolved.olds, &decision.ranges)
+        {
+            Ok(instances) => instances,
+            Err(e) => return Err(abort_paused(cluster, &resolved, e)),
         };
-        let reflected = captured.processing.timestamps().clone();
-        let emit_clock = captured.emit_clock;
-        timing.checkpoint_us = timer.lap();
+    timing.rewrite_us = timer.lap();
 
-        // Phase 4: choose the split and rewrite the execution graph.
-        let decision = match self.choose_split(plan, &resolved, &captured) {
-            Ok(decision) => decision,
-            Err(e) => return Err(self.abort_paused(&resolved, e)),
-        };
-        timing.split = decision.kind;
-        timing.post_split_imbalance = decision.post_split_imbalance;
-        let new_instances =
-            match self
-                .graph_mut()
-                .repartition(resolved.logical, &resolved.olds, &decision.ranges)
-            {
-                Ok(instances) => instances,
-                Err(e) => return Err(self.abort_paused(&resolved, e)),
-            };
-        timing.rewrite_us = timer.lap();
+    // Phase 5: transform the captured checkpoint (Algorithm 2; a merge is
+    // the single-range case and keeps the whole state).
+    let assignments: Vec<(OperatorId, KeyRange)> =
+        new_instances.iter().map(|i| (i.id, i.key_range)).collect();
+    let mut parts = partition_checkpoint(&captured, &assignments)?;
+    // Carry the captured emit clock into the parts stored as initial
+    // backups: if a new instance's VM fails before its first periodic
+    // checkpoint, a serial recovery resets the shared logical clock from the
+    // backup, and a zero clock would make downstream duplicate filters
+    // discard genuinely new output.
+    for part in &mut parts {
+        part.emit_clock = emit_clock;
+    }
+    timing.transform_us = timer.lap();
 
-        // Phase 5: transform the captured checkpoint (Algorithm 2; a merge
-        // is the single-range case and keeps the whole state).
-        let assignments: Vec<(OperatorId, KeyRange)> =
-            new_instances.iter().map(|i| (i.id, i.key_range)).collect();
-        let mut parts = partition_checkpoint(&captured, &assignments)?;
-        // Carry the captured emit clock into the parts stored as initial
-        // backups: if a new instance's VM fails before its first periodic
-        // checkpoint, a serial recovery resets the shared logical clock from
-        // the backup, and a zero clock would make downstream duplicate
-        // filters discard genuinely new output.
-        for part in &mut parts {
-            part.emit_clock = emit_clock;
-        }
-        timing.transform_us = timer.lap();
-
-        // Phase 6: create the new workers on their VM slots (resolved through
-        // the placement layer) and restore state.
-        match plan.kind {
-            ReconfigKind::ScaleOut { .. } => {
-                for instance in &new_instances {
-                    self.create_worker(instance)?;
-                }
-            }
-            ReconfigKind::ScaleIn { .. } => {
-                // The merged operator takes over the survivor's slot.
-                let vm = self.placement.vm_of_required(resolved.olds[0])?;
-                self.create_worker_on(&new_instances[0], vm, &resolved.olds)?;
-            }
-            ReconfigKind::Rebalance { .. } => {
-                // Every VM is reused: the i-th new range lands on the VM of
-                // the i-th old range (both lists are in key order), so each
-                // VM keeps serving its slice of the key space.
-                for (old, instance) in resolved.olds.iter().zip(&new_instances) {
-                    let vm = self.placement.vm_of_required(*old)?;
-                    self.create_worker_on(instance, vm, &resolved.olds)?;
-                }
-            }
-            ReconfigKind::Consolidate { .. } => {
-                // First-fit-decreasing bin packing: the heaviest partitions
-                // (by checkpointed state size) claim slots first, over the
-                // VMs the operator already occupies in key order, so the
-                // leading VMs fill up and the trailing ones empty out.
-                let mut bins: Vec<(seep_cloud::VmId, usize)> = Vec::new();
-                for old in &resolved.olds {
-                    let vm = self.placement.vm_of_required(*old)?;
-                    if !bins.iter().any(|(b, _)| *b == vm) {
-                        bins.push((vm, self.placement.free_slots(vm, &resolved.olds)));
-                    }
-                }
-                let items: Vec<(OperatorId, usize)> = new_instances
-                    .iter()
-                    .zip(parts.iter())
-                    .map(|(inst, cp)| (inst.id, cp.size_bytes().max(1)))
-                    .collect();
-                let packed = first_fit_decreasing(&items, &bins).ok_or_else(|| {
-                    Error::Invariant("consolidation bin packing ran out of VM slots".into())
-                })?;
-                for instance in &new_instances {
-                    let vm = packed[&instance.id];
-                    self.create_worker_on(instance, vm, &resolved.olds)?;
-                }
+    // Phase 6: create the new workers on their VM slots (resolved through
+    // the placement layer) and restore state.
+    let olds = &resolved.olds;
+    match plan.kind {
+        ReconfigKind::ScaleOut { .. } => {
+            for instance in &new_instances {
+                cluster.deploy(instance, None, olds)?;
             }
         }
-        for (instance, part) in new_instances.iter().zip(parts.iter()) {
-            let worker = self.workers.get_mut(&instance.id).expect("just created");
-            worker.restore(part.clone());
+        ReconfigKind::ScaleIn { .. } => {
+            // The merged operator takes over the survivor's slot.
+            let vm = cluster.placement().vm_of_required(olds[0])?;
+            cluster.deploy(&new_instances[0], Some(vm), olds)?;
         }
-        // Reset the shared logical clock only when exactly one partition
-        // remains afterwards (a serial replacement or a merge to π=1), so no
-        // sibling is concurrently emitting on the same clock (§3.2).
-        if resolved.previous_parallelism + new_instances.len() == resolved.olds.len() + 1 {
-            if let Some(clock) = self.clocks.get(&resolved.logical) {
-                clock.reset_to(emit_clock);
+        ReconfigKind::Rebalance { .. } => {
+            // Every VM is reused: the i-th new range lands on the VM of the
+            // i-th old range (both lists are in key order), so each VM keeps
+            // serving its slice of the key space.
+            for (old, instance) in olds.iter().zip(&new_instances) {
+                let vm = cluster.placement().vm_of_required(*old)?;
+                cluster.deploy(instance, Some(vm), olds)?;
             }
         }
-        timing.restore_us = timer.lap();
-
-        // Phase 7: commit — initial backups, third-party backup migration,
-        // retirement of the replaced instances, VM release.
-        let upstream_instances = self.graph().upstream_instances(new_instances[0].id)?;
-        if !upstream_instances.is_empty() {
-            match self
-                .backup
-                .store_repartitioned(&resolved.olds, &upstream_instances, &parts)
-            {
-                Ok(outcomes) => {
-                    if resolved.pause_olds {
-                        // Merge-shaped plans surface the store write in the
-                        // metrics (the merged copy goes through the backend).
-                        for put in outcomes {
-                            self.metrics.record_store_write(
-                                self.config.store.label(),
-                                put.bytes_written,
-                                put.write_us,
-                                false,
-                            );
-                        }
-                    }
+        ReconfigKind::Consolidate { .. } => {
+            // First-fit-decreasing bin packing: the heaviest partitions (by
+            // checkpointed state size) claim slots first, over the VMs the
+            // operator already occupies in key order, so the leading VMs
+            // fill up and the trailing ones empty out.
+            let placement = cluster.placement();
+            let mut bins: Vec<(VmId, usize)> = Vec::new();
+            for old in olds {
+                let vm = placement.vm_of_required(*old)?;
+                if !bins.iter().any(|(b, _)| *b == vm) {
+                    bins.push((vm, placement.free_slots(vm, olds)));
                 }
-                Err(e) if resolved.strict_backup => return Err(e),
-                // Best effort otherwise: the state lives in the restored
-                // workers, the old backups stay in place (deleted only after
-                // a successful put) and the next periodic checkpoint
-                // re-establishes the backup.
-                Err(_) => {}
             }
-        }
-        // VMs that survive under a new instance keep the backups *other*
-        // operators stored on them: move those over to a new instance on the
-        // same VM instead of losing them with the bookkeeping. The pairing is
-        // derived from the placement — for a merge this is survivor → merged,
-        // for rebalance the key-order identity, for consolidate whatever the
-        // packing co-located; a replaced instance whose VM hosts no new one
-        // (the merge victim, an emptied consolidation VM) loses its store
-        // exactly as a released VM would.
-        let reused: Vec<(OperatorId, OperatorId)> = match plan.kind {
-            ReconfigKind::ScaleOut { .. } => Vec::new(),
-            _ => resolved
-                .olds
+            let items: Vec<(OperatorId, usize)> = new_instances
                 .iter()
-                .filter_map(|old| {
-                    let vm = self.placement.vm_of(*old)?;
-                    let new = new_instances
-                        .iter()
-                        .find(|i| self.placement.vm_of(i.id) == Some(vm))?;
-                    Some((*old, new.id))
-                })
-                .collect(),
+                .zip(parts.iter())
+                .map(|(inst, cp)| (inst.id, cp.size_bytes().max(1)))
+                .collect();
+            let packed = first_fit_decreasing(&items, &bins).ok_or_else(|| {
+                Error::Invariant("consolidation bin packing ran out of VM slots".into())
+            })?;
+            for instance in &new_instances {
+                cluster.deploy(instance, Some(packed[&instance.id]), olds)?;
+            }
+        }
+    }
+    // Reset the shared logical clock only when exactly one partition
+    // remains afterwards (a serial replacement or a merge to π=1), so no
+    // sibling is concurrently emitting on the same clock (§3.2).
+    let reset_clock = resolved.previous_parallelism + new_instances.len() == olds.len() + 1;
+    for (instance, part) in new_instances.iter().zip(parts.iter()) {
+        let restore = InstanceStep::Restore {
+            checkpoint: part.clone(),
+            reset_clock,
         };
-        for (old, new) in &reused {
-            self.migrate_third_party_backups(&resolved.olds, *old, *new);
-        }
-        // Retire the replaced instances; the placement reports which VMs are
-        // now empty. A scale out hands the (non-failed) target's VM back to
-        // the pool without reporting it as a shrink; the merge and
-        // consolidate shapes release every emptied VM and report them.
-        let emptied = self.retire_instances(&resolved.olds);
-        let released_vms: Vec<seep_cloud::VmId> = match plan.kind {
-            ReconfigKind::ScaleOut { .. } => {
-                if !resolved.was_failed {
-                    for vm in &emptied {
-                        self.pool.release(*vm, self.now_ms);
-                    }
-                }
-                Vec::new()
-            }
-            ReconfigKind::Rebalance { .. } => {
-                debug_assert!(emptied.is_empty(), "a rebalance reuses every VM");
-                Vec::new()
-            }
-            ReconfigKind::ScaleIn { .. } | ReconfigKind::Consolidate { .. } => {
-                for vm in &emptied {
-                    self.pool.release(*vm, self.now_ms);
-                }
-                emptied
-            }
-        };
-        timing.commit_us = timer.lap();
-
-        // Phase 8: replay. First the new instances re-send their restored
-        // output buffers downstream, then the upstream operators re-route,
-        // migrate pending tuples and replay everything unreflected.
-        let replayed_own = self.replay_restored_buffers(resolved.logical, &new_instances);
-        let replayed_upstream = self.update_upstreams(
-            resolved.logical,
-            &resolved.olds,
-            &new_instances,
-            &upstream_instances,
-            &reflected,
-        )?;
-        timing.replay_us = timer.lap();
-        timing.total_us = timer.total_us();
-
-        let replayed_tuples = replayed_upstream
-            + if resolved.count_own_replays {
-                replayed_own
-            } else {
-                0
-            };
-        Ok(ReconfigOutcome {
-            logical: resolved.logical,
-            new_operators: new_instances.iter().map(|i| i.id).collect(),
-            new_parallelism: self.graph().parallelism(resolved.logical),
-            replayed_tuples,
-            released_vms,
-            timing,
-        })
+        cluster.apply(instance.id, restore)?;
     }
+    timing.restore_us = timer.lap();
 
-    /// Validate the plan against the current graph and workers without
-    /// touching anything.
-    fn resolve_plan(&self, plan: &ReconfigPlan) -> Result<ResolvedPlan> {
-        match plan.kind {
-            ReconfigKind::ScaleOut { target, partitions } => {
-                if partitions == 0 {
-                    return Err(Error::InvalidParallelism(0));
-                }
-                let inst = self.graph().instance(target)?.clone();
-                let was_failed = self
-                    .workers
-                    .get(&target)
-                    .map(WorkerCore::is_failed)
-                    .unwrap_or(true);
-                Ok(ResolvedPlan {
-                    olds: vec![target],
-                    old_ranges: vec![(target, inst.key_range)],
-                    logical: inst.logical,
-                    source_range: inst.key_range,
-                    parts: partitions,
-                    previous_parallelism: self.graph().parallelism(inst.logical),
-                    was_failed,
-                    pause_olds: false,
-                    strict_backup: true,
-                    count_own_replays: false,
-                    fixed_ranges: None,
-                })
-            }
-            ReconfigKind::ScaleIn { target, victim } => {
-                if target == victim {
-                    return Err(Error::Invariant(
-                        "reconfiguring a pair needs two distinct partitions".into(),
-                    ));
-                }
-                let inst_t = self.graph().instance(target)?.clone();
-                let inst_v = self.graph().instance(victim)?.clone();
-                if inst_t.logical != inst_v.logical {
-                    return Err(Error::Invariant(format!(
-                        "cannot reconfigure partitions of different logical operators \
-                         ({} is {}, {} is {})",
-                        target, inst_t.logical, victim, inst_v.logical
-                    )));
-                }
-                for id in [target, victim] {
-                    self.live_partition(id)?;
-                }
-                // The pair must own a contiguous interval (the same adjacency
-                // rule merge_checkpoints enforces), checked up front so no
-                // state has been touched when the request is rejected.
-                let (lo, hi) = if inst_t.key_range.lo <= inst_v.key_range.lo {
-                    (inst_t.key_range, inst_v.key_range)
-                } else {
-                    (inst_v.key_range, inst_t.key_range)
-                };
-                if lo.hi == u64::MAX || lo.hi + 1 != hi.lo {
-                    return Err(Error::InvalidKeySplit(format!(
-                        "cannot reconfigure non-adjacent partitions {target} ({}) and \
-                         {victim} ({})",
-                        inst_t.key_range, inst_v.key_range
-                    )));
-                }
-                Ok(ResolvedPlan {
-                    // The survivor (whose VM hosts the merged operator) first.
-                    olds: vec![target, victim],
-                    old_ranges: vec![(target, inst_t.key_range), (victim, inst_v.key_range)],
-                    logical: inst_t.logical,
-                    source_range: KeyRange::new(lo.lo, hi.hi),
-                    parts: 1,
-                    previous_parallelism: self.graph().parallelism(inst_t.logical),
-                    was_failed: false,
-                    pause_olds: true,
-                    strict_backup: false,
-                    count_own_replays: true,
-                    fixed_ranges: None,
-                })
-            }
-            ReconfigKind::Rebalance { logical } | ReconfigKind::Consolidate { logical } => {
-                // Whole-operator shapes: every partition of `logical` is
-                // replaced. The partitions are taken in key order so VM reuse
-                // (rebalance) and bin ordering (consolidate) follow the key
-                // space, and their ranges must chain into one contiguous
-                // interval — which deploy and repartition guarantee, but is
-                // cheap to verify before any state is touched.
-                let consolidate = matches!(plan.kind, ReconfigKind::Consolidate { .. });
-                if consolidate && self.placement.slots_per_vm() < 2 {
-                    return Err(Error::Invariant(
-                        "consolidation needs multi-slot VMs (pool.slots_per_vm >= 2)".into(),
-                    ));
-                }
-                let partitions = self.graph().partitions(logical).to_vec();
-                if partitions.len() < 2 {
-                    return Err(Error::Invariant(format!(
-                        "{} of {logical} needs at least two partitions",
-                        if consolidate {
-                            "consolidation"
-                        } else {
-                            "rebalancing"
-                        },
-                    )));
-                }
-                let mut insts = Vec::with_capacity(partitions.len());
-                for id in partitions {
-                    self.live_partition(id)?;
-                    insts.push(self.graph().instance(id)?.clone());
-                }
-                insts.sort_by_key(|i| i.key_range.lo);
-                for pair in insts.windows(2) {
-                    let (a, b) = (&pair[0], &pair[1]);
-                    if a.key_range.hi == u64::MAX || a.key_range.hi + 1 != b.key_range.lo {
-                        return Err(Error::InvalidKeySplit(format!(
-                            "partitions of {logical} do not cover a contiguous interval \
-                             ({} then {})",
-                            a.key_range, b.key_range
-                        )));
-                    }
-                }
-                let source_range =
-                    KeyRange::new(insts[0].key_range.lo, insts.last().unwrap().key_range.hi);
-                Ok(ResolvedPlan {
-                    olds: insts.iter().map(|i| i.id).collect(),
-                    old_ranges: insts.iter().map(|i| (i.id, i.key_range)).collect(),
-                    logical,
-                    source_range,
-                    parts: insts.len(),
-                    previous_parallelism: insts.len(),
-                    was_failed: false,
-                    pause_olds: true,
-                    strict_backup: false,
-                    count_own_replays: true,
-                    fixed_ranges: consolidate.then(|| insts.iter().map(|i| i.key_range).collect()),
-                })
-            }
-        }
-    }
-
-    /// A partition a merge-shaped plan may touch: known to the graph, its
-    /// worker alive, its placement known.
-    fn live_partition(&self, id: OperatorId) -> Result<()> {
-        if self
-            .workers
-            .get(&id)
-            .map(WorkerCore::is_failed)
-            .unwrap_or(true)
+    // Phase 7: commit — initial backups, third-party backup migration,
+    // retirement of the replaced instances, VM release.
+    let upstream_instances = cluster.graph().upstream_instances(new_instances[0].id)?;
+    if !upstream_instances.is_empty() {
+        match cluster
+            .backup()
+            .store_repartitioned(olds, &upstream_instances, &parts)
         {
-            return Err(Error::Invariant(format!(
-                "cannot reconfigure failed or unknown operator {id} (recover it instead)"
-            )));
-        }
-        self.placement.vm_of_required(id)?;
-        Ok(())
-    }
-
-    /// Obtain the checkpoint the plan repartitions.
-    fn capture_state(
-        &mut self,
-        plan: &ReconfigPlan,
-        resolved: &ResolvedPlan,
-    ) -> Result<Checkpoint> {
-        match plan.kind {
-            ReconfigKind::ScaleOut { target, .. } => {
-                // The backed-up checkpoint of the target (Algorithm 3
-                // partitions backup(o)'s copy so the overloaded/failed
-                // operator itself is not involved). If no backup exists yet
-                // and the operator is alive, take one now; otherwise start
-                // from empty state and rely on replay (the UB/SR baselines).
-                let restore_started = Instant::now();
-                match self.backup.retrieve_measured(target) {
-                    Ok((checkpoint, read_bytes)) => {
-                        self.metrics.record_store_restore(
-                            self.config.store.label(),
-                            read_bytes as usize,
-                            restore_started.elapsed().as_micros() as u64,
+            Ok(outcomes) => {
+                if resolved.pause_olds {
+                    // Merge-shaped plans surface the store write in the
+                    // metrics (the merged copy goes through the backend).
+                    let store = cluster.context().store;
+                    for put in outcomes {
+                        cluster.metrics().record_store_write(
+                            store,
+                            put.bytes_written,
+                            put.write_us,
+                            false,
                         );
-                        Ok(checkpoint)
-                    }
-                    Err(_) if !resolved.was_failed && self.config.strategy.checkpoints() => {
-                        self.checkpoint_operator(target)?;
-                        let restore_started = Instant::now();
-                        let (checkpoint, read_bytes) = self.backup.retrieve_measured(target)?;
-                        self.metrics.record_store_restore(
-                            self.config.store.label(),
-                            read_bytes as usize,
-                            restore_started.elapsed().as_micros() as u64,
-                        );
-                        Ok(checkpoint)
-                    }
-                    // No backup anywhere (UB/SR baselines or a failed, never
-                    // checkpointed operator): nothing was read from any store.
-                    Err(_) => Ok(Checkpoint::empty(target)),
-                }
-            }
-            ReconfigKind::ScaleIn { .. }
-            | ReconfigKind::Rebalance { .. }
-            | ReconfigKind::Consolidate { .. } => {
-                let stamp = resolved.olds[0];
-                if !self.config.strategy.checkpoints() {
-                    // UB/SR baselines keep no checkpoints: the plan starts
-                    // from empty state and the untrimmed upstream buffers
-                    // rebuild it through replay.
-                    return Ok(Checkpoint::empty(stamp));
-                }
-                // Checkpoint every replaced partition (backing up its final
-                // state and trimming the upstream buffers to it) and merge
-                // the backed-up copies at the store — the inverse of
-                // Algorithm 2's partitioning. A merge pools two partitions,
-                // a rebalance or consolidation pools all π; the pooled
-                // checkpoint also carries the union of the per-partition
-                // traffic samples, which is what the weighted-quantile
-                // re-split consults. Provisionally stamped with the first
-                // old's id; the transform phase re-stamps the parts.
-                let restore_started = Instant::now();
-                let read_before = self.backup.aggregate_stats().bytes_restored;
-                for id in &resolved.olds {
-                    self.checkpoint_operator(*id)?;
-                }
-                let (merged, _) = self.backup.merge_adjacent(stamp, &resolved.old_ranges)?;
-                let read = self
-                    .backup
-                    .aggregate_stats()
-                    .bytes_restored
-                    .saturating_sub(read_before);
-                self.metrics.record_store_restore(
-                    self.config.store.label(),
-                    read as usize,
-                    restore_started.elapsed().as_micros() as u64,
-                );
-                Ok(merged)
-            }
-        }
-    }
-
-    /// Pick the new key ranges for the plan.
-    fn choose_split(
-        &self,
-        plan: &ReconfigPlan,
-        resolved: &ResolvedPlan,
-        captured: &Checkpoint,
-    ) -> Result<SplitDecision> {
-        match plan.kind {
-            // A merge produces a single range covering the pair.
-            ReconfigKind::ScaleIn { .. } => Ok(SplitDecision {
-                ranges: vec![resolved.source_range],
-                kind: SplitKind::None,
-                post_split_imbalance: 0.0,
-            }),
-            // A consolidation moves partitions between VMs without touching
-            // the key space: the new instances keep the old ranges.
-            ReconfigKind::Consolidate { .. } => Ok(SplitDecision {
-                ranges: resolved
-                    .fixed_ranges
-                    .clone()
-                    .expect("consolidate resolves fixed ranges"),
-                kind: SplitKind::None,
-                post_split_imbalance: 0.0,
-            }),
-            ReconfigKind::ScaleOut { .. } | ReconfigKind::Rebalance { .. } => {
-                plan.split
-                    .choose(&resolved.source_range, resolved.parts, captured)
-            }
-        }
-    }
-
-    /// Process every queued tuple on the given operators' inbound channels.
-    /// Draining before a merge matters for correctness: the merged
-    /// reflected-timestamp vector is the pointwise max over the pair, so any
-    /// tuple still queued below that watermark would be neither restored nor
-    /// replayed.
-    fn drain_inbound(&mut self, ops: &[OperatorId]) {
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let epoch = self.epoch;
-        for id in ops {
-            if let Some(worker) = self.workers.get_mut(id) {
-                while worker.step(&network, &metrics, epoch, STEP_BUDGET) > 0 {}
-            }
-        }
-    }
-
-    fn set_all_paused(&mut self, ops: &[OperatorId], paused: bool) {
-        for id in ops {
-            if let Some(worker) = self.workers.get_mut(id) {
-                worker.set_paused(paused);
-            }
-        }
-    }
-
-    /// Unpause a paused pair and hand the error back — the capture/rewrite
-    /// failure path that leaves the runtime exactly as it was.
-    fn abort_paused(&mut self, resolved: &ResolvedPlan, e: Error) -> Error {
-        if resolved.pause_olds {
-            self.set_all_paused(&resolved.olds, false);
-        }
-        e
-    }
-
-    /// Move the backups *other* operators stored on `old`'s (surviving) VM
-    /// over to `new`'s store; only a released VM's store is genuinely lost.
-    fn migrate_third_party_backups(
-        &mut self,
-        replaced: &[OperatorId],
-        old: OperatorId,
-        new: OperatorId,
-    ) {
-        if let (Ok(old_store), Ok(new_store)) =
-            (self.backup.store_of(old), self.backup.store_of(new))
-        {
-            for owner in old_store.owners() {
-                if replaced.contains(&owner) {
-                    continue; // superseded by the repartitioned checkpoints
-                }
-                if let Ok(checkpoint) = old_store.latest(owner) {
-                    if new_store.put(owner, checkpoint).is_ok()
-                        && self.backup.backup_of(owner) == Some(old)
-                    {
-                        self.backup.set_backup_of(owner, new);
                     }
                 }
             }
+            Err(e) if resolved.strict_backup => return Err(e),
+            // Best effort otherwise: the state lives in the restored
+            // workers, the old backups stay in place (deleted only after a
+            // successful put) and the next periodic checkpoint
+            // re-establishes the backup.
+            Err(_) => {}
         }
     }
-
-    /// Remove every trace of the replaced instances from the runtime's
-    /// bookkeeping. Returns the VMs whose last slot was vacated, so the
-    /// caller can decide whether to release them to the pool.
-    fn retire_instances(&mut self, olds: &[OperatorId]) -> Vec<seep_cloud::VmId> {
-        let mut emptied = Vec::new();
+    // VMs that survive under a new instance keep the backups *other*
+    // operators stored on them: move those over to a new instance on the
+    // same VM instead of losing them with the bookkeeping. The pairing is
+    // derived from the placement — for a merge this is survivor → merged,
+    // for rebalance the key-order identity, for consolidate whatever the
+    // packing co-located; a replaced instance whose VM hosts no new one (the
+    // merge victim, an emptied consolidation VM) loses its store exactly as
+    // a released VM would.
+    if !matches!(plan.kind, ReconfigKind::ScaleOut { .. }) {
+        let placement = cluster.placement();
         for old in olds {
-            self.network.disconnect(*old);
-            self.workers.remove(old);
-            self.backup.unregister_store(*old);
-            self.backup.clear_backup_of(*old);
-            if let Some((vm, empty)) = self.placement.release(*old) {
-                if empty {
-                    emptied.push(vm);
-                }
-            }
-            self.monitor.forget(*old);
-            self.checkpoint_seq.remove(old);
-            self.last_checkpoint_ms.remove(old);
-        }
-        emptied
-    }
-
-    /// New partitions replay their restored output buffers downstream
-    /// (Algorithm 3, line 7); downstream duplicate filters discard what they
-    /// already processed. Routing towards downstream partitions is refreshed
-    /// first. Returns the number of tuples re-sent.
-    fn replay_restored_buffers(
-        &mut self,
-        logical: LogicalOpId,
-        new_instances: &[seep_core::graph::OperatorInstance],
-    ) -> usize {
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let downstream_logicals = self.graph().query().downstream(logical);
-        let routings: Vec<(LogicalOpId, seep_core::RoutingState)> = downstream_logicals
-            .iter()
-            .filter_map(|ld| self.graph().routing(*ld).ok().map(|r| (*ld, r.clone())))
-            .collect();
-        let mut planned: Vec<(OperatorId, OperatorId)> = Vec::new();
-        for instance in new_instances {
-            if let Some(worker) = self.workers.get_mut(&instance.id) {
-                for (ld, routing) in &routings {
-                    worker.set_routing(*ld, routing.clone());
-                }
-                planned.extend(
-                    worker
-                        .buffer()
-                        .downstreams()
-                        .into_iter()
-                        .map(|d| (instance.id, d)),
-                );
-            }
-        }
-        let mut replayed = 0;
-        for (from, to) in planned {
-            // Replay-buffer-state (Algorithm 1, line 10): only tuples the
-            // downstream has not reflected are re-sent. Its duplicate filter
-            // would discard the rest anyway, but pushing a restored buffer's
-            // full history into a paused receiver's bounded channel can
-            // exceed its capacity and wedge the single-threaded executor.
-            let reflected = self
-                .workers
-                .get(&to)
-                .map(|w| w.reflected().clone())
-                .unwrap_or_default();
-            if let Some(worker) = self.workers.get(&from) {
-                replayed += worker.replay_to(to, &reflected, &network, &metrics);
-            }
-        }
-        replayed
-    }
-
-    /// Update the upstream operators: stop, install the new routing, migrate
-    /// tuples buffered for the replaced instances to the partition now owning
-    /// their key, replay everything `reflected` does not cover, restart
-    /// (Algorithm 3, lines 9–14). Returns the number of tuples replayed.
-    fn update_upstreams(
-        &mut self,
-        logical: LogicalOpId,
-        olds: &[OperatorId],
-        new_instances: &[seep_core::graph::OperatorInstance],
-        upstream_instances: &[OperatorId],
-        reflected: &TimestampVec,
-    ) -> Result<usize> {
-        let new_routing = self.graph().routing(logical)?.clone();
-        let mut streams: BTreeMap<LogicalOpId, Vec<OperatorId>> = BTreeMap::new();
-        for up in upstream_instances {
-            let Some(worker) = self.workers.get_mut(up) else {
+            let Some(vm) = placement.vm_of(*old) else {
                 continue;
             };
-            worker.set_paused(true);
-            worker.set_routing(logical, new_routing.clone());
-            for old in olds {
-                let pending = worker
-                    .buffer_mut()
-                    .remove_downstream(*old)
-                    .unwrap_or_default();
-                for tuple in pending {
-                    if let Some(new_target) = new_routing.route(tuple.key) {
-                        worker.buffer_mut().push(new_target, tuple);
-                    }
-                }
-            }
-            streams.entry(worker.logical).or_default().push(*up);
-        }
-        // Sibling partitions of one upstream operator share an output stream
-        // and its clock, and the receiver's duplicate filter is a per-stream
-        // high watermark: what the siblings replay must arrive merged in
-        // timestamp order, or the later sibling's older tuples are dropped as
-        // duplicates. Each run of the merge is re-sent by the sibling that
-        // buffered it.
-        let mut replayed = 0;
-        for instance in new_instances {
-            for siblings in streams.values() {
-                let mut tuples: Vec<(OperatorId, Tuple)> = Vec::new();
-                for up in siblings {
-                    let unreflected = self.workers[up].unreflected(instance.id, reflected);
-                    tuples.extend(unreflected.into_iter().map(|tuple| (*up, tuple)));
-                }
-                tuples.sort_by_key(|(_, tuple)| tuple.ts);
-                replayed += tuples.len();
-                for run in tuples.chunk_by(|(a, _), (b, _)| a == b) {
-                    self.workers[&run[0].0].resend(
-                        instance.id,
-                        run.iter().map(|(_, tuple)| tuple.clone()),
-                        &self.network,
-                        &self.metrics,
-                    );
-                }
+            if let Some(new) = new_instances
+                .iter()
+                .find(|i| placement.vm_of(i.id) == Some(vm))
+            {
+                migrate_third_party_backups(cluster.backup(), olds, *old, new.id);
             }
         }
-        for up in upstream_instances {
-            if let Some(worker) = self.workers.get_mut(up) {
-                worker.set_paused(false);
-            }
-        }
-        Ok(replayed)
     }
+    // Retire the replaced instances; the placement reports which VMs are
+    // now empty. A scale out hands the (non-failed) target's VM back
+    // without reporting it as a shrink; the merge and consolidate shapes
+    // release every emptied VM and report them.
+    let emptied = cluster.retire(olds);
+    let released_vms: Vec<VmId> = match plan.kind {
+        ReconfigKind::ScaleOut { .. } => {
+            if !resolved.was_failed {
+                for vm in &emptied {
+                    cluster.release_vm(*vm);
+                }
+            }
+            Vec::new()
+        }
+        ReconfigKind::Rebalance { .. } => {
+            debug_assert!(emptied.is_empty(), "a rebalance reuses every VM");
+            Vec::new()
+        }
+        ReconfigKind::ScaleIn { .. } | ReconfigKind::Consolidate { .. } => {
+            for vm in &emptied {
+                cluster.release_vm(*vm);
+            }
+            emptied
+        }
+    };
+    timing.commit_us = timer.lap();
+
+    // Phase 8: replay. First the new instances re-send their restored
+    // output buffers downstream, then the upstream operators re-route,
+    // migrate pending tuples and replay everything unreflected.
+    let replayed_own = replay_restored_buffers(cluster, resolved.logical, &new_instances)?;
+    let replayed_upstream = update_upstreams(
+        cluster,
+        resolved.logical,
+        olds,
+        &new_instances,
+        &upstream_instances,
+        &reflected,
+    )?;
+    timing.replay_us = timer.lap();
+    timing.total_us = timer.total_us();
+
+    let replayed_tuples = replayed_upstream
+        + if resolved.count_own_replays {
+            replayed_own
+        } else {
+            0
+        };
+    Ok(ReconfigOutcome {
+        logical: resolved.logical,
+        new_operators: new_instances.iter().map(|i| i.id).collect(),
+        new_parallelism: cluster.graph().parallelism(resolved.logical),
+        replayed_tuples,
+        released_vms,
+        timing,
+    })
+}
+
+/// Validate the plan against the current graph and workers without
+/// touching anything.
+fn resolve_plan<C: ClusterBackend + ?Sized>(
+    cluster: &C,
+    plan: &ReconfigPlan,
+) -> Result<ResolvedPlan> {
+    let graph = cluster.graph();
+    match plan.kind {
+        ReconfigKind::ScaleOut { target, partitions } => {
+            if partitions == 0 {
+                return Err(Error::InvalidParallelism(0));
+            }
+            let inst = graph.instance(target)?.clone();
+            Ok(ResolvedPlan {
+                olds: vec![target],
+                old_ranges: vec![(target, inst.key_range)],
+                logical: inst.logical,
+                source_range: inst.key_range,
+                parts: partitions,
+                previous_parallelism: graph.parallelism(inst.logical),
+                was_failed: !cluster.is_live(target),
+                pause_olds: false,
+                strict_backup: true,
+                count_own_replays: false,
+                fixed_ranges: None,
+            })
+        }
+        ReconfigKind::ScaleIn { target, victim } => {
+            if target == victim {
+                return Err(Error::Invariant(
+                    "reconfiguring a pair needs two distinct partitions".into(),
+                ));
+            }
+            let inst_t = graph.instance(target)?.clone();
+            let inst_v = graph.instance(victim)?.clone();
+            if inst_t.logical != inst_v.logical {
+                return Err(Error::Invariant(format!(
+                    "cannot reconfigure partitions of different logical operators \
+                     ({} is {}, {} is {})",
+                    target, inst_t.logical, victim, inst_v.logical
+                )));
+            }
+            for id in [target, victim] {
+                live_partition(cluster, id)?;
+            }
+            // The pair must own a contiguous interval (the same adjacency
+            // rule merge_checkpoints enforces), checked up front so no state
+            // has been touched when the request is rejected.
+            let (lo, hi) = if inst_t.key_range.lo <= inst_v.key_range.lo {
+                (inst_t.key_range, inst_v.key_range)
+            } else {
+                (inst_v.key_range, inst_t.key_range)
+            };
+            if lo.hi == u64::MAX || lo.hi + 1 != hi.lo {
+                return Err(Error::InvalidKeySplit(format!(
+                    "cannot reconfigure non-adjacent partitions {target} ({}) and \
+                     {victim} ({})",
+                    inst_t.key_range, inst_v.key_range
+                )));
+            }
+            Ok(ResolvedPlan {
+                // The survivor (whose VM hosts the merged operator) first.
+                olds: vec![target, victim],
+                old_ranges: vec![(target, inst_t.key_range), (victim, inst_v.key_range)],
+                logical: inst_t.logical,
+                source_range: KeyRange::new(lo.lo, hi.hi),
+                parts: 1,
+                previous_parallelism: graph.parallelism(inst_t.logical),
+                was_failed: false,
+                pause_olds: true,
+                strict_backup: false,
+                count_own_replays: true,
+                fixed_ranges: None,
+            })
+        }
+        ReconfigKind::Rebalance { logical } | ReconfigKind::Consolidate { logical } => {
+            // Whole-operator shapes: every partition of `logical` is
+            // replaced. The partitions are taken in key order so VM reuse
+            // (rebalance) and bin ordering (consolidate) follow the key
+            // space, and their ranges must chain into one contiguous
+            // interval — which deploy and repartition guarantee, but is
+            // cheap to verify before any state is touched.
+            let consolidate = matches!(plan.kind, ReconfigKind::Consolidate { .. });
+            if consolidate && cluster.placement().slots_per_vm() < 2 {
+                return Err(Error::Invariant(
+                    "consolidation needs multi-slot VMs (pool.slots_per_vm >= 2)".into(),
+                ));
+            }
+            let partitions = graph.partitions(logical).to_vec();
+            if partitions.len() < 2 {
+                return Err(Error::Invariant(format!(
+                    "{} of {logical} needs at least two partitions",
+                    if consolidate {
+                        "consolidation"
+                    } else {
+                        "rebalancing"
+                    },
+                )));
+            }
+            let mut insts = Vec::with_capacity(partitions.len());
+            for id in partitions {
+                live_partition(cluster, id)?;
+                insts.push(graph.instance(id)?.clone());
+            }
+            insts.sort_by_key(|i| i.key_range.lo);
+            for pair in insts.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                if a.key_range.hi == u64::MAX || a.key_range.hi + 1 != b.key_range.lo {
+                    return Err(Error::InvalidKeySplit(format!(
+                        "partitions of {logical} do not cover a contiguous interval \
+                         ({} then {})",
+                        a.key_range, b.key_range
+                    )));
+                }
+            }
+            let source_range =
+                KeyRange::new(insts[0].key_range.lo, insts.last().unwrap().key_range.hi);
+            Ok(ResolvedPlan {
+                olds: insts.iter().map(|i| i.id).collect(),
+                old_ranges: insts.iter().map(|i| (i.id, i.key_range)).collect(),
+                logical,
+                source_range,
+                parts: insts.len(),
+                previous_parallelism: insts.len(),
+                was_failed: false,
+                pause_olds: true,
+                strict_backup: false,
+                count_own_replays: true,
+                fixed_ranges: consolidate.then(|| insts.iter().map(|i| i.key_range).collect()),
+            })
+        }
+    }
+}
+
+/// A partition a merge-shaped plan may touch: known to the graph, its worker
+/// alive, its placement known.
+fn live_partition<C: ClusterBackend + ?Sized>(cluster: &C, id: OperatorId) -> Result<()> {
+    if !cluster.is_live(id) {
+        return Err(Error::Invariant(format!(
+            "cannot reconfigure failed or unknown operator {id} (recover it instead)"
+        )));
+    }
+    cluster.placement().vm_of_required(id)?;
+    Ok(())
+}
+
+/// Obtain the checkpoint the plan repartitions.
+fn capture_state<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    plan: &ReconfigPlan,
+    resolved: &ResolvedPlan,
+) -> Result<Checkpoint> {
+    let ctx = cluster.context();
+    match plan.kind {
+        ReconfigKind::ScaleOut { target, .. } => {
+            // The backed-up checkpoint of the target (Algorithm 3 partitions
+            // backup(o)'s copy so the overloaded/failed operator itself is
+            // not involved). If no backup exists yet and the operator is
+            // alive, take one now; otherwise start from empty state and rely
+            // on replay (the UB/SR baselines).
+            let retrieve = |cluster: &C| -> Result<Checkpoint> {
+                let started = Instant::now();
+                let (checkpoint, read_bytes) = cluster.backup().retrieve_measured(target)?;
+                cluster.metrics().record_store_restore(
+                    ctx.store,
+                    read_bytes as usize,
+                    started.elapsed().as_micros() as u64,
+                );
+                Ok(checkpoint)
+            };
+            match retrieve(cluster) {
+                Ok(checkpoint) => Ok(checkpoint),
+                Err(_) if !resolved.was_failed && ctx.strategy.checkpoints() => {
+                    checkpoint_operator(cluster, target)?;
+                    retrieve(cluster)
+                }
+                // No backup anywhere (UB/SR baselines or a failed, never
+                // checkpointed operator): nothing was read from any store.
+                Err(_) => Ok(Checkpoint::empty(target)),
+            }
+        }
+        ReconfigKind::ScaleIn { .. }
+        | ReconfigKind::Rebalance { .. }
+        | ReconfigKind::Consolidate { .. } => {
+            let stamp = resolved.olds[0];
+            if !ctx.strategy.checkpoints() {
+                // UB/SR baselines keep no checkpoints: the plan starts from
+                // empty state and the untrimmed upstream buffers rebuild it
+                // through replay.
+                return Ok(Checkpoint::empty(stamp));
+            }
+            // Checkpoint every replaced partition (backing up its final
+            // state and trimming the upstream buffers to it) and merge the
+            // backed-up copies at the store — the inverse of Algorithm 2's
+            // partitioning. A merge pools two partitions, a rebalance or
+            // consolidation pools all π; the pooled checkpoint also carries
+            // the union of the per-partition traffic samples, which is what
+            // the weighted-quantile re-split consults. Provisionally stamped
+            // with the first old's id; the transform phase re-stamps the
+            // parts.
+            let restore_started = Instant::now();
+            let read_before = cluster.backup().aggregate_stats().bytes_restored;
+            for id in &resolved.olds {
+                checkpoint_operator(cluster, *id)?;
+            }
+            let backup = cluster.backup();
+            let (merged, _) = backup.merge_adjacent(stamp, &resolved.old_ranges)?;
+            let read = backup
+                .aggregate_stats()
+                .bytes_restored
+                .saturating_sub(read_before);
+            cluster.metrics().record_store_restore(
+                ctx.store,
+                read as usize,
+                restore_started.elapsed().as_micros() as u64,
+            );
+            Ok(merged)
+        }
+    }
+}
+
+/// Pick the new key ranges for the plan.
+fn choose_split(
+    plan: &ReconfigPlan,
+    resolved: &ResolvedPlan,
+    captured: &Checkpoint,
+) -> Result<SplitDecision> {
+    match plan.kind {
+        // A merge produces a single range covering the pair.
+        ReconfigKind::ScaleIn { .. } => Ok(SplitDecision {
+            ranges: vec![resolved.source_range],
+            kind: SplitKind::None,
+            post_split_imbalance: 0.0,
+        }),
+        // A consolidation moves partitions between VMs without touching the
+        // key space: the new instances keep the old ranges.
+        ReconfigKind::Consolidate { .. } => Ok(SplitDecision {
+            ranges: resolved
+                .fixed_ranges
+                .clone()
+                .expect("consolidate resolves fixed ranges"),
+            kind: SplitKind::None,
+            post_split_imbalance: 0.0,
+        }),
+        ReconfigKind::ScaleOut { .. } | ReconfigKind::Rebalance { .. } => {
+            plan.split
+                .choose(&resolved.source_range, resolved.parts, captured)
+        }
+    }
+}
+
+fn set_paused<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    ops: &[OperatorId],
+    on: bool,
+) -> Result<()> {
+    for id in ops {
+        cluster.apply(*id, InstanceStep::Pause { on })?;
+    }
+    Ok(())
+}
+
+/// Unpause a paused pair and hand the error back — the capture/rewrite
+/// failure path that leaves the cluster exactly as it was.
+fn abort_paused<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    resolved: &ResolvedPlan,
+    e: Error,
+) -> Error {
+    if resolved.pause_olds {
+        let _ = set_paused(cluster, &resolved.olds, false);
+    }
+    e
+}
+
+/// Move the backups *other* operators stored on `old`'s (surviving) VM over
+/// to `new`'s store; only a released VM's store is genuinely lost.
+fn migrate_third_party_backups(
+    backup: &BackupCoordinator,
+    replaced: &[OperatorId],
+    old: OperatorId,
+    new: OperatorId,
+) {
+    if let (Ok(old_store), Ok(new_store)) = (backup.store_of(old), backup.store_of(new)) {
+        for owner in old_store.owners() {
+            if replaced.contains(&owner) {
+                continue; // superseded by the repartitioned checkpoints
+            }
+            if let Ok(checkpoint) = old_store.latest(owner) {
+                if new_store.put(owner, checkpoint).is_ok() && backup.backup_of(owner) == Some(old)
+                {
+                    backup.set_backup_of(owner, new);
+                }
+            }
+        }
+    }
+}
+
+/// New partitions replay their restored output buffers downstream
+/// (Algorithm 3, line 7); downstream duplicate filters discard what they
+/// already processed. Routing towards downstream partitions is refreshed
+/// first. Returns the number of tuples re-sent.
+fn replay_restored_buffers<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    logical: LogicalOpId,
+    new_instances: &[OperatorInstance],
+) -> Result<usize> {
+    let graph = cluster.graph();
+    let routings: Vec<(LogicalOpId, RoutingState)> = graph
+        .query()
+        .downstream(logical)
+        .iter()
+        .filter_map(|ld| graph.routing(*ld).ok().map(|r| (*ld, r.clone())))
+        .collect();
+    let mut planned: Vec<(OperatorId, OperatorId)> = Vec::new();
+    for instance in new_instances {
+        if !cluster.hosts(instance.id) {
+            continue;
+        }
+        for (downstream, routing) in &routings {
+            let set = InstanceStep::SetRouting {
+                downstream: *downstream,
+                routing: routing.clone(),
+            };
+            cluster.apply(instance.id, set)?;
+        }
+        let targets = cluster.apply(instance.id, InstanceStep::Targets)?;
+        planned.extend(
+            targets
+                .into_targets()?
+                .into_iter()
+                .map(|d| (instance.id, d)),
+        );
+    }
+    let mut replayed = 0;
+    for (from, to) in planned {
+        // Replay-buffer-state (Algorithm 1, line 10): only tuples the
+        // downstream has not reflected are re-sent. Its duplicate filter
+        // would discard the rest anyway, but pushing a restored buffer's
+        // full history into a paused receiver's bounded channel can exceed
+        // its capacity and wedge the single-threaded executor.
+        let reflected = if cluster.hosts(to) {
+            cluster
+                .apply(to, InstanceStep::Reflected)?
+                .into_reflected()?
+        } else {
+            TimestampVec::default()
+        };
+        if cluster.hosts(from) {
+            let replay = InstanceStep::ReplayTo {
+                target: to,
+                reflected,
+            };
+            replayed += cluster.apply(from, replay)?.into_replayed()?;
+        }
+    }
+    Ok(replayed)
+}
+
+/// Update the upstream operators: stop, install the new routing, migrate
+/// tuples buffered for the replaced instances to the partition now owning
+/// their key, replay everything `reflected` does not cover, restart
+/// (Algorithm 3, lines 9–14). Returns the number of tuples replayed.
+fn update_upstreams<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    logical: LogicalOpId,
+    olds: &[OperatorId],
+    new_instances: &[OperatorInstance],
+    upstream_instances: &[OperatorId],
+    reflected: &TimestampVec,
+) -> Result<usize> {
+    let new_routing = cluster.graph().routing(logical)?.clone();
+    let mut streams: BTreeMap<LogicalOpId, Vec<OperatorId>> = BTreeMap::new();
+    let mut paused = Vec::new();
+    for up in upstream_instances {
+        if !cluster.hosts(*up) {
+            continue;
+        }
+        cluster.apply(*up, InstanceStep::Pause { on: true })?;
+        let set = InstanceStep::SetRouting {
+            downstream: logical,
+            routing: new_routing.clone(),
+        };
+        cluster.apply(*up, set)?;
+        let reroute = InstanceStep::Reroute {
+            downstream: logical,
+            olds: olds.to_vec(),
+        };
+        cluster.apply(*up, reroute)?;
+        let up_logical = cluster.graph().instance(*up)?.logical;
+        streams.entry(up_logical).or_default().push(*up);
+        paused.push(*up);
+    }
+    // Sibling partitions of one upstream operator share an output stream
+    // and its clock, and the receiver's duplicate filter is a per-stream
+    // high watermark: what the siblings replay must arrive merged in
+    // timestamp order, or the later sibling's older tuples are dropped as
+    // duplicates. Each run of the merge is re-sent by the sibling that
+    // buffered it; the merge needs only the timestamps.
+    let mut replayed = 0;
+    for instance in new_instances {
+        for siblings in streams.values() {
+            let mut stamps: Vec<(OperatorId, Timestamp)> = Vec::new();
+            for up in siblings {
+                let unreflected = InstanceStep::Unreflected {
+                    target: instance.id,
+                    reflected: reflected.clone(),
+                };
+                let ts = cluster.apply(*up, unreflected)?.into_timestamps()?;
+                stamps.extend(ts.into_iter().map(|ts| (*up, ts)));
+            }
+            stamps.sort_by_key(|(_, ts)| *ts);
+            replayed += stamps.len();
+            for run in stamps.chunk_by(|(a, _), (b, _)| a == b) {
+                let resend = InstanceStep::Resend {
+                    target: instance.id,
+                    first: run[0].1,
+                    last: run[run.len() - 1].1,
+                };
+                cluster.apply(run[0].0, resend)?;
+            }
+        }
+    }
+    set_paused(cluster, &paused, false)?;
+    Ok(replayed)
 }

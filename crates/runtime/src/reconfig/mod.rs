@@ -21,10 +21,10 @@
 //! ([`crate::metrics::ReconfigTiming`]).
 //!
 //! There is **one way to run a plan and one way to remember it**
-//! (`entry.rs`): `Runtime::reconfigure(plan, kind)` is the only caller of the
-//! executor, and the only place that journals the commit or the rejection,
-//! marks the operator busy for the health derivation, re-arms the control
-//! loop's one-shot rebalance and records the plan — as one
+//! (`entry.rs`): [`reconfigure`]`(cluster, plan, kind)` is the only caller
+//! of the executor, and the only place that journals the commit or the
+//! rejection, tells the cluster the plan committed and records the plan — as
+//! one
 //! [`ReconfigRecord`](crate::metrics::ReconfigRecord) whose
 //! [`JournalKind`](crate::obs::JournalKind) is the one name of the plan kind
 //! everywhere. [`Runtime::scale_out`], [`Runtime::scale_in`],
@@ -33,6 +33,14 @@
 //! [`Runtime::recover`] is the scale-out plan of the failed instance run as
 //! kind `Recovery`, plus the source replay and catch-up drain it owns. VM
 //! slots are resolved through the [placement layer](crate::placement).
+//!
+//! The executor runs over **either cluster backend** (`cluster.rs`): it
+//! acts on instances only through [`InstanceStep`]s, which the in-process
+//! [`Runtime`](crate::Runtime) applies to its workers directly and
+//! `seep-node`'s coordinator ships to the worker processes, and it leaves to
+//! the [`ClusterBackend`] only where a new instance is hosted, how a
+//! replaced one is retired and what releasing a VM means. The checkpoint
+//! round, [`checkpoint_operator`], is shared the same way.
 //!
 //! The plan's split phase is **skew-aware**: with
 //! [`SplitPolicy::SkewAware`], the executor samples hot keys from the
@@ -49,11 +57,13 @@
 //! [`Runtime::rebalance_operator`]: crate::Runtime::rebalance_operator
 //! [`Runtime::consolidate`]: crate::Runtime::consolidate
 
+mod cluster;
 mod entry;
 mod executor;
 mod plan;
 
-pub use entry::PlanCommit;
+pub use cluster::{checkpoint_operator, ClusterBackend, InstanceStep, PlanContext, StepReply};
+pub use entry::reconfigure;
 pub use executor::ReconfigOutcome;
 pub use plan::{
     ReconfigKind, ReconfigPlan, SplitDecision, SplitPolicy, DEFAULT_IMBALANCE_THRESHOLD,

@@ -17,7 +17,7 @@ use std::time::Instant;
 use seep_cloud::{CloudProvider, CpuMonitor, UtilizationReport, VmPool};
 use seep_core::operator::OperatorFactory;
 use seep_core::{
-    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result, StreamId,
+    Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result,
 };
 use seep_net::Network;
 use seep_store::{BackupCoordinator, StoreStats};
@@ -29,7 +29,8 @@ use crate::obs::{
     Journal, JournalKind, ObsShared, ObsSnapshot, OperatorHealth, PlanTrigger, ReconfigPhaseTotals,
 };
 use crate::placement::Placement;
-use crate::worker::{Capture, SharedClock, WorkerCore};
+use crate::reconfig::{ClusterBackend, InstanceStep, PlanContext, StepReply};
+use crate::worker::{SharedClock, WorkerCore};
 
 /// The stream processing system.
 pub struct Runtime {
@@ -169,14 +170,6 @@ impl Runtime {
         Ok(())
     }
 
-    pub(crate) fn graph(&self) -> &ExecutionGraph {
-        self.graph.as_ref().expect("query deployed")
-    }
-
-    pub(crate) fn graph_mut(&mut self) -> &mut ExecutionGraph {
-        self.graph.as_mut().expect("query deployed")
-    }
-
     /// The execution graph (for inspection by experiments).
     pub fn execution_graph(&self) -> &ExecutionGraph {
         self.graph()
@@ -242,20 +235,6 @@ impl Runtime {
     /// Total tuples queued on worker inbound channels (0 when fully drained).
     pub fn queued_tuples(&self) -> usize {
         self.workers.values().map(WorkerCore::queued).sum()
-    }
-
-    /// Flush every worker's partially filled output batches downstream. A
-    /// no-op at batch size 1; the reconfiguration executor calls this before
-    /// any plan drains, pauses or captures state so batch boundaries cannot
-    /// leak into the fail-before-rewrite protocol. Returns tuples flushed.
-    pub fn flush_all_pending(&mut self) -> usize {
-        let network = self.network.clone();
-        let metrics = self.metrics.clone();
-        let mut flushed = 0;
-        for worker in self.workers.values_mut() {
-            flushed += worker.flush_pending(&network, &metrics);
-        }
-        flushed
     }
 
     /// The last timestamp issued by the shared output clock of `logical`
@@ -664,74 +643,10 @@ impl Runtime {
     }
 
     /// Take a checkpoint of `operator`, back it up to an upstream VM and trim
-    /// the upstream output buffers (§3.2, Algorithm 1).
-    ///
-    /// What is captured and shipped is the delta since the operator's
-    /// previous checkpoint whenever the chosen backup operator still holds
-    /// that checkpoint, and the full state otherwise: on the first round,
-    /// after the backup moved, after a write that did not land, and for
-    /// operators that do not track changes.
+    /// the upstream output buffers (§3.2, Algorithm 1) — the checkpoint round
+    /// [`crate::reconfig::checkpoint_operator`] both cluster backends share.
     pub fn checkpoint_operator(&mut self, operator: OperatorId) -> Result<CheckpointRecord> {
-        let started = Instant::now();
-        let seq = {
-            let seq = self.checkpoint_seq.entry(operator).or_insert(0);
-            *seq += 1;
-            *seq
-        };
-        let upstreams = self.graph().upstream_instances(operator)?;
-        let capture = {
-            let base_held = self.backup.holds_base(operator, &upstreams, seq - 1);
-            let worker = self
-                .workers
-                .get_mut(&operator)
-                .ok_or(Error::UnknownOperator(operator))?;
-            if worker.is_failed() {
-                return Err(Error::Invariant(format!(
-                    "cannot checkpoint failed operator {operator}"
-                )));
-            }
-            worker.take_delta(seq, base_held)
-        };
-        let size_bytes = capture.size_bytes();
-        let mut stored_bytes = 0usize;
-        let mut incremental = false;
-        if !upstreams.is_empty() {
-            let outcome = match capture {
-                Capture::Delta(inc) => self.backup.backup_increment(operator, &upstreams, &inc)?,
-                Capture::Full(checkpoint) => {
-                    self.backup.backup_state(operator, &upstreams, checkpoint)?
-                }
-            };
-            stored_bytes = outcome.put.bytes_written;
-            incremental = outcome.incremental;
-            self.metrics.record_store_write(
-                self.config.store.label(),
-                outcome.put.bytes_written,
-                outcome.put.write_us,
-                outcome.incremental,
-            );
-            // Trim upstream output buffers up to the reflected timestamps
-            // (Algorithm 1, line 4).
-            for up in upstreams {
-                let up_logical = self.graph().instance(up)?.logical;
-                if let Some(ts) = outcome.trim_to.get(StreamId(up_logical.0)) {
-                    if let Some(worker) = self.workers.get_mut(&up) {
-                        worker.buffer_mut().trim(operator, ts);
-                    }
-                }
-            }
-        }
-        self.last_checkpoint_ms.insert(operator, self.now_ms);
-        let record = CheckpointRecord {
-            operator,
-            at_ms: self.now_ms,
-            duration_us: started.elapsed().as_micros() as u64,
-            size_bytes,
-            stored_bytes,
-            incremental,
-        };
-        self.metrics.record_checkpoint(record);
-        Ok(record)
+        crate::reconfig::checkpoint_operator(self, operator)
     }
 
     /// Crash-stop the VM hosting `operator`: every worker placed on that VM
@@ -907,6 +822,118 @@ impl Runtime {
             round_phases: Vec::new(),
             rpcs: Vec::new(),
         }
+    }
+}
+
+/// The in-process backend: steps are applied to the workers of this
+/// process, new instances take VMs from the pool, and a retired instance's
+/// endpoint, store and monitor history go with it.
+impl ClusterBackend for Runtime {
+    fn graph(&self) -> &ExecutionGraph {
+        self.graph.as_ref().expect("query deployed")
+    }
+
+    fn graph_mut(&mut self) -> &mut ExecutionGraph {
+        self.graph.as_mut().expect("query deployed")
+    }
+
+    fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
+    fn backup(&self) -> &BackupCoordinator {
+        &self.backup
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    fn context(&self) -> PlanContext {
+        PlanContext {
+            now_ms: self.now_ms,
+            trigger: self.plan_trigger,
+            strategy: self.config.strategy,
+            store: self.config.store.label(),
+        }
+    }
+
+    fn hosts(&self, op: OperatorId) -> bool {
+        self.workers.contains_key(&op)
+    }
+
+    fn is_live(&self, op: OperatorId) -> bool {
+        self.workers.get(&op).is_some_and(|w| !w.is_failed())
+    }
+
+    fn apply(&mut self, op: OperatorId, step: InstanceStep) -> Result<StepReply> {
+        let worker = self
+            .workers
+            .get_mut(&op)
+            .ok_or(Error::UnknownOperator(op))?;
+        worker.apply(step, &self.network, &self.metrics, self.epoch)
+    }
+
+    fn deploy(
+        &mut self,
+        instance: &seep_core::graph::OperatorInstance,
+        vm: Option<seep_cloud::VmId>,
+        replaced: &[OperatorId],
+    ) -> Result<()> {
+        match vm {
+            Some(vm) => self.create_worker_on(instance, vm, replaced),
+            None => self.create_worker(instance),
+        }
+    }
+
+    fn retire(&mut self, olds: &[OperatorId]) -> Vec<seep_cloud::VmId> {
+        let mut emptied = Vec::new();
+        for old in olds {
+            self.network.disconnect(*old);
+            self.workers.remove(old);
+            self.backup.unregister_store(*old);
+            self.backup.clear_backup_of(*old);
+            if let Some((vm, empty)) = self.placement.release(*old) {
+                if empty {
+                    emptied.push(vm);
+                }
+            }
+            self.monitor.forget(*old);
+            self.checkpoint_seq.remove(old);
+            self.last_checkpoint_ms.remove(old);
+        }
+        emptied
+    }
+
+    fn release_vm(&mut self, vm: seep_cloud::VmId) {
+        self.pool.release(vm, self.now_ms);
+    }
+
+    fn next_checkpoint_seq(&mut self, op: OperatorId) -> u64 {
+        let seq = self.checkpoint_seq.entry(op).or_insert(0);
+        *seq += 1;
+        *seq
+    }
+
+    fn checkpoint_taken(&mut self, op: OperatorId) {
+        self.last_checkpoint_ms.insert(op, self.now_ms);
+    }
+
+    fn committed(&mut self, logical: LogicalOpId, kind: JournalKind) {
+        // The topology changed: the control loop may rebalance the operator
+        // again. A rebalance itself leaves the one-shot mark to the loop.
+        if kind != JournalKind::Rebalance {
+            self.rebalanced.remove(&logical);
+        }
+        self.activity.insert(logical, (kind, self.now_ms));
+    }
+
+    fn publish(&self) {
+        self.refresh_obs();
     }
 }
 

@@ -14,16 +14,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 use seep_core::{
     BatchAdmission, BatchOutput, BufferState, Checkpoint, CheckpointMeta, DuplicateFilter,
-    IncrementalCheckpoint, Key, LogicalOpId, OperatorId, OutputTuple, ProcessingState,
+    IncrementalCheckpoint, Key, LogicalOpId, OperatorId, OutputTuple, ProcessingState, Result,
     RoutingState, StateDelta, StatefulOperator, StreamId, Timestamp, TimestampVec, TrafficLog,
     TrafficStats, Tuple, TupleBatch,
 };
 use seep_net::{DataReceiver, Envelope, Message, Network};
 
 use crate::metrics::Metrics;
+use crate::reconfig::{InstanceStep, StepReply};
 
 /// Maximum envelopes a worker drains per [`WorkerCore::step`], bounding the
 /// work done before other workers get a turn. One value for every stepper:
@@ -76,7 +78,7 @@ impl SharedClock {
 
 /// What a checkpoint round captured from a worker
 /// ([`WorkerCore::take_delta`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Capture {
     /// The whole state.
     Full(Checkpoint),
@@ -256,20 +258,9 @@ impl WorkerCore {
         self.operator.as_ref()
     }
 
-    /// Mutable access to the hosted operator.
-    pub fn operator_mut(&mut self) -> &mut dyn StatefulOperator {
-        self.operator.as_mut()
-    }
-
     /// The worker's output buffer state.
     pub fn buffer(&self) -> &BufferState {
         &self.buffer
-    }
-
-    /// Mutable access to the output buffer state (used by the coordinators to
-    /// trim and repartition buffers).
-    pub fn buffer_mut(&mut self) -> &mut BufferState {
-        &mut self.buffer
     }
 
     /// The routing state towards a logical downstream operator.
@@ -553,14 +544,6 @@ impl WorkerCore {
         copies as usize
     }
 
-    /// Buffered tuples towards `target` that are newer than the timestamp
-    /// reflected for this worker's output stream in `reflected`
-    /// (`replay-buffer-state`, Algorithm 1 line 10), in timestamp order.
-    pub fn unreflected(&self, target: OperatorId, reflected: &TimestampVec) -> Vec<Tuple> {
-        let stream = StreamId(self.logical.0);
-        seep_core::primitives::replay_buffer_state(&self.buffer, target, stream, reflected)
-    }
-
     /// Re-send already stamped and buffered `tuples` to `target` in
     /// `out_batch`-sized batches. They keep their timestamps and carry no
     /// source emit time, so they add no latency samples; the receiver's
@@ -583,8 +566,10 @@ impl WorkerCore {
         }
     }
 
-    /// Replay to `target` everything [`unreflected`](Self::unreflected) by
-    /// it. Returns the number of tuples replayed.
+    /// Replay to `target` every buffered tuple towards it newer than what
+    /// `reflected` records for this worker's output stream
+    /// (`replay-buffer-state`, Algorithm 1 line 10). Returns the number of
+    /// tuples replayed.
     pub fn replay_to(
         &self,
         target: OperatorId,
@@ -592,7 +577,9 @@ impl WorkerCore {
         network: &Network,
         metrics: &Metrics,
     ) -> usize {
-        let tuples = self.unreflected(target, reflected);
+        let stream = StreamId(self.logical.0);
+        let tuples =
+            seep_core::primitives::replay_buffer_state(&self.buffer, target, stream, reflected);
         let count = tuples.len();
         self.resend(target, tuples, network, metrics);
         count
@@ -659,6 +646,104 @@ impl WorkerCore {
             }
             _ => Capture::Full(self.take_checkpoint(sequence)),
         }
+    }
+
+    /// Carry out one step of a reconfiguration plan or a checkpoint round —
+    /// the one way the executor acts on an instance, whether it runs in this
+    /// process or ships the step over the control protocol (see
+    /// [`crate::reconfig`]).
+    pub fn apply(
+        &mut self,
+        step: InstanceStep,
+        network: &Network,
+        metrics: &Metrics,
+        epoch: Instant,
+    ) -> Result<StepReply> {
+        let reply = match step {
+            InstanceStep::Flush => {
+                self.flush_pending(network, metrics);
+                StepReply::Done
+            }
+            InstanceStep::Drain => {
+                while self.step(network, metrics, epoch, STEP_BUDGET) > 0 {}
+                StepReply::Done
+            }
+            InstanceStep::Pause { on } => {
+                self.set_paused(on);
+                StepReply::Done
+            }
+            InstanceStep::Capture {
+                sequence,
+                base_held,
+            } => {
+                if self.failed {
+                    return Err(seep_core::Error::Invariant(format!(
+                        "cannot checkpoint failed operator {}",
+                        self.id
+                    )));
+                }
+                StepReply::Captured(self.take_delta(sequence, base_held))
+            }
+            InstanceStep::TrimBuffer { downstream, ts } => {
+                self.buffer.trim(downstream, ts);
+                StepReply::Done
+            }
+            InstanceStep::Restore {
+                checkpoint,
+                reset_clock,
+            } => {
+                if reset_clock {
+                    self.clock.reset_to(checkpoint.emit_clock);
+                }
+                self.restore(checkpoint);
+                StepReply::Done
+            }
+            InstanceStep::SetRouting {
+                downstream,
+                routing,
+            } => {
+                self.set_routing(downstream, routing);
+                StepReply::Done
+            }
+            InstanceStep::Targets => StepReply::Targets(self.buffer.downstreams()),
+            InstanceStep::Reflected => StepReply::Reflected(self.ts.clone()),
+            InstanceStep::ReplayTo { target, reflected } => {
+                StepReply::Replayed(self.replay_to(target, &reflected, network, metrics))
+            }
+            InstanceStep::Reroute { downstream, olds } => {
+                let routing = self.routing.get(&downstream).cloned().unwrap_or_default();
+                for old in olds {
+                    let pending = self.buffer.remove_downstream(old).unwrap_or_default();
+                    for tuple in pending {
+                        if let Some(new_target) = routing.route(tuple.key) {
+                            self.buffer.push(new_target, tuple);
+                        }
+                    }
+                }
+                StepReply::Done
+            }
+            InstanceStep::Unreflected { target, reflected } => {
+                let floor = reflected.get(StreamId(self.logical.0)).unwrap_or(0);
+                let stamps = self.buffer.iter_for(target).map(|t| t.ts);
+                StepReply::Timestamps(stamps.filter(|ts| *ts > floor).collect())
+            }
+            InstanceStep::Resend {
+                target,
+                first,
+                last,
+            } => {
+                let mut run: Vec<Tuple> = self
+                    .buffer
+                    .iter_for(target)
+                    .filter(|t| (first..=last).contains(&t.ts))
+                    .cloned()
+                    .collect();
+                run.sort_by_key(|t| t.ts);
+                self.resend(target, run, network, metrics);
+                StepReply::Done
+            }
+        };
+        Ok(reply)
     }
 
     /// Restore the worker from a (possibly partitioned) checkpoint: install

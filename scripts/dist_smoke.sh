@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Distribution smoke test: a coordinator and two seep-node workers on
-# localhost, a word-frequency job driven end to end, twice.
+# localhost, a word-frequency job driven end to end, three times.
 #
 # 1. At the benchmark's rate, nobody killed: the outcome must be
 #    byte-identical to the in-process baseline, the data plane must ship
@@ -9,7 +9,9 @@
 #    generous 3 s.
 # 2. One worker SIGKILLed mid-run: recovery must happen through the standard
 #    path (journal event + /metrics counters) and the surviving run's results
-#    must be byte-identical to the baseline.
+#    must be byte-identical to the baseline. Run twice: with two workers,
+#    killing the one hosting the stateful operator; with three, killing the
+#    one hosting the sink.
 #
 # Usage: scripts/dist_smoke.sh [path-to-seep-node-binary]
 set -euo pipefail
@@ -24,7 +26,7 @@ if [ -z "$BIN" ]; then
 fi
 
 DIR="$(mktemp -d)"
-trap 'kill -9 ${COORD:-} ${W1:-} ${W2:-} 2>/dev/null || true; rm -rf "$DIR"' EXIT
+trap 'kill -9 ${COORD:-} ${W1:-} ${W2:-} ${W3:-} 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 ROUNDS=20
 RATE=20
@@ -86,63 +88,82 @@ TUPLES="$(family_sum "$BODY" seep_transport_tuples_total)"
 echo "dist_smoke: fast run OK ($TUPLES tuples in $FRAMES frames, $WALL_MS ms wall, identical to baseline)"
 
 # --- 2. kill -9 mid-run ----------------------------------------------------
-"$BIN" --coordinator --workers 2 --rounds "$ROUNDS" --rate "$RATE" \
-  --round-delay-ms 150 --port-file "$DIR/port" --out "$DIR/dist.txt" \
-  --metrics-addr 127.0.0.1:0 --metrics-port-file "$DIR/mport" \
-  --journal "$DIR/journal.jsonl" --hold-ms 2000 >/dev/null &
-COORD=$!
+# kill_scenario WORKERS VICTIM OPERATOR: run WORKERS workers (w1..wN; the
+# round-robin placement puts feed, count and results on them in that order),
+# SIGKILL worker VICTIM after two checkpoints, and require a recovery of
+# OPERATOR with results identical to the baseline.
+kill_scenario() {
+  local workers="$1" victim="$2" operator="$3" run="$DIR/kill-$1"
+  mkdir -p "$run"
+  "$BIN" --coordinator --workers "$workers" --rounds "$ROUNDS" --rate "$RATE" \
+    --round-delay-ms 150 --port-file "$run/port" --out "$run/dist.txt" \
+    --metrics-addr 127.0.0.1:0 --metrics-port-file "$run/mport" \
+    --journal "$run/journal.jsonl" --hold-ms 2000 >/dev/null &
+  COORD=$!
 
-for _ in $(seq 1 100); do [ -s "$DIR/port" ] && break; sleep 0.1; done
-ADDR="$(cat "$DIR/port")"
-echo "dist_smoke: coordinator at $ADDR"
+  for _ in $(seq 1 100); do [ -s "$run/port" ] && break; sleep 0.1; done
+  local addr pids=() victim_pid
+  addr="$(cat "$run/port")"
+  echo "dist_smoke: coordinator at $addr ($workers workers)"
+  for i in $(seq 1 "$workers"); do
+    "$BIN" --worker --name "w$i" --coordinator-addr "$addr" >/dev/null &
+    pids+=("$!")
+    [ "w$i" = "$victim" ] && victim_pid=$!
+  done
+  W1="${pids[0]}" W2="${pids[1]}" W3="${pids[2]:-}"
 
-"$BIN" --worker --name w1 --coordinator-addr "$ADDR" >/dev/null & W1=$!
-"$BIN" --worker --name w2 --coordinator-addr "$ADDR" >/dev/null & W2=$!
+  for _ in $(seq 1 100); do [ -s "$run/mport" ] && break; sleep 0.1; done
+  local maddr body=""
+  maddr="$(cat "$run/mport")"
 
-for _ in $(seq 1 100); do [ -s "$DIR/mport" ] && break; sleep 0.1; done
-MADDR="$(cat "$DIR/mport")"
+  # Wait for at least two checkpoints, then SIGKILL the victim.
+  for _ in $(seq 1 300); do
+    if body="$(scrape "$maddr" 2>/dev/null)" \
+       && metric_at_least "$body" seep_checkpoints_total 2; then
+      break
+    fi
+    sleep 0.2
+  done
+  metric_at_least "$body" seep_checkpoints_total 2 \
+    || { echo "dist_smoke: no checkpoints observed" >&2; exit 1; }
 
-# Wait for at least two checkpoints, then SIGKILL the worker hosting the
-# stateful operator (w2 under the deterministic round-robin placement).
-for _ in $(seq 1 300); do
-  if BODY="$(scrape "$MADDR" 2>/dev/null)" \
-     && metric_at_least "$BODY" seep_checkpoints_total 2; then
-    break
-  fi
-  sleep 0.2
-done
-metric_at_least "$BODY" seep_checkpoints_total 2 \
-  || { echo "dist_smoke: no checkpoints observed" >&2; exit 1; }
+  echo "dist_smoke: SIGKILLing worker $victim (pid $victim_pid), which hosts $operator"
+  kill -9 "$victim_pid"
+  wait "$victim_pid" 2>/dev/null || true
 
-echo "dist_smoke: SIGKILLing worker w2 (pid $W2)"
-kill -9 "$W2"
+  # The failure must surface as a recovery on /metrics.
+  local recovered=0
+  for _ in $(seq 1 300); do
+    if body="$(scrape "$maddr" 2>/dev/null)" \
+       && metric_at_least "$body" seep_recoveries_total 1; then
+      recovered=1
+      break
+    fi
+    sleep 0.2
+  done
+  [ "$recovered" = 1 ] || { echo "dist_smoke: recovery never surfaced on /metrics" >&2; exit 1; }
+  echo "$body" | grep -q '^seep_transport_bytes_total' \
+    || { echo "dist_smoke: transport counters missing from /metrics" >&2; exit 1; }
 
-# The failure must surface as a recovery on /metrics.
-RECOVERED=0
-for _ in $(seq 1 300); do
-  if BODY="$(scrape "$MADDR" 2>/dev/null)" \
-     && metric_at_least "$BODY" seep_recoveries_total 1; then
-    RECOVERED=1
-    break
-  fi
-  sleep 0.2
-done
-[ "$RECOVERED" = 1 ] || { echo "dist_smoke: recovery never surfaced on /metrics" >&2; exit 1; }
-echo "$BODY" | grep -q '^seep_transport_bytes_total' \
-  || { echo "dist_smoke: transport counters missing from /metrics" >&2; exit 1; }
+  wait "$COORD" || { echo "dist_smoke: coordinator failed" >&2; exit 1; }
+  for pid in "${pids[@]}"; do
+    [ "$pid" = "$victim_pid" ] && continue
+    wait "$pid" || { echo "dist_smoke: surviving worker failed" >&2; exit 1; }
+  done
 
-wait "$COORD" || { echo "dist_smoke: coordinator failed" >&2; exit 1; }
-wait "$W1" || { echo "dist_smoke: surviving worker failed" >&2; exit 1; }
+  grep -q "\"kind\":\"Recovery\".*\"operator\":\"$operator\"" "$run/journal.jsonl" \
+    || { echo "dist_smoke: no Recovery event for $operator in journal" >&2; exit 1; }
 
-grep -q '"kind":"Recovery"' "$DIR/journal.jsonl" \
-  || { echo "dist_smoke: no Recovery event in journal" >&2; exit 1; }
+  # Results must match a run that never lost a worker. Processed counters
+  # reset when an instance is replaced, so only `result` lines are compared.
+  "$BIN" --baseline --rounds "$ROUNDS" --rate "$RATE" --out "$run/base.txt" >/dev/null
+  grep '^result ' "$run/dist.txt" > "$run/dist-results.txt"
+  grep '^result ' "$run/base.txt" > "$run/base-results.txt"
+  diff -u "$run/base-results.txt" "$run/dist-results.txt" \
+    || { echo "dist_smoke: post-recovery results differ from baseline" >&2; exit 1; }
 
-# Results must match a run that never lost a worker. Processed counters
-# reset when an instance is replaced, so only `result` lines are compared.
-"$BIN" --baseline --rounds "$ROUNDS" --rate "$RATE" --out "$DIR/base.txt" >/dev/null
-grep '^result ' "$DIR/dist.txt" > "$DIR/dist-results.txt"
-grep '^result ' "$DIR/base.txt" > "$DIR/base-results.txt"
-diff -u "$DIR/base-results.txt" "$DIR/dist-results.txt" \
-  || { echo "dist_smoke: post-recovery results differ from baseline" >&2; exit 1; }
+  echo "dist_smoke: OK ($(wc -l < "$run/dist-results.txt") result lines identical after kill -9 of $victim)"
+}
 
-echo "dist_smoke: OK ($(wc -l < "$DIR/dist-results.txt") result lines identical after kill -9)"
+kill_scenario 2 w2 count
+kill_scenario 3 w3 results

@@ -166,20 +166,6 @@ pub fn node_msgs() -> Vec<(&'static str, NodeMsg)> {
             },
         ),
         (
-            "node_captured",
-            NodeMsg::Captured {
-                op: 5,
-                bytes: Bytes::from(checkpoint().to_bytes().unwrap()),
-            },
-        ),
-        (
-            "node_restore",
-            NodeMsg::Restore {
-                op: 6,
-                bytes: Bytes::from(vec![0x80u8; 3]),
-            },
-        ),
-        (
             "node_state_bytes",
             NodeMsg::StateBytes {
                 op: 7,
