@@ -1390,6 +1390,36 @@ mod tests {
         }
     }
 
+    /// The sink's backup lives with `count`, its only upstream. A scale out
+    /// that retires `count` hands that backup on to a new partition, so
+    /// `results`, failed and recovered before its next round, comes back
+    /// with every `(word, window)` cell it held.
+    #[test]
+    fn a_scale_out_hands_on_the_backups_its_target_held() {
+        let scale_out = |handle: &mut JobHandle| {
+            let target = handle.partitions("count")[0];
+            drop(handle.scale_out(target, 2).unwrap());
+        };
+        let unfailed = in_process_twin(6, 500, |round, handle| {
+            if round == 3 {
+                scale_out(handle);
+            }
+        });
+        let recovered = in_process_twin(6, 500, |round, handle| {
+            if round == 3 {
+                scale_out(handle);
+                let sink = handle.partitions("results")[0];
+                handle.fail_operator(sink);
+                handle.recover(sink, 1).unwrap();
+            }
+        });
+        assert_eq!(recovered.len(), unfailed.len());
+        assert!(
+            recovered == unfailed,
+            "results differ from the unfailed run"
+        );
+    }
+
     /// The `wordfreq` job in-process on the coordinator's schedule — inject,
     /// drain, tick, drain, checkpoint `results` then `count` — with
     /// `between_rounds` run after each round; the sink's results.

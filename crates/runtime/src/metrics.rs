@@ -91,7 +91,7 @@ impl SplitKind {
 pub struct ReconfigTiming {
     /// Draining the reconfigured partitions' inbound queues (µs).
     pub drain_us: u64,
-    /// Capturing state: checkpoints, backup retrieval, store-side merge (µs).
+    /// Capturing state: live snapshots, backup retrieval, the merge (µs).
     pub checkpoint_us: u64,
     /// Rewriting the execution graph and choosing the key split (µs).
     pub rewrite_us: u64,

@@ -50,6 +50,11 @@ pub enum InstanceStep {
         /// `true` to stop, `false` to resume.
         on: bool,
     },
+    /// Read the whole state in place for a plan that replaces the instance
+    /// ([`StepReply::Captured`], always [`Capture::Full`]). Unlike
+    /// [`Capture`](Self::Capture) it leaves the delta marks alone, so a plan
+    /// rejected afterwards costs the next checkpoint round nothing.
+    Snapshot,
     /// Capture the state for a checkpoint round ([`StepReply::Captured`]).
     Capture {
         /// The checkpoint's sequence number.
@@ -130,6 +135,7 @@ impl InstanceStep {
             InstanceStep::Flush => "Flush",
             InstanceStep::Drain => "Drain",
             InstanceStep::Pause { .. } => "Pause",
+            InstanceStep::Snapshot => "Snapshot",
             InstanceStep::Capture { .. } => "Capture",
             InstanceStep::TrimBuffer { .. } => "TrimBuffer",
             InstanceStep::Restore { .. } => "Restore",
@@ -171,6 +177,15 @@ impl StepReply {
         match self {
             StepReply::Captured(capture) => Ok(capture),
             other => Err(other.unexpected("Captured")),
+        }
+    }
+
+    /// The checkpoint a [`InstanceStep::Snapshot`] read, or an error naming
+    /// what came instead.
+    pub(crate) fn into_snapshot(self) -> Result<Checkpoint> {
+        match self {
+            StepReply::Captured(Capture::Full(checkpoint)) => Ok(checkpoint),
+            other => Err(other.unexpected("full Captured")),
         }
     }
 
@@ -315,20 +330,7 @@ pub fn checkpoint_operator<C: ClusterBackend + ?Sized>(
             outcome.put.write_us,
             outcome.incremental,
         );
-        // Trim upstream output buffers up to the reflected timestamps
-        // (Algorithm 1, line 4).
-        for up in upstreams {
-            let up_logical = cluster.graph().instance(up)?.logical;
-            if let Some(ts) = outcome.trim_to.get(StreamId(up_logical.0)) {
-                if cluster.hosts(up) {
-                    let trim = InstanceStep::TrimBuffer {
-                        downstream: operator,
-                        ts,
-                    };
-                    cluster.apply(up, trim)?;
-                }
-            }
-        }
+        trim_upstreams(cluster, &upstreams, &[operator], &outcome.trim_to)?;
     }
     cluster.checkpoint_taken(operator);
     let record = CheckpointRecord {
@@ -341,4 +343,31 @@ pub fn checkpoint_operator<C: ClusterBackend + ?Sized>(
     };
     cluster.metrics().record_checkpoint(record);
     Ok(record)
+}
+
+/// Trim the output buffers of `upstreams` towards `downstreams` up to what
+/// `reflected` covers of each upstream's stream (Algorithm 1, line 4): a
+/// stored backup that reflects a tuple makes its buffered copy unneeded.
+pub(crate) fn trim_upstreams<C: ClusterBackend + ?Sized>(
+    cluster: &mut C,
+    upstreams: &[OperatorId],
+    downstreams: &[OperatorId],
+    reflected: &TimestampVec,
+) -> Result<()> {
+    for up in upstreams {
+        let up_logical = cluster.graph().instance(*up)?.logical;
+        let Some(ts) = reflected.get(StreamId(up_logical.0)) else {
+            continue;
+        };
+        if cluster.hosts(*up) {
+            for downstream in downstreams {
+                let trim = InstanceStep::TrimBuffer {
+                    downstream: *downstream,
+                    ts,
+                };
+                cluster.apply(*up, trim)?;
+            }
+        }
+    }
+    Ok(())
 }

@@ -177,7 +177,8 @@ impl Runtime {
     /// 3. The key split follows the configured
     /// [`crate::reconfig::SplitPolicy`]: even by default, or
     /// distribution-guided from a sampled checkpoint when skew-aware. The
-    /// outcome's `replayed_tuples` counts the upstream replays.
+    /// target hands over its live state at plan time, so nothing it already
+    /// processed is replayed into the new partitions.
     pub fn scale_out(&mut self, target: OperatorId, pi: usize) -> Result<ReconfigOutcome> {
         let plan = ReconfigPlan::scale_out(target, pi, self.config.split);
         reconfigure(self, &plan, JournalKind::ScaleOut)
@@ -191,22 +192,22 @@ impl Runtime {
     /// victim shared it with other partitions.
     ///
     /// The plan is scale out run backwards: the executor drains and pauses
-    /// the pair, backs up their latest state, merges the backed-up
-    /// checkpoints at the backup VM (`seep-store`'s `merge_for_scale_in`),
+    /// the pair, reads their live state in place and merges it in key order,
     /// rewrites the execution graph and upstream routing so the merged key
-    /// range maps to one operator, restores the merged state, and replays
-    /// both partitions' unreflected tuples — downstream duplicate filters
-    /// discard anything delivered twice. A failure before the graph rewrite
-    /// (full disk, unreachable backup store) unpauses the partitions and
-    /// rejects the request with the runtime exactly as it was.
+    /// range maps to one operator, restores the merged state, stores it as
+    /// the merged operator's initial backup under R+SM (best effort), and
+    /// replays both partitions' unreflected tuples — downstream duplicate
+    /// filters discard anything delivered twice. A failure before the graph
+    /// rewrite unpauses the partitions and rejects the request with the
+    /// runtime exactly as it was.
     pub fn scale_in(&mut self, target: OperatorId, victim: OperatorId) -> Result<ReconfigOutcome> {
         let plan = ReconfigPlan::scale_in(target, victim);
         reconfigure(self, &plan, JournalKind::ScaleIn)
     }
 
     /// Rebalance **all π partitions** of a logical operator in one plan:
-    /// every partition is checkpointed, the pooled key sample of the merged
-    /// checkpoint (weighted by observed per-key traffic when available, by
+    /// every partition's live state is read in place, the pooled key sample
+    /// of the merged capture (weighted by observed per-key traffic when available, by
     /// state footprint otherwise) chooses π new weighted-quantile boundaries,
     /// and each new partition is restored **onto the VM that owned that
     /// slice of the key space** — a pure repartition that neither grows nor

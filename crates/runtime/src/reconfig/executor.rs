@@ -6,15 +6,19 @@
 //! order:
 //!
 //! 1. **Resolve & validate** — nothing is touched if the plan is rejected.
-//! 2. **Drain & pause** — merge-shaped plans (scale in, rebalance,
-//!    consolidate) drain the replaced partitions' inbound queues and pause
-//!    them; a scale out leaves the (possibly failed) target alone.
-//! 3. **Capture** — obtain the checkpoint to repartition: the backed-up copy
-//!    for scale out/recovery, or a store-side merge of the replaced
-//!    partitions' fresh checkpoints (pairwise for scale in, N-way for
-//!    rebalance/consolidate). *Every fallible state acquisition happens
-//!    here, before the graph is rewritten*: a failure unpauses the
-//!    partitions and rejects the plan with the cluster exactly as it was.
+//! 2. **Drain & pause** — every replaced instance that is still live has
+//!    its inbound queue drained and is paused; a failed one has nothing to
+//!    drain.
+//! 3. **Capture** — one rule for every replaced instance, whatever the plan
+//!    kind: a live instance hands over its state in place
+//!    ([`InstanceStep::Snapshot`], which leaves the delta marks of the
+//!    periodic checkpoints alone); a failed one restores from its backup, or
+//!    from empty state when it has none. The captures fold in key order
+//!    into the one checkpoint to repartition. The recovery strategy only
+//!    decides whether a failed instance has a backup to restore. *Every
+//!    fallible state acquisition happens here, before the graph is
+//!    rewritten*: a failure unpauses the instances and rejects the plan with
+//!    the cluster exactly as it was.
 //! 4. **Rewrite** — choose the key split (even, distribution-guided from a
 //!    load-weighted checkpoint sample, or the unchanged ranges for a
 //!    consolidation) and rewrite the execution graph.
@@ -24,13 +28,21 @@
 //!    [placement layer](crate::placement): acquired by the backend for
 //!    scale out, reused in key order for merge/rebalance,
 //!    first-fit-decreasing packed for consolidate — and install the state.
-//! 7. **Commit** — store the new partitions' initial backups, migrate
-//!    third-party backups living on reused VMs, retire the replaced
-//!    instances and release every VM the placement reports emptied.
-//! 8. **Replay** — new partitions replay their restored output buffers;
+//! 7. **Commit** — under state management, store the new partitions'
+//!    initial backups and trim the upstream buffers to what they reflect
+//!    (best effort: a refused put leaves the buffers whole and the next
+//!    periodic round to take a full capture; UB and SR keep no backups, so
+//!    a failed new instance still rebuilds from empty state and a full
+//!    replay), move every backup a replaced instance hosted for another
+//!    operator to the new instance on its VM or else to the first new one,
+//!    retire the replaced instances and release every VM the placement
+//!    reports emptied.
+//! 8. **Replay** — after a failure, new partitions replay their restored
+//!    output buffers (a live instance already sent all of its output);
 //!    upstream operators re-route, migrate pending buffered tuples and
 //!    replay everything the captured state does not reflect. Downstream
-//!    duplicate filters discard re-deliveries.
+//!    duplicate filters discard re-deliveries. After a live capture the
+//!    upstreams replay only what never reached the drained instance.
 //!
 //! Per-phase wall-clock durations are recorded in
 //! [`ReconfigTiming`](crate::metrics::ReconfigTiming).
@@ -40,6 +52,7 @@ use std::time::Instant;
 
 use seep_cloud::VmId;
 use seep_core::graph::OperatorInstance;
+use seep_core::merge::merge_checkpoints;
 use seep_core::primitives::partition_checkpoint;
 use seep_core::{
     Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, RoutingState, Timestamp,
@@ -49,7 +62,7 @@ use seep_store::BackupCoordinator;
 
 use crate::metrics::{ReconfigTiming, SplitKind};
 use crate::placement::first_fit_decreasing;
-use crate::reconfig::cluster::{checkpoint_operator, ClusterBackend, InstanceStep};
+use crate::reconfig::cluster::{trim_upstreams, ClusterBackend, InstanceStep};
 use crate::reconfig::plan::{ReconfigKind, ReconfigPlan, SplitDecision};
 
 /// The result of executing a reconfiguration plan.
@@ -61,10 +74,9 @@ pub struct ReconfigOutcome {
     pub new_operators: Vec<OperatorId>,
     /// Parallelism of the logical operator after the plan.
     pub new_parallelism: usize,
-    /// Tuples replayed to bring the new instances up to date (for scale out
-    /// this counts upstream replays, matching the original accounting; merge,
-    /// rebalance and consolidate also count the restored buffers they
-    /// re-send).
+    /// Tuples the plan re-sent to bring the new instances and their
+    /// downstream up to date: the upstream replays, plus the restored output
+    /// buffers the new instances re-sent when a replaced instance had failed.
     pub replayed_tuples: usize,
     /// VMs released back to the provider, if the plan shrank the deployment
     /// (one for a merge that empties the victim's VM, possibly several for a
@@ -101,8 +113,7 @@ impl PhaseTimer {
     }
 }
 
-/// A validated plan: the instances it replaces and the per-shape flags the
-/// executor branches on.
+/// A validated plan: the instances it replaces and how many replace them.
 struct ResolvedPlan {
     /// Instances being replaced. For a merge the first entry is the survivor
     /// whose VM hosts the merged instance; for rebalance and consolidate the
@@ -116,15 +127,6 @@ struct ResolvedPlan {
     /// Number of new instances.
     parts: usize,
     previous_parallelism: usize,
-    /// Scale out only: whether the target had already crash-stopped.
-    was_failed: bool,
-    /// Drain and pause the replaced instances before capturing state.
-    pause_olds: bool,
-    /// Propagate backup-store failures (seed scale-out semantics) instead of
-    /// treating the initial backup as best-effort.
-    strict_backup: bool,
-    /// Count the new instances' own restored-buffer replays in the outcome.
-    count_own_replays: bool,
     /// Consolidate only: the new instances keep exactly these ranges (in key
     /// order) instead of taking a split decision.
     fixed_ranges: Option<Vec<KeyRange>>,
@@ -160,20 +162,24 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
         cluster.apply(id, InstanceStep::Flush)?;
     }
 
-    // Phase 2: drain & pause.
-    if resolved.pause_olds {
-        for id in &resolved.olds {
-            cluster.apply(*id, InstanceStep::Drain)?;
-        }
-        set_paused(cluster, &resolved.olds, true)?;
+    // Phase 2: drain & pause every replaced instance that is still live.
+    let live: Vec<OperatorId> = resolved
+        .olds
+        .iter()
+        .copied()
+        .filter(|id| cluster.is_live(*id))
+        .collect();
+    for id in &live {
+        cluster.apply(*id, InstanceStep::Drain)?;
     }
+    set_paused(cluster, &live, true)?;
     timing.drain_us = timer.lap();
 
     // Phase 3: capture state (fail-before-rewrite: any error here leaves
-    // the cluster untouched apart from the checkpoints themselves).
-    let captured = match capture_state(cluster, plan, &resolved) {
+    // the cluster untouched).
+    let captured = match capture_state(cluster, &resolved) {
         Ok(checkpoint) => checkpoint,
-        Err(e) => return Err(abort_paused(cluster, &resolved, e)),
+        Err(e) => return Err(abort_paused(cluster, &live, e)),
     };
     let reflected = captured.processing.timestamps().clone();
     let emit_clock = captured.emit_clock;
@@ -182,7 +188,7 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
     // Phase 4: choose the split and rewrite the execution graph.
     let decision = match choose_split(plan, &resolved, &captured) {
         Ok(decision) => decision,
-        Err(e) => return Err(abort_paused(cluster, &resolved, e)),
+        Err(e) => return Err(abort_paused(cluster, &live, e)),
     };
     timing.split = decision.kind;
     timing.post_split_imbalance = decision.post_split_imbalance;
@@ -192,7 +198,7 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
             .repartition(resolved.logical, &resolved.olds, &decision.ranges)
         {
             Ok(instances) => instances,
-            Err(e) => return Err(abort_paused(cluster, &resolved, e)),
+            Err(e) => return Err(abort_paused(cluster, &live, e)),
         };
     timing.rewrite_us = timer.lap();
 
@@ -201,6 +207,9 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
     let assignments: Vec<(OperatorId, KeyRange)> =
         new_instances.iter().map(|i| (i.id, i.key_range)).collect();
     let mut parts = partition_checkpoint(&captured, &assignments)?;
+    // The parts hold all of it now; do not keep a second copy of the state
+    // alive through the restore.
+    drop(captured);
     // Carry the captured emit clock into the parts stored as initial
     // backups: if a new instance's VM fails before its first periodic
     // checkpoint, a serial recovery resets the shared logical clock from the
@@ -273,90 +282,66 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
     }
     timing.restore_us = timer.lap();
 
-    // Phase 7: commit — initial backups, third-party backup migration,
-    // retirement of the replaced instances, VM release.
+    // Phase 7: commit. Under state management the parts become the new
+    // instances' initial backups (Algorithm 2, line 8), best effort: on a
+    // refused put the old backups stay in place (they are deleted only after
+    // a successful put), the upstream buffers stay untrimmed and the new
+    // instances, holding no backup, take a full capture at their next
+    // periodic checkpoint. Under UB and SR a failed instance rebuilds from
+    // empty state and a full replay, so no backup is written and no buffer
+    // trimmed.
     let upstream_instances = cluster.graph().upstream_instances(new_instances[0].id)?;
-    if !upstream_instances.is_empty() {
-        match cluster
-            .backup()
-            .store_repartitioned(olds, &upstream_instances, &parts)
-        {
-            Ok(outcomes) => {
-                if resolved.pause_olds {
-                    // Merge-shaped plans surface the store write in the
-                    // metrics (the merged copy goes through the backend).
-                    let store = cluster.context().store;
-                    for put in outcomes {
-                        cluster.metrics().record_store_write(
-                            store,
-                            put.bytes_written,
-                            put.write_us,
-                            false,
-                        );
-                    }
-                }
+    if cluster.context().strategy.checkpoints() && !upstream_instances.is_empty() {
+        let backup = cluster.backup();
+        if let Ok(puts) = backup.store_repartitioned(olds, &upstream_instances, &parts) {
+            let store = cluster.context().store;
+            for put in puts {
+                cluster
+                    .metrics()
+                    .record_store_write(store, put.bytes_written, put.write_us, false);
             }
-            Err(e) if resolved.strict_backup => return Err(e),
-            // Best effort otherwise: the state lives in the restored
-            // workers, the old backups stay in place (deleted only after a
-            // successful put) and the next periodic checkpoint
-            // re-establishes the backup.
-            Err(_) => {}
+            // The stored backups reflect the capture: the upstream buffers
+            // need nothing it covers. Best effort too: the next periodic
+            // round trims again.
+            let _ = trim_upstreams(cluster, &upstream_instances, olds, &reflected);
         }
     }
-    // VMs that survive under a new instance keep the backups *other*
-    // operators stored on them: move those over to a new instance on the
-    // same VM instead of losing them with the bookkeeping. The pairing is
-    // derived from the placement — for a merge this is survivor → merged,
-    // for rebalance the key-order identity, for consolidate whatever the
-    // packing co-located; a replaced instance whose VM hosts no new one (the
-    // merge victim, an emptied consolidation VM) loses its store exactly as
-    // a released VM would.
-    if !matches!(plan.kind, ReconfigKind::ScaleOut { .. }) {
-        let placement = cluster.placement();
-        for old in olds {
-            let Some(vm) = placement.vm_of(*old) else {
-                continue;
-            };
-            if let Some(new) = new_instances
-                .iter()
-                .find(|i| placement.vm_of(i.id) == Some(vm))
-            {
-                migrate_third_party_backups(cluster.backup(), olds, *old, new.id);
-            }
-        }
+    // The backups *other* operators stored with a replaced instance move to
+    // the new instance on the same VM, or else to the first new one, before
+    // the replaced instance's store is retired with it.
+    let placement = cluster.placement();
+    for old in olds {
+        let host = placement.vm_of(*old);
+        let heir = new_instances
+            .iter()
+            .find(|i| host.is_some() && placement.vm_of(i.id) == host)
+            .unwrap_or(&new_instances[0]);
+        migrate_third_party_backups(cluster.backup(), olds, *old, heir.id);
     }
-    // Retire the replaced instances; the placement reports which VMs are
-    // now empty. A scale out hands the (non-failed) target's VM back
-    // without reporting it as a shrink; the merge and consolidate shapes
-    // release every emptied VM and report them.
+    // Retire the replaced instances and release every VM the placement
+    // reports emptied. A scale out moves its target rather than shrinking
+    // the deployment, so only the other shapes report what they released.
     let emptied = cluster.retire(olds);
-    let released_vms: Vec<VmId> = match plan.kind {
-        ReconfigKind::ScaleOut { .. } => {
-            if !resolved.was_failed {
-                for vm in &emptied {
-                    cluster.release_vm(*vm);
-                }
-            }
-            Vec::new()
-        }
-        ReconfigKind::Rebalance { .. } => {
-            debug_assert!(emptied.is_empty(), "a rebalance reuses every VM");
-            Vec::new()
-        }
-        ReconfigKind::ScaleIn { .. } | ReconfigKind::Consolidate { .. } => {
-            for vm in &emptied {
-                cluster.release_vm(*vm);
-            }
-            emptied
-        }
+    for vm in &emptied {
+        cluster.release_vm(*vm);
+    }
+    let released_vms = match plan.kind {
+        ReconfigKind::ScaleOut { .. } => Vec::new(),
+        _ => emptied,
     };
     timing.commit_us = timer.lap();
 
-    // Phase 8: replay. First the new instances re-send their restored
-    // output buffers downstream, then the upstream operators re-route,
+    // Phase 8: replay. After a failure the new instances first re-send
+    // their restored output buffers downstream. A live capture needs no such
+    // replay: the instance flushed everything it emitted before it was read,
+    // so a re-send would only queue duplicates behind the originals in the
+    // downstream's bounded channel. Then the upstream operators re-route,
     // migrate pending tuples and replay everything unreflected.
-    let replayed_own = replay_restored_buffers(cluster, resolved.logical, &new_instances)?;
+    let replayed_own = if live.len() < olds.len() {
+        replay_restored_buffers(cluster, resolved.logical, &new_instances)?
+    } else {
+        0
+    };
     let replayed_upstream = update_upstreams(
         cluster,
         resolved.logical,
@@ -368,17 +353,11 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
     timing.replay_us = timer.lap();
     timing.total_us = timer.total_us();
 
-    let replayed_tuples = replayed_upstream
-        + if resolved.count_own_replays {
-            replayed_own
-        } else {
-            0
-        };
     Ok(ReconfigOutcome {
         logical: resolved.logical,
         new_operators: new_instances.iter().map(|i| i.id).collect(),
         new_parallelism: cluster.graph().parallelism(resolved.logical),
-        replayed_tuples,
+        replayed_tuples: replayed_own + replayed_upstream,
         released_vms,
         timing,
     })
@@ -404,10 +383,6 @@ fn resolve_plan<C: ClusterBackend + ?Sized>(
                 source_range: inst.key_range,
                 parts: partitions,
                 previous_parallelism: graph.parallelism(inst.logical),
-                was_failed: !cluster.is_live(target),
-                pause_olds: false,
-                strict_backup: true,
-                count_own_replays: false,
                 fixed_ranges: None,
             })
         }
@@ -452,10 +427,6 @@ fn resolve_plan<C: ClusterBackend + ?Sized>(
                 source_range: KeyRange::new(lo.lo, hi.hi),
                 parts: 1,
                 previous_parallelism: graph.parallelism(inst_t.logical),
-                was_failed: false,
-                pause_olds: true,
-                strict_backup: false,
-                count_own_replays: true,
                 fixed_ranges: None,
             })
         }
@@ -508,10 +479,6 @@ fn resolve_plan<C: ClusterBackend + ?Sized>(
                 source_range,
                 parts: insts.len(),
                 previous_parallelism: insts.len(),
-                was_failed: false,
-                pause_olds: true,
-                strict_backup: false,
-                count_own_replays: true,
                 fixed_ranges: consolidate.then(|| insts.iter().map(|i| i.key_range).collect()),
             })
         }
@@ -530,78 +497,49 @@ fn live_partition<C: ClusterBackend + ?Sized>(cluster: &C, id: OperatorId) -> Re
     Ok(())
 }
 
-/// Obtain the checkpoint the plan repartitions.
+/// Obtain the checkpoint the plan repartitions, by one rule for every
+/// replaced instance: a live one — drained and paused — is read in place; a
+/// failed one restores from its backup, or from empty state when it has none
+/// and replay has to rebuild it. The captures fold in key order into one
+/// checkpoint, which also pools the per-partition traffic samples the
+/// weighted-quantile re-split consults.
 fn capture_state<C: ClusterBackend + ?Sized>(
     cluster: &mut C,
-    plan: &ReconfigPlan,
     resolved: &ResolvedPlan,
 ) -> Result<Checkpoint> {
-    let ctx = cluster.context();
-    match plan.kind {
-        ReconfigKind::ScaleOut { target, .. } => {
-            // The backed-up checkpoint of the target (Algorithm 3 partitions
-            // backup(o)'s copy so the overloaded/failed operator itself is
-            // not involved). If no backup exists yet and the operator is
-            // alive, take one now; otherwise start from empty state and rely
-            // on replay (the UB/SR baselines).
-            let retrieve = |cluster: &C| -> Result<Checkpoint> {
-                let started = Instant::now();
-                let (checkpoint, read_bytes) = cluster.backup().retrieve_measured(target)?;
-                cluster.metrics().record_store_restore(
-                    ctx.store,
-                    read_bytes as usize,
-                    started.elapsed().as_micros() as u64,
-                );
-                Ok(checkpoint)
-            };
-            match retrieve(cluster) {
-                Ok(checkpoint) => Ok(checkpoint),
-                Err(_) if !resolved.was_failed && ctx.strategy.checkpoints() => {
-                    checkpoint_operator(cluster, target)?;
-                    retrieve(cluster)
-                }
-                // No backup anywhere (UB/SR baselines or a failed, never
-                // checkpointed operator): nothing was read from any store.
-                Err(_) => Ok(Checkpoint::empty(target)),
-            }
-        }
-        ReconfigKind::ScaleIn { .. }
-        | ReconfigKind::Rebalance { .. }
-        | ReconfigKind::Consolidate { .. } => {
-            let stamp = resolved.olds[0];
-            if !ctx.strategy.checkpoints() {
-                // UB/SR baselines keep no checkpoints: the plan starts from
-                // empty state and the untrimmed upstream buffers rebuild it
-                // through replay.
-                return Ok(Checkpoint::empty(stamp));
-            }
-            // Checkpoint every replaced partition (backing up its final
-            // state and trimming the upstream buffers to it) and merge the
-            // backed-up copies at the store — the inverse of Algorithm 2's
-            // partitioning. A merge pools two partitions, a rebalance or
-            // consolidation pools all π; the pooled checkpoint also carries
-            // the union of the per-partition traffic samples, which is what
-            // the weighted-quantile re-split consults. Provisionally stamped
-            // with the first old's id; the transform phase re-stamps the
-            // parts.
-            let restore_started = Instant::now();
-            let read_before = cluster.backup().aggregate_stats().bytes_restored;
-            for id in &resolved.olds {
-                checkpoint_operator(cluster, *id)?;
-            }
-            let backup = cluster.backup();
-            let (merged, _) = backup.merge_adjacent(stamp, &resolved.old_ranges)?;
-            let read = backup
-                .aggregate_stats()
-                .bytes_restored
-                .saturating_sub(read_before);
+    let mut olds = resolved.old_ranges.clone();
+    olds.sort_by_key(|(_, range)| range.lo);
+    let mut folded: Option<(Checkpoint, KeyRange)> = None;
+    for (id, range) in olds {
+        let checkpoint = if cluster.is_live(id) {
+            cluster.apply(id, InstanceStep::Snapshot)?.into_snapshot()?
+        } else {
+            restore_backup(cluster, id)
+        };
+        folded = Some(match folded {
+            None => (checkpoint, range),
+            Some(acc) => merge_checkpoints(resolved.olds[0], acc, (checkpoint, range))?,
+        });
+    }
+    let (checkpoint, _) = folded.expect("a plan replaces at least one instance");
+    Ok(checkpoint)
+}
+
+/// The backed-up checkpoint of the failed instance `id`
+/// (`retrieve-backup(backup(o), o)`), or empty state when no store can
+/// supply one.
+fn restore_backup<C: ClusterBackend + ?Sized>(cluster: &C, id: OperatorId) -> Checkpoint {
+    let started = Instant::now();
+    match cluster.backup().retrieve_measured(id) {
+        Ok((checkpoint, read_bytes)) => {
             cluster.metrics().record_store_restore(
-                ctx.store,
-                read as usize,
-                restore_started.elapsed().as_micros() as u64,
+                cluster.context().store,
+                read_bytes as usize,
+                started.elapsed().as_micros() as u64,
             );
-            Ok(merged)
+            checkpoint
         }
+        Err(_) => Checkpoint::empty(id),
     }
 }
 
@@ -646,21 +584,19 @@ fn set_paused<C: ClusterBackend + ?Sized>(
     Ok(())
 }
 
-/// Unpause a paused pair and hand the error back — the capture/rewrite
-/// failure path that leaves the cluster exactly as it was.
+/// Unpause the paused instances and hand the error back — the
+/// capture/rewrite failure path that leaves the cluster exactly as it was.
 fn abort_paused<C: ClusterBackend + ?Sized>(
     cluster: &mut C,
-    resolved: &ResolvedPlan,
+    paused: &[OperatorId],
     e: Error,
 ) -> Error {
-    if resolved.pause_olds {
-        let _ = set_paused(cluster, &resolved.olds, false);
-    }
+    let _ = set_paused(cluster, paused, false);
     e
 }
 
-/// Move the backups *other* operators stored on `old`'s (surviving) VM over
-/// to `new`'s store; only a released VM's store is genuinely lost.
+/// Move the backups *other* operators stored with `old` over to `new`'s
+/// store, and `backup_of` with them.
 fn migrate_third_party_backups(
     backup: &BackupCoordinator,
     replaced: &[OperatorId],

@@ -153,9 +153,9 @@ pub enum ReconfigKind {
         victim: OperatorId,
     },
     /// Re-split **all π partitions** of a logical operator by the observed
-    /// key distribution in one plan: every partition is checkpointed, the
-    /// pooled (traffic- or footprint-weighted) key sample of the merged
-    /// checkpoint chooses π new weighted-quantile boundaries, and each new
+    /// key distribution in one plan: every partition's state is captured,
+    /// the pooled (traffic- or footprint-weighted) key sample of the merged
+    /// capture chooses π new weighted-quantile boundaries, and each new
     /// partition is restored onto the VM that owned that slice of the key
     /// space — a repartition that neither grows nor shrinks the deployment.
     Rebalance {

@@ -1811,6 +1811,48 @@ pub(crate) mod tests {
         assert_eq!(backed_up, h.runtime.full_checkpoint(counter).unwrap());
     }
 
+    /// A refused initial backup does not half-commit a scale out: the plan
+    /// commits with the counts whole in the new partitions, the old instance
+    /// is gone, and the next round re-establishes a full backup of each
+    /// partition.
+    #[test]
+    fn a_scale_out_whose_initial_backup_is_refused_commits_and_backs_up_next_round() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let mut h = word_count_harness(RuntimeConfig::default());
+        let counter = counter_instance(&h);
+        let splitter = h.runtime.partitions(h.split)[0];
+        // The counter backs up to its only upstream, the splitter.
+        let store = Arc::new(RefusingStore::default());
+        h.runtime.backup.register_store(splitter, store.clone());
+        inject_sentence(&mut h, "a b c d e f g h i j k l one two three");
+        h.runtime.drain();
+        h.runtime.advance_to(5_000);
+        inject_sentence(&mut h, "two three four");
+        h.runtime.drain();
+
+        store.refusing.store(true, SeqCst);
+        let outcome = h.runtime.scale_out(counter, 2).expect("the plan commits");
+        assert!(h.runtime.journal().events().last().unwrap().committed());
+        assert_eq!(h.runtime.parallelism(h.count), 2);
+        assert!(!h.runtime.workers.contains_key(&counter));
+        inject_sentence(&mut h, "three four five");
+        h.runtime.drain();
+        let counts = ["a", "two", "three", "four", "five"].map(|w| count_of(&h, w));
+        assert_eq!(counts, [1, 2, 3, 2, 1]);
+
+        store.refusing.store(false, SeqCst);
+        h.runtime.advance_to(10_000);
+        for part in outcome.new_operators {
+            let records = h.runtime.metrics().checkpoints();
+            let record = records.iter().rfind(|r| r.operator == part).unwrap();
+            assert_eq!((record.at_ms, record.incremental), (10_000, false));
+            let mut backed_up = h.runtime.backed_up_checkpoint(part).unwrap();
+            // This advance also ran a utilisation report, after the round.
+            backed_up.traffic.decay();
+            assert_eq!(backed_up, h.runtime.full_checkpoint(part).unwrap());
+        }
+    }
+
     #[test]
     fn sink_latency_is_recorded_after_window_close() {
         let mut h = word_count_harness(RuntimeConfig::default());

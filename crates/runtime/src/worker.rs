@@ -672,16 +672,15 @@ impl WorkerCore {
                 self.set_paused(on);
                 StepReply::Done
             }
+            InstanceStep::Snapshot => {
+                self.ensure_live()?;
+                StepReply::Captured(Capture::Full(self.take_checkpoint(0)))
+            }
             InstanceStep::Capture {
                 sequence,
                 base_held,
             } => {
-                if self.failed {
-                    return Err(seep_core::Error::Invariant(format!(
-                        "cannot checkpoint failed operator {}",
-                        self.id
-                    )));
-                }
+                self.ensure_live()?;
                 StepReply::Captured(self.take_delta(sequence, base_held))
             }
             InstanceStep::TrimBuffer { downstream, ts } => {
@@ -744,6 +743,17 @@ impl WorkerCore {
             }
         };
         Ok(reply)
+    }
+
+    /// A failed worker's state is gone: reading it is an error.
+    fn ensure_live(&self) -> Result<()> {
+        if self.failed {
+            return Err(seep_core::Error::Invariant(format!(
+                "cannot checkpoint failed operator {}",
+                self.id
+            )));
+        }
+        Ok(())
     }
 
     /// Restore the worker from a (possibly partitioned) checkpoint: install
@@ -951,6 +961,63 @@ mod tests {
         let replayed =
             restored.replay_to(OperatorId::new(2), &reflected_downstream, &net, &metrics);
         assert_eq!(replayed, 3);
+    }
+
+    /// A plan's snapshot reads the state without consuming the delta marks:
+    /// if the plan is then rejected, the next periodic capture still carries
+    /// every change since the previous one.
+    #[test]
+    fn a_snapshot_leaves_the_next_delta_whole() {
+        let net = network();
+        let metrics = Metrics::new();
+        let epoch = Instant::now();
+        let rx = net.register(OperatorId::new(1));
+        let mut core = WorkerCore::new(
+            OperatorId::new(1),
+            LogicalOpId(1),
+            Box::new(seep_operators::WindowedWordCount::new(60_000)),
+            rx,
+            BTreeMap::new(),
+            SharedClock::new(),
+            false,
+            true,
+        );
+        let apply = |core: &mut WorkerCore, step| core.apply(step, &net, &metrics, epoch).unwrap();
+        let feed = |core: &mut WorkerCore, ts: u64, word: &str| {
+            let t = Tuple::encode(ts, Key::from_str_key(word), &word.to_string()).unwrap();
+            net.send_tuple(OperatorId::new(0), OperatorId::new(1), StreamId(0), t)
+                .unwrap();
+            apply(core, InstanceStep::Drain);
+        };
+        feed(&mut core, 1, "alpha");
+        feed(&mut core, 2, "beta");
+        let first = InstanceStep::Capture {
+            sequence: 1,
+            base_held: false,
+        };
+        assert!(matches!(
+            apply(&mut core, first),
+            StepReply::Captured(Capture::Full(_))
+        ));
+
+        feed(&mut core, 3, "gamma");
+        let snapshot = apply(&mut core, InstanceStep::Snapshot)
+            .into_snapshot()
+            .unwrap();
+        assert_eq!(snapshot, core.take_checkpoint(0));
+        feed(&mut core, 4, "delta");
+        let next = InstanceStep::Capture {
+            sequence: 2,
+            base_held: true,
+        };
+        let StepReply::Captured(Capture::Delta(delta)) = apply(&mut core, next) else {
+            panic!("a held base takes a delta");
+        };
+        let changed: Vec<Key> = delta.changed.iter().map(|(k, _)| *k).collect();
+        for word in ["gamma", "delta"] {
+            assert!(changed.contains(&Key::from_str_key(word)), "{word} missing");
+        }
+        assert!(!changed.contains(&Key::from_str_key("alpha")));
     }
 
     #[test]

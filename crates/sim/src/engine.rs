@@ -557,7 +557,7 @@ impl SimEngine {
     }
 
     /// Rebalance skewed stages: the key boundaries are re-drawn from the
-    /// observed distribution (the runtime samples the backed-up checkpoint),
+    /// observed distribution (the runtime samples the captured state),
     /// so from now on the hot share spreads across the partitions. No VM is
     /// taken or returned; the queues even out and the restore shows up as a
     /// short disruption, like a scale-in's.

@@ -223,115 +223,6 @@ impl BackupCoordinator {
         Ok((checkpoint, read))
     }
 
-    /// A load-weighted key sample of `operator`'s backed-up checkpoint, drawn
-    /// at the store that holds it (so `FileStore` delta chains are
-    /// materialised by the backend before sampling). The plan executor
-    /// samples the checkpoint it has already retrieved for partitioning;
-    /// this entry point serves callers that want a split or skew probe
-    /// *without* shipping the full checkpoint — e.g. a policy asking "is
-    /// this partition's backup skewed?" before committing to a plan.
-    pub fn sample_keys(&self, operator: OperatorId, max: usize) -> Result<Vec<seep_core::Key>> {
-        let backup = self.backup_of(operator).ok_or(Error::NoBackup(operator))?;
-        self.store_of(backup)?.sample_keys(operator, max)
-    }
-
-    /// Partition the backed-up checkpoint of `operator` for scale out on the
-    /// VM that holds it (Algorithm 2 runs at the backup operator).
-    pub fn partition_for_scale_out(
-        &self,
-        operator: OperatorId,
-        assignments: &[(OperatorId, seep_core::KeyRange)],
-    ) -> Result<Vec<Checkpoint>> {
-        let backup = self.backup_of(operator).ok_or(Error::NoBackup(operator))?;
-        self.store_of(backup)?
-            .partition_for_scale_out(operator, assignments)
-    }
-
-    /// Merge the backed-up checkpoints of two adjacent partitions `a` and `b`
-    /// into a single checkpoint owned by `merged` — the scale-in counterpart
-    /// of [`partition_for_scale_out`](Self::partition_for_scale_out). When
-    /// both backups live on the same store the merge runs there, as the paper
-    /// would run it on the backup VM; otherwise the two checkpoints are
-    /// fetched from their respective backup stores and merged here. Fails
-    /// with [`Error::NoBackup`] when either partition has no backup yet (the
-    /// caller then checkpoints first or falls back to replay-only merge).
-    pub fn merge_for_scale_in(
-        &self,
-        merged: OperatorId,
-        a: (OperatorId, seep_core::KeyRange),
-        b: (OperatorId, seep_core::KeyRange),
-    ) -> Result<(Checkpoint, seep_core::KeyRange)> {
-        let backup_a = self.backup_of(a.0).ok_or(Error::NoBackup(a.0))?;
-        let backup_b = self.backup_of(b.0).ok_or(Error::NoBackup(b.0))?;
-        if backup_a == backup_b {
-            return self.store_of(backup_a)?.merge_for_scale_in(merged, a, b);
-        }
-        let cp_a = self.store_of(backup_a)?.latest(a.0)?;
-        let cp_b = self.store_of(backup_b)?.latest(b.0)?;
-        seep_core::merge::merge_checkpoints(merged, (cp_a, a.1), (cp_b, b.1))
-    }
-
-    /// Merge the backed-up checkpoints of **all** `parts` — adjacent
-    /// partitions of one logical operator, in any order — into a single
-    /// checkpoint owned by `merged`: the N-way generalisation of
-    /// [`merge_for_scale_in`](Self::merge_for_scale_in), used by whole-
-    /// operator rebalancing and consolidation to pool every partition's
-    /// state (and traffic sample) before re-splitting it. Fails with
-    /// [`Error::NoBackup`] when any partition has no backup yet, and with
-    /// the usual adjacency error when the ranges do not form one contiguous
-    /// interval.
-    pub fn merge_adjacent(
-        &self,
-        merged: OperatorId,
-        parts: &[(OperatorId, seep_core::KeyRange)],
-    ) -> Result<(Checkpoint, seep_core::KeyRange)> {
-        let mut sorted = parts.to_vec();
-        sorted.sort_by_key(|(_, r)| r.lo);
-        let mut iter = sorted.into_iter();
-        let (first_op, first_range) = iter
-            .next()
-            .ok_or_else(|| Error::Invariant("cannot merge zero partitions".into()))?;
-        let mut acc = (self.retrieve(first_op)?, first_range);
-        for (op, range) in iter {
-            let cp = self.retrieve(op)?;
-            acc = seep_core::merge::merge_checkpoints(merged, acc, (cp, range))?;
-        }
-        let (mut checkpoint, range) = acc;
-        // A single partition skips the merge loop: stamp it by hand.
-        checkpoint.meta.operator = merged;
-        Ok((checkpoint, range))
-    }
-
-    /// Store the merged checkpoint as the initial backup of the surviving
-    /// operator and delete the two replaced partitions' backups — the
-    /// scale-in counterpart of [`store_partitioned`](Self::store_partitioned).
-    /// The old backups are removed only after the merged checkpoint is safely
-    /// stored, so a crash mid-way never leaves the system without any copy.
-    pub fn store_merged(
-        &self,
-        replaced: [OperatorId; 2],
-        upstreams: &[OperatorId],
-        merged: &Checkpoint,
-    ) -> Result<PutOutcome> {
-        let outcomes =
-            self.store_repartitioned(&replaced, upstreams, std::slice::from_ref(merged))?;
-        Ok(outcomes[0])
-    }
-
-    /// Store partitioned checkpoints as the initial backups of the new
-    /// partitions (Algorithm 2, line 8) and drop the replaced operator's
-    /// backup. Each partition's backup lands on the store chosen by the same
-    /// hash rule over `upstreams`.
-    pub fn store_partitioned(
-        &self,
-        replaced: OperatorId,
-        upstreams: &[OperatorId],
-        partitions: &[Checkpoint],
-    ) -> Result<()> {
-        self.store_repartitioned(&[replaced], upstreams, partitions)?;
-        Ok(())
-    }
-
     /// The common backup bookkeeping behind every reconfiguration shape:
     /// store the checkpoints of the instances replacing `replaced` as their
     /// initial backups (each landing on the store chosen by the hash rule
@@ -372,7 +263,6 @@ mod tests {
     use crate::mem::MemStore;
     use seep_core::state::{BufferState, ProcessingState};
     use seep_core::tuple::{Key, StreamId};
-    use seep_core::KeyRange;
 
     fn coordinator_with_stores(ops: &[u64]) -> BackupCoordinator {
         let coord = BackupCoordinator::new();
@@ -486,29 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_keys_reads_the_backed_up_checkpoint() {
-        let coord = coordinator_with_stores(&[1]);
-        let op = OperatorId::new(5);
-        let mut st = ProcessingState::empty();
-        st.insert(Key(10), vec![0u8; 500]); // hot
-        st.insert(Key(20), vec![0u8; 20]);
-        let cp = Checkpoint::new(op, 1, st, BufferState::new());
-        coord.backup_state(op, &[OperatorId::new(1)], cp).unwrap();
-        let sample = coord.sample_keys(op, 64).unwrap();
-        assert!(!sample.is_empty() && sample.len() <= 64);
-        let hot = sample.iter().filter(|k| **k == Key(10)).count();
-        let cold = sample.iter().filter(|k| **k == Key(20)).count();
-        assert!(hot > cold, "sample must weight by state footprint");
-        // No backup: sampling is an error the caller can fall back from.
-        assert!(matches!(
-            coord.sample_keys(OperatorId::new(99), 64),
-            Err(Error::NoBackup(_))
-        ));
-    }
-
-    #[test]
     fn store_repartitioned_replaces_a_pair_with_a_pair() {
-        // The rebalance shape: two old partitions replaced by two new ones.
+        // The rebalance shape, two old partitions replaced by two new ones,
+        // then the scale-in shape (2 → 1) over the rebalanced pair.
+        let shapes: [(&[u64], &[u64]); 2] = [(&[10, 11], &[20, 21]), (&[20, 21], &[8])];
         let coord = coordinator_with_stores(&[1, 2]);
         let ups = [OperatorId::new(1), OperatorId::new(2)];
         for old in [10, 11] {
@@ -516,24 +387,27 @@ mod tests {
                 .backup_state(OperatorId::new(old), &ups, checkpoint(old, 1))
                 .unwrap();
         }
-        let parts = vec![
-            Checkpoint::empty(OperatorId::new(20)),
-            Checkpoint::empty(OperatorId::new(21)),
-        ];
-        let outcomes = coord
-            .store_repartitioned(&[OperatorId::new(10), OperatorId::new(11)], &ups, &parts)
-            .unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(coord.retrieve(OperatorId::new(20)).is_ok());
-        assert!(coord.retrieve(OperatorId::new(21)).is_ok());
-        for old in [10, 11] {
-            assert!(coord.backup_of(OperatorId::new(old)).is_none());
-            assert!(coord.retrieve(OperatorId::new(old)).is_err());
+        for (olds, news) in shapes {
+            let olds: Vec<OperatorId> = olds.iter().map(|o| OperatorId::new(*o)).collect();
+            let parts: Vec<Checkpoint> = news
+                .iter()
+                .map(|n| Checkpoint::empty(OperatorId::new(*n)))
+                .collect();
+            let outcomes = coord.store_repartitioned(&olds, &ups, &parts).unwrap();
+            assert_eq!(outcomes.len(), news.len());
+            for new in news {
+                assert!(coord.retrieve(OperatorId::new(*new)).is_ok());
+            }
+            for old in olds {
+                assert!(coord.backup_of(old).is_none());
+                assert!(matches!(coord.retrieve(old), Err(Error::NoBackup(_))));
+            }
         }
     }
 
     #[test]
     fn store_partitioned_sets_initial_backups_and_drops_old() {
+        // The scale-out shape: one old operator replaced by two partitions.
         let coord = coordinator_with_stores(&[1, 2]);
         let ups = [OperatorId::new(1), OperatorId::new(2)];
         let old = OperatorId::new(5);
@@ -545,149 +419,11 @@ mod tests {
             Checkpoint::empty(OperatorId::new(10)),
             Checkpoint::empty(OperatorId::new(11)),
         ];
-        coord.store_partitioned(old, &ups, &parts).unwrap();
+        coord.store_repartitioned(&[old], &ups, &parts).unwrap();
         assert!(coord.retrieve(OperatorId::new(10)).is_ok());
         assert!(coord.retrieve(OperatorId::new(11)).is_ok());
         assert!(coord.backup_of(old).is_none());
         assert!(matches!(coord.retrieve(old), Err(Error::NoBackup(_))));
-    }
-
-    #[test]
-    fn partition_for_scale_out_runs_at_the_backup_store() {
-        let coord = coordinator_with_stores(&[1]);
-        let op = OperatorId::new(5);
-        coord
-            .backup_state(op, &[OperatorId::new(1)], checkpoint(5, 1))
-            .unwrap();
-        let ranges = KeyRange::full().split_even(2).unwrap();
-        let parts = coord
-            .partition_for_scale_out(
-                op,
-                &[
-                    (OperatorId::new(10), ranges[0]),
-                    (OperatorId::new(11), ranges[1]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(parts.len(), 2);
-        let total: usize = parts.iter().map(|p| p.processing.len()).sum();
-        assert_eq!(total, 1);
-    }
-
-    #[test]
-    fn merge_for_scale_in_combines_backups_from_one_store() {
-        let coord = coordinator_with_stores(&[1]);
-        let ups = [OperatorId::new(1)];
-        let ranges = KeyRange::full().split_even(2).unwrap();
-        coord
-            .backup_state(OperatorId::new(10), &ups, checkpoint(10, 3))
-            .unwrap();
-        coord
-            .backup_state(OperatorId::new(11), &ups, checkpoint(11, 5))
-            .unwrap();
-        let (merged, range) = coord
-            .merge_for_scale_in(
-                OperatorId::new(20),
-                (OperatorId::new(10), ranges[0]),
-                (OperatorId::new(11), ranges[1]),
-            )
-            .unwrap();
-        assert_eq!(range, KeyRange::full());
-        assert_eq!(merged.meta.operator, OperatorId::new(20));
-        assert_eq!(merged.processing.len(), 2);
-
-        coord
-            .store_merged([OperatorId::new(10), OperatorId::new(11)], &ups, &merged)
-            .unwrap();
-        assert_eq!(
-            coord
-                .retrieve(OperatorId::new(20))
-                .unwrap()
-                .processing
-                .len(),
-            2
-        );
-        assert!(coord.retrieve(OperatorId::new(10)).is_err());
-        assert!(coord.retrieve(OperatorId::new(11)).is_err());
-        assert!(coord.backup_of(OperatorId::new(10)).is_none());
-    }
-
-    #[test]
-    fn merge_adjacent_pools_many_partitions() {
-        let coord = coordinator_with_stores(&[1, 2]);
-        let ups = [OperatorId::new(1), OperatorId::new(2)];
-        let ranges = KeyRange::full().split_even(4).unwrap();
-        for (i, op) in [10u64, 11, 12, 13].iter().enumerate() {
-            coord
-                .backup_state(OperatorId::new(*op), &ups, checkpoint(*op, i as u64 + 1))
-                .unwrap();
-        }
-        // Out-of-key-order input is sorted before merging.
-        let parts = vec![
-            (OperatorId::new(12), ranges[2]),
-            (OperatorId::new(10), ranges[0]),
-            (OperatorId::new(13), ranges[3]),
-            (OperatorId::new(11), ranges[1]),
-        ];
-        let (merged, range) = coord.merge_adjacent(OperatorId::new(20), &parts).unwrap();
-        assert_eq!(range, KeyRange::full());
-        assert_eq!(merged.meta.operator, OperatorId::new(20));
-        assert_eq!(merged.processing.len(), 4);
-
-        // A missing backup surfaces instead of silently merging less state.
-        let gap = vec![
-            (OperatorId::new(10), ranges[0]),
-            (OperatorId::new(99), ranges[1]),
-        ];
-        assert!(matches!(
-            coord.merge_adjacent(OperatorId::new(21), &gap),
-            Err(Error::NoBackup(_))
-        ));
-        // Non-adjacent ranges are rejected like the pairwise merge rejects
-        // them.
-        let torn = vec![
-            (OperatorId::new(10), ranges[0]),
-            (OperatorId::new(12), ranges[2]),
-        ];
-        assert!(coord.merge_adjacent(OperatorId::new(22), &torn).is_err());
-        assert!(coord.merge_adjacent(OperatorId::new(23), &[]).is_err());
-    }
-
-    #[test]
-    fn merge_for_scale_in_spans_stores_and_requires_backups() {
-        let coord = coordinator_with_stores(&[1, 2]);
-        let ranges = KeyRange::full().split_even(2).unwrap();
-        // Pin the two partitions' backups to *different* stores.
-        coord
-            .backup_state(
-                OperatorId::new(10),
-                &[OperatorId::new(1)],
-                checkpoint(10, 1),
-            )
-            .unwrap();
-        let err = coord.merge_for_scale_in(
-            OperatorId::new(20),
-            (OperatorId::new(10), ranges[0]),
-            (OperatorId::new(11), ranges[1]),
-        );
-        assert!(matches!(err, Err(Error::NoBackup(_))), "11 has no backup");
-
-        coord
-            .backup_state(
-                OperatorId::new(11),
-                &[OperatorId::new(2)],
-                checkpoint(11, 2),
-            )
-            .unwrap();
-        let (merged, range) = coord
-            .merge_for_scale_in(
-                OperatorId::new(20),
-                (OperatorId::new(10), ranges[0]),
-                (OperatorId::new(11), ranges[1]),
-            )
-            .unwrap();
-        assert_eq!(range, KeyRange::full());
-        assert_eq!(merged.processing.len(), 2);
     }
 
     #[test]

@@ -229,6 +229,18 @@ impl std::fmt::Debug for FileStore {
     }
 }
 
+/// `(sequence, frame)` of a full record of `checkpoint` owned by `owner`.
+fn full_frame(owner: OperatorId, checkpoint: &Checkpoint) -> Result<(u64, Vec<u8>)> {
+    let sequence = checkpoint.meta.sequence;
+    let record = RecordHeader {
+        kind: RecordKind::Full,
+        owner,
+        sequence,
+        base_sequence: 0,
+    };
+    Ok((sequence, record.frame(checkpoint)?))
+}
+
 fn io_err(e: std::io::Error) -> Error {
     Error::Store(e.to_string())
 }
@@ -449,14 +461,19 @@ impl FileStore {
         owner: OperatorId,
         checkpoint: &Checkpoint,
     ) -> Result<RecordPtr> {
-        let sequence = checkpoint.meta.sequence;
-        let record = RecordHeader {
-            kind: RecordKind::Full,
-            owner,
-            sequence,
-            base_sequence: 0,
-        };
-        let ptr = self.append(inner, &record.frame(checkpoint)?)?;
+        let (sequence, frame) = full_frame(owner, checkpoint)?;
+        self.append_base(inner, owner, sequence, &frame)
+    }
+
+    /// Append an encoded full record and make it the owner's base.
+    fn append_base(
+        &self,
+        inner: &mut Inner,
+        owner: OperatorId,
+        sequence: u64,
+        frame: &[u8],
+    ) -> Result<RecordPtr> {
+        let ptr = self.append(inner, frame)?;
         inner
             .index
             .insert(owner, OwnerIndex::based_on(ptr, sequence));
@@ -491,19 +508,17 @@ impl FileStore {
         Ok(())
     }
 
-    /// Read the body of the record at `ptr`, which must be of kind `kind`.
-    fn read_body<T: for<'de> Deserialize<'de>>(
-        &self,
-        ptr: RecordPtr,
-        kind: RecordKind,
-    ) -> Result<T> {
+    /// The whole frame (len+CRC header and payload) of the record at `ptr`,
+    /// checked against its length and CRC.
+    fn read_frame(&self, ptr: RecordPtr) -> Result<Vec<u8>> {
         let path = segment_path(&self.config.dir, ptr.segment);
         let mut file = File::open(&path).map_err(io_err)?;
         file.seek(SeekFrom::Start(ptr.offset)).map_err(io_err)?;
-        let mut header = [0u8; FRAME_HEADER];
-        file.read_exact(&mut header).map_err(io_err)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let mut frame = vec![0u8; FRAME_HEADER + ptr.len as usize];
+        file.read_exact(&mut frame[..FRAME_HEADER])
+            .map_err(io_err)?;
+        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
         let at = || format!("segment {} offset {}", ptr.segment, ptr.offset);
         if len != ptr.len {
             return Err(Error::Store(format!(
@@ -511,12 +526,24 @@ impl FileStore {
                 at()
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        file.read_exact(&mut payload).map_err(io_err)?;
-        if crc32(&payload) != crc {
+        file.read_exact(&mut frame[FRAME_HEADER..])
+            .map_err(io_err)?;
+        if crc32(&frame[FRAME_HEADER..]) != crc {
             return Err(Error::Store(format!("CRC mismatch at {}", at())));
         }
-        match RecordHeader::parse(&payload) {
+        Ok(frame)
+    }
+
+    /// Read the body of the record at `ptr`, which must be of kind `kind`.
+    fn read_body<T: for<'de> Deserialize<'de>>(
+        &self,
+        ptr: RecordPtr,
+        kind: RecordKind,
+    ) -> Result<T> {
+        let frame = self.read_frame(ptr)?;
+        let payload = &frame[FRAME_HEADER..];
+        let at = || format!("segment {} offset {}", ptr.segment, ptr.offset);
+        match RecordHeader::parse(payload) {
             Some(record) if record.kind == kind => {
                 Ok(bincode::deserialize(&payload[RECORD_HEADER..])?)
             }
@@ -539,12 +566,20 @@ impl FileStore {
         Ok((checkpoint, entry.live_bytes()))
     }
 
-    /// Rewrite the live state (every owner's materialised latest checkpoint)
-    /// into a fresh segment and delete the old segments.
+    /// Rewrite the live state (every owner's latest checkpoint) into a fresh
+    /// segment and delete the old segments. Every owner's record is read
+    /// before the log is touched, so a failure leaves it as it was: a lone
+    /// full record is copied as it is, and only a delta chain is
+    /// materialised, one owner at a time, and encoded as a fresh full record.
     fn compact(&self, inner: &mut Inner) -> Result<()> {
-        let mut materialized = Vec::with_capacity(inner.index.len());
+        let mut frames = Vec::with_capacity(inner.index.len());
         for (owner, entry) in &inner.index {
-            materialized.push((*owner, self.materialize(entry)?.0));
+            let (sequence, frame) = if entry.deltas.is_empty() {
+                (entry.latest_sequence, self.read_frame(entry.full)?)
+            } else {
+                full_frame(*owner, &self.materialize(entry)?.0)?
+            };
+            frames.push((*owner, sequence, frame));
         }
         // Fresh segment strictly after everything currently on disk.
         let old_segments = std::mem::take(&mut inner.segments);
@@ -561,8 +596,8 @@ impl FileStore {
         // Unsynced frames of the retired segments are about to be deleted
         // with them; the counter restarts with the fresh segment.
         inner.frames_since_sync = 0;
-        for (owner, checkpoint) in materialized {
-            self.append_full(inner, owner, &checkpoint)?;
+        for (owner, sequence, frame) in frames {
+            self.append_base(inner, owner, sequence, &frame)?;
         }
         if self.config.fsync && inner.frames_since_sync > 0 {
             self.sync_active(inner)?;

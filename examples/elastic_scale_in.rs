@@ -2,7 +2,7 @@
 //!
 //! The windowed word-frequency query is scaled out under load, then the load
 //! stops and the bidirectional scaling policy notices the idle sibling
-//! partitions, merges their checkpoints back into one operator and releases
+//! partitions, merges their live state back into one operator and releases
 //! the freed VM to the cloud provider — billing stops with it. Word counts
 //! are asserted identical across the whole round trip.
 //!

@@ -159,10 +159,20 @@ fn consolidate_with_durable_backend_preserves_counts() {
         }
     }
     assert_eq!(harness.total_counted_words(), expected);
-    // The packed partitions' state went through the on-disk log: the
-    // consolidation read the four checkpoints back and re-stored the parts.
+    // The packed partitions' backups live in the on-disk log: failing the VM
+    // of one and recovering what it hosted reads them back, and the counts
+    // come back whole.
+    let victim = harness.handle.partitions(harness.counter)[0];
+    let vm = harness.handle.placement().vm_of(victim).unwrap();
+    let lost = harness.handle.placement().residents(vm).to_vec();
+    harness.handle.fail_operator(victim);
+    for op in lost {
+        harness.handle.recover(op, 1).expect("recovery");
+    }
+    harness.handle.drain();
+    assert_eq!(harness.total_counted_words(), expected);
     let io = harness.handle.metrics().store_io("file");
-    assert!(io.restore_bytes > 0, "consolidation restored from the log");
+    assert!(io.restore_bytes > 0, "recovery restored from the log");
     assert!(io.write_bytes > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -200,17 +200,12 @@ fn sink_contents(h: &LrbHarness) -> SinkContents {
 /// `reconfigure` the toll calculator is scaled out after second 6 and the
 /// toll assessment — fed by the forwarder *and* by both calculator
 /// partitions, feeding the balance account *and* the collector — crashes
-/// after second 14 and is restored from the checkpoint of the idle round
-/// after second 6: eight seconds of both input streams are replayed in
-/// batches (the calculator siblings' merged by timestamp) and everything it
-/// emitted since is re-emitted towards both targets.
-///
-/// The scale-out is preceded by an idle checkpoint round. Scale out starts
-/// from the *backed-up* checkpoint and replays what came after (Algorithm 3);
-/// a partitioned operator cannot rewind its shared clock, so an operator that
-/// emits per input — the calculator, unlike a windowed counter — re-emits
-/// those tuples' notifications under fresh timestamps. With nothing to
-/// replay the plan is exact, and what is under test here is the data plane.
+/// after second 14 and is restored from its latest periodic checkpoint:
+/// what both input streams sent since is replayed in batches (the
+/// calculator siblings' merged by timestamp) and everything it emitted since
+/// is re-emitted towards both targets. The scale out needs no preparatory
+/// round: the calculator hands its live state over at plan time, so nothing
+/// is replayed into the new partitions.
 fn batched_run(worker_threads: usize, reconfigure: bool) -> SinkContents {
     let config = RuntimeConfig::default()
         .with_batch_size(64)
@@ -223,7 +218,6 @@ fn batched_run(worker_threads: usize, reconfigure: bool) -> SinkContents {
         ..Default::default()
     });
     feed_range(&mut h, &mut generator, 0..6);
-    h.handle.advance_to(h.handle.now_ms() + 6_000);
     if reconfigure {
         let target = h.handle.partitions(h.toll_calc)[0];
         h.handle.scale_out(target, 2).expect("scale out");

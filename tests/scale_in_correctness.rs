@@ -3,19 +3,23 @@
 //! that never scaled at all (no lost tuples, no duplicates), one VM has been
 //! handed back to the provider, and the billing ledger stops charging for it.
 
-use seep::runtime::{JournalKind, RuntimeConfig, StoreConfig};
+use seep::runtime::{JournalKind, RecoveryStrategy, RuntimeConfig, StoreConfig};
 use seep_bench::harness::WordCountHarness;
 
-/// Drive the word-count query for `seconds` at `rate`, optionally splitting
-/// the counter at `scale_out_at` and merging it back at `scale_in_at`.
+const SM: RecoveryStrategy = RecoveryStrategy::StateManagement;
+
+/// Drive the word-count query under `strategy` for `seconds` at `rate`,
+/// optionally splitting the counter at `scale_out_at` and merging it back at
+/// `scale_in_at`.
 fn run_round_trip(
     config: RuntimeConfig,
+    strategy: RecoveryStrategy,
     seconds: u64,
     rate: u64,
     scale_out_at: Option<u64>,
     scale_in_at: Option<u64>,
 ) -> (u64, WordCountHarness) {
-    let mut harness = WordCountHarness::deploy(config, 300, 0);
+    let mut harness = WordCountHarness::deploy(config.with_strategy(strategy), 300, 0);
     for s in 0..seconds {
         harness.run_for(1, rate);
         if scale_out_at == Some(s) {
@@ -36,18 +40,42 @@ fn run_round_trip(
     (harness.total_counted_words(), harness)
 }
 
+/// Under R+SM, UB and SR alike: the live partitions hand their state over
+/// at plan time, whatever the strategy keeps for replay. The merged
+/// partition then fails and recovers to the same counts: under R+SM from
+/// the backup the plan stored, under UB and SR, which keep no backups, from
+/// empty state and a full replay. A backup written under SR would be
+/// counted twice, since source replay re-sends the source's whole buffer
+/// under fresh timestamps.
 #[test]
 fn scale_out_then_scale_in_matches_the_never_scaled_run() {
-    let (baseline, _) = run_round_trip(RuntimeConfig::default(), 8, 40, None, None);
-    let (round_trip, harness) = run_round_trip(RuntimeConfig::default(), 8, 40, Some(2), Some(5));
-    assert!(baseline > 0);
-    assert_eq!(
-        round_trip, baseline,
-        "counts after the round trip must match the never-scaled run"
-    );
-    assert_eq!(harness.handle.parallelism(harness.counter), 1);
-    assert_eq!(harness.handle.metrics().scale_outs().len(), 1);
-    assert_eq!(harness.handle.metrics().scale_ins().len(), 1);
+    for strategy in [
+        SM,
+        RecoveryStrategy::UpstreamBackup,
+        RecoveryStrategy::SourceReplay,
+    ] {
+        let (baseline, _) = run_round_trip(RuntimeConfig::default(), strategy, 8, 40, None, None);
+        let (round_trip, mut harness) =
+            run_round_trip(RuntimeConfig::default(), strategy, 8, 40, Some(2), Some(5));
+        assert!(baseline > 0);
+        assert_eq!(
+            round_trip, baseline,
+            "{strategy:?}: counts after the round trip must match the never-scaled run"
+        );
+        assert_eq!(harness.handle.parallelism(harness.counter), 1);
+        assert_eq!(harness.handle.metrics().scale_outs().len(), 1);
+        assert_eq!(harness.handle.metrics().scale_ins().len(), 1);
+
+        let merged = harness.handle.partitions(harness.counter)[0];
+        harness.handle.fail_operator(merged);
+        harness.handle.recover(merged, 1).expect("recovery");
+        harness.handle.drain();
+        assert_eq!(
+            harness.total_counted_words(),
+            baseline,
+            "{strategy:?}: counts after recovering the merged partition"
+        );
+    }
 }
 
 #[test]
@@ -96,13 +124,18 @@ fn round_trip_with_durable_backend_preserves_counts() {
     let dir = std::env::temp_dir().join(format!("seep-scale-in-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = RuntimeConfig::default().with_store(StoreConfig::file(&dir));
-    let (baseline, _) = run_round_trip(RuntimeConfig::default(), 6, 30, None, None);
-    let (round_trip, harness) = run_round_trip(durable, 6, 30, Some(1), Some(4));
+    let (baseline, _) = run_round_trip(RuntimeConfig::default(), SM, 6, 30, None, None);
+    let (round_trip, mut harness) = run_round_trip(durable, SM, 6, 30, Some(1), Some(4));
     assert_eq!(round_trip, baseline);
-    // The merged operator's state went through the on-disk log: the merge
-    // read checkpoints back and stored the merged one.
+    // The merged operator's backup lives in the on-disk log: failing it and
+    // recovering reads that backup back, and the counts come back whole.
+    let merged = harness.handle.partitions(harness.counter)[0];
+    harness.handle.fail_operator(merged);
+    harness.handle.recover(merged, 1).expect("recovery");
+    harness.handle.drain();
+    assert_eq!(harness.total_counted_words(), baseline);
     let io = harness.handle.metrics().store_io("file");
-    assert!(io.restore_bytes > 0, "merge restored from the log");
+    assert!(io.restore_bytes > 0, "recovery restored from the log");
     assert!(io.write_bytes > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -115,7 +148,7 @@ fn round_trip_with_durable_backend_preserves_counts() {
 /// rebalance itself.
 #[test]
 fn even_split_rebalance_merge_round_trip_keeps_counts() {
-    let (baseline, _) = run_round_trip(RuntimeConfig::default(), 8, 40, None, None);
+    let (baseline, _) = run_round_trip(RuntimeConfig::default(), SM, 8, 40, None, None);
 
     let mut harness = WordCountHarness::deploy(RuntimeConfig::default(), 300, 0);
     for s in 0..8u64 {

@@ -4,11 +4,25 @@
 //! operator is scaled out.
 
 use proptest::prelude::*;
-use seep::runtime::RuntimeConfig;
+use seep::core::Key;
+use seep::runtime::{RecoveryStrategy, RuntimeConfig};
 use seep_bench::harness::WordCountHarness;
 
-fn run_with_scale_outs(seconds: u64, rate: u64, scale_at: &[u64]) -> (u64, usize) {
-    let mut harness = WordCountHarness::deploy(RuntimeConfig::default(), 300, 0);
+/// R+SM, UB and SR.
+const STRATEGIES: [RecoveryStrategy; 3] = [
+    RecoveryStrategy::StateManagement,
+    RecoveryStrategy::UpstreamBackup,
+    RecoveryStrategy::SourceReplay,
+];
+
+fn run_with_scale_outs(
+    strategy: RecoveryStrategy,
+    seconds: u64,
+    rate: u64,
+    scale_at: &[u64],
+) -> (u64, usize) {
+    let config = RuntimeConfig::default().with_strategy(strategy);
+    let mut harness = WordCountHarness::deploy(config, 300, 0);
     let mut done = 0usize;
     for s in 0..seconds {
         harness.run_for(1, rate);
@@ -23,19 +37,64 @@ fn run_with_scale_outs(seconds: u64, rate: u64, scale_at: &[u64]) -> (u64, usize
     (harness.total_counted_words(), done)
 }
 
+/// Under every strategy: a live target hands its state over at plan time,
+/// so nothing depends on what the strategy keeps for replay — under SR no
+/// intermediate buffer exists at all.
 #[test]
 fn single_scale_out_preserves_totals() {
-    let (baseline, _) = run_with_scale_outs(6, 40, &[]);
-    let (scaled, done) = run_with_scale_outs(6, 40, &[3]);
-    assert_eq!(done, 1);
-    assert_eq!(baseline, scaled);
-    assert!(baseline > 0);
+    for strategy in STRATEGIES {
+        let (baseline, _) = run_with_scale_outs(strategy, 6, 40, &[]);
+        let (scaled, done) = run_with_scale_outs(strategy, 6, 40, &[3]);
+        assert_eq!(done, 1);
+        assert_eq!(baseline, scaled, "{strategy:?}");
+        assert!(baseline > 0);
+    }
+}
+
+/// Inject `fragments` sentence fragments without draining, then scale the
+/// splitter chain out `scale_outs` times while its output still waits in
+/// the counter's inbound channel, as when the scaling policy fires inside a
+/// report. Returns the counted words and each plan's re-sent tuples.
+fn scale_splitter_before_the_counter_drains(
+    fragments: u64,
+    scale_outs: usize,
+) -> (u64, Vec<usize>) {
+    let mut harness = WordCountHarness::deploy(RuntimeConfig::default(), 300, 0);
+    for i in 0..fragments {
+        let fragment = format!("word{} word{} word{}", i % 7, i % 11, i % 13);
+        let payload = bincode::serialize(&fragment).expect("fragment serialises");
+        harness
+            .handle
+            .inject(harness.source, Key::from_u64(i), payload);
+    }
+    let mut replayed = Vec::new();
+    for _ in 0..scale_outs {
+        let target = harness.handle.partitions(harness.splitter)[0];
+        let outcome = harness.handle.scale_out(target, 2).expect("scale out");
+        replayed.push(outcome.replayed_tuples);
+    }
+    harness.handle.drain();
+    (harness.total_counted_words(), replayed)
+}
+
+/// A live plan re-sends nothing: the drained splitter already sent its
+/// output to the counter, so its new partitions must not send it again.
+/// Re-sending it queued a second copy behind the first in the counter's
+/// bounded channel, and back-to-back plans filled it and wedged the drain.
+#[test]
+fn live_scale_outs_send_each_output_once() {
+    let (baseline, _) = scale_splitter_before_the_counter_drains(500, 0);
+    let (scaled, replayed) = scale_splitter_before_the_counter_drains(500, 3);
+    assert_eq!(baseline, 1_500);
+    assert_eq!(scaled, baseline);
+    assert_eq!(replayed, vec![0, 0, 0], "tuples re-sent by each live plan");
 }
 
 #[test]
 fn repeated_scale_out_grows_parallelism_and_preserves_totals() {
-    let (baseline, _) = run_with_scale_outs(8, 30, &[]);
-    let (scaled, done) = run_with_scale_outs(8, 30, &[2, 4, 6]);
+    let sm = RecoveryStrategy::StateManagement;
+    let (baseline, _) = run_with_scale_outs(sm, 8, 30, &[]);
+    let (scaled, done) = run_with_scale_outs(sm, 8, 30, &[2, 4, 6]);
     assert_eq!(done, 3);
     assert_eq!(baseline, scaled);
 
@@ -115,8 +174,9 @@ proptest! {
         rate in 5u64..20,
         scale_point in 1u64..3,
     ) {
-        let (baseline, _) = run_with_scale_outs(seconds, rate, &[]);
-        let (scaled, done) = run_with_scale_outs(seconds, rate, &[scale_point]);
+        let sm = RecoveryStrategy::StateManagement;
+        let (baseline, _) = run_with_scale_outs(sm, seconds, rate, &[]);
+        let (scaled, done) = run_with_scale_outs(sm, seconds, rate, &[scale_point]);
         prop_assert_eq!(done, 1);
         prop_assert_eq!(baseline, scaled);
     }
