@@ -141,7 +141,7 @@ impl WordCountHarness {
         for s in 0..seconds {
             for _ in 0..rate {
                 let fragment = self.generator.next_fragment();
-                let payload = bincode::serialize(&fragment).expect("fragment serialises");
+                let payload = seep_core::encode_bytes(&fragment).expect("fragment serialises");
                 self.handle
                     .inject(self.source, Key::from_str_key(&fragment), payload);
                 self.injected += 1;
@@ -168,7 +168,7 @@ impl WordCountHarness {
             let due = remaining.min(chunk);
             for _ in 0..due {
                 let fragment = self.generator.next_fragment();
-                let payload = bincode::serialize(&fragment).expect("fragment serialises");
+                let payload = seep_core::encode_bytes(&fragment).expect("fragment serialises");
                 self.handle
                     .inject(self.source, Key::from_str_key(&fragment), payload);
                 self.injected += 1;
@@ -282,7 +282,7 @@ impl LrbSkewHarness {
             let records = self.generator.generate_second(self.t);
             for record in records {
                 let key = Key::from_u64((u64::from(record.time()) << 32) | u64::from(self.t));
-                let payload = bincode::serialize(&record).expect("serialise");
+                let payload = seep_core::encode_bytes(&record).expect("serialise");
                 self.handle.inject(self.source, key, payload);
             }
             self.t += 1;

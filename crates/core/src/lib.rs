@@ -33,6 +33,7 @@
 //! logical query / physical execution graphs ([`graph`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backup;
 pub mod batch;
@@ -71,4 +72,4 @@ pub use operator::{
 pub use spill::{MemoryBudget, SpillPolicy, SpillStore};
 pub use state::{BufferState, ProcessingState, RoutingState, StateDelta, TrackedMap};
 pub use traffic::{TrafficLog, TrafficOp, TrafficStats};
-pub use tuple::{Key, StreamId, Timestamp, TimestampVec, Tuple};
+pub use tuple::{encode_bytes, Key, StreamId, Timestamp, TimestampVec, Tuple};

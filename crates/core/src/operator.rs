@@ -63,9 +63,10 @@ impl OutputTuple {
         }
     }
 
-    /// Create an output tuple by serialising a typed payload.
-    pub fn encode<T: Serialize>(key: Key, value: &T) -> crate::Result<Self> {
-        Ok(OutputTuple::new(key, bincode::serialize(value)?))
+    /// Create an output tuple by serialising a typed payload
+    /// ([`crate::tuple::encode_bytes`]).
+    pub fn encode<T: Serialize + ?Sized>(key: Key, value: &T) -> crate::Result<Self> {
+        Ok(OutputTuple::new(key, crate::tuple::encode_bytes(value)?))
     }
 
     /// Attach a timestamp, turning this into a full [`Tuple`].

@@ -210,9 +210,7 @@ impl<V: DeserializeOwned> TrackedMap<V> {
 
 impl<V: Serialize> TrackedMap<V> {
     fn encode(value: &V) -> Bytes {
-        bincode::serialize(value)
-            .expect("operator state entry serialises")
-            .into()
+        crate::tuple::encode_bytes(value).expect("operator state entry serialises")
     }
 
     /// The whole map as processing-state entries. Leaves the marks alone.

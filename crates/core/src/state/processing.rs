@@ -48,7 +48,7 @@ impl ProcessingState {
 
     /// Insert a serde-serialisable value for `key`.
     pub fn insert_encoded<T: Serialize>(&mut self, key: Key, value: &T) -> crate::Result<()> {
-        self.entries.insert(key, bincode::serialize(value)?.into());
+        self.entries.insert(key, crate::tuple::encode_bytes(value)?);
         Ok(())
     }
 

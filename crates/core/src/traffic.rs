@@ -10,22 +10,37 @@
 //! copy, which travels through backups, merges and partitioning like the rest
 //! of the operator state, and [`crate::Checkpoint::sample_keys`] prefers it
 //! over the footprint heuristic whenever counts are available.
+//!
+//! **A bounded summary.** Only the heavy hitters matter to a split, so the
+//! counters are a Misra–Gries summary of at most [`TrafficStats::CAPACITY`]
+//! keys (Misra and Gries 1982; the merge rule is Agarwal et al.'s mergeable
+//! summaries, PODS 2012). A key seen while the table is full takes one tuple
+//! from every counter instead of getting its own, so `record` is amortised
+//! O(1) and the table never grows past `CAPACITY`. No count exceeds the
+//! key's true count, and between decays none falls short of it by more than
+//! `N / (CAPACITY + 1)` tuples, `N` being the tuples recorded: any key with
+//! more than that share of the traffic keeps a counter. The bound matters
+//! because a worker whose input keys are all fresh — the word splitter's,
+//! one per fragment — would otherwise take an entry per tuple, in its table,
+//! in every checkpoint and in every logged [`TrafficOp::Add`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 
 use crate::key::KeyRange;
 use crate::tuple::Key;
 
-/// Decayed per-key tuple counters observed by a worker.
+/// Decayed per-key tuple counters observed by a worker: a Misra–Gries
+/// summary of at most [`CAPACITY`](Self::CAPACITY) keys.
 ///
 /// Counts are kept in fixed-point (`count << 8`) so repeated halving keeps
 /// resolution for lukewarm keys; entries that decay to zero are dropped.
 /// The map is written once per processed tuple and merged into at every
 /// checkpoint round, so it is a hash map; only sampling needs key order and
-/// sorts for it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// sorts for it. It serialises as the key → count map it is.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TrafficStats {
     counts: HashMap<Key, u64>,
 }
@@ -34,14 +49,32 @@ pub struct TrafficStats {
 const ONE: u64 = 1 << 8;
 
 impl TrafficStats {
+    /// Most keys the summary keeps a counter for. It is below the split
+    /// sample size (`DEFAULT_SPLIT_SAMPLE`, 4 096, in `seep-runtime`), so a
+    /// [`weighted_sample`](Self::weighted_sample) repeats hot keys instead of
+    /// striding over distinct ones.
+    pub const CAPACITY: usize = 1_024;
+
     /// Empty statistics.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record one processed tuple for `key`.
+    /// Record one processed tuple for `key`. On a full table a new key takes
+    /// one tuple from every counter, its own included, and counters left at
+    /// zero are dropped.
     pub fn record(&mut self, key: Key) {
-        *self.counts.entry(key).or_insert(0) += ONE;
+        let full = self.counts.len() >= Self::CAPACITY;
+        match self.counts.entry(key) {
+            Entry::Occupied(mut count) => *count.get_mut() += ONE,
+            Entry::Vacant(slot) if !full => {
+                slot.insert(ONE);
+            }
+            Entry::Vacant(_) => self.counts.retain(|_, c| {
+                *c = c.saturating_sub(ONE);
+                *c > 0
+            }),
+        }
     }
 
     /// Halve every counter (one decay step), dropping entries that reach
@@ -55,7 +88,8 @@ impl TrafficStats {
         });
     }
 
-    /// Number of keys with a live counter.
+    /// Number of keys with a live counter, at most
+    /// [`CAPACITY`](Self::CAPACITY).
     pub fn len(&self) -> usize {
         self.counts.len()
     }
@@ -71,11 +105,30 @@ impl TrafficStats {
     }
 
     /// Merge another partition's counters into this one (scale in and the
-    /// pooled sample of an N-way rebalance).
+    /// pooled sample of an N-way rebalance): the counts add up, and past
+    /// [`CAPACITY`](Self::CAPACITY) keys the (`CAPACITY` + 1)-th largest
+    /// count is taken from every counter, which keeps the error bound of
+    /// the two summaries' combined traffic.
     pub fn merge(&mut self, other: &TrafficStats) {
         for (k, c) in &other.counts {
-            *self.counts.entry(*k).or_insert(0) += c;
+            let sum = self.counts.entry(*k).or_insert(0);
+            *sum = sum.saturating_add(*c);
         }
+        self.bound();
+    }
+
+    /// Cut the table to at most [`CAPACITY`](Self::CAPACITY) keys by taking
+    /// the (`CAPACITY` + 1)-th largest count from every counter.
+    fn bound(&mut self) {
+        if self.counts.len() <= Self::CAPACITY {
+            return;
+        }
+        let mut counts: Vec<u64> = self.counts.values().copied().collect();
+        let (_, &mut cut, _) = counts.select_nth_unstable_by(Self::CAPACITY, |a, b| b.cmp(a));
+        self.counts.retain(|_, c| {
+            *c = c.saturating_sub(cut);
+            *c > 0
+        });
     }
 
     /// Split the counters into one `TrafficStats` per key range, mirroring
@@ -112,6 +165,21 @@ impl TrafficStats {
         let mut pairs: Vec<(Key, u64)> = self.counts.iter().map(|(k, c)| (*k, *c)).collect();
         pairs.sort_unstable();
         crate::key::weighted_multiset_sample(&pairs, max)
+    }
+}
+
+/// Decodes the key → count map and bounds it, so a map written with more
+/// than [`TrafficStats::CAPACITY`] keys comes back as a summary.
+impl<'de> Deserialize<'de> for TrafficStats {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Counts {
+            counts: HashMap<Key, u64>,
+        }
+        let Counts { counts } = Counts::deserialize(d)?;
+        let mut stats = TrafficStats { counts };
+        stats.bound();
+        Ok(stats)
     }
 }
 
@@ -312,6 +380,116 @@ mod tests {
         let mut dedup = sub.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), sub.len());
+    }
+
+    /// Ranks of a Zipf(1) law over `keys` keys, drawn by inverting its CDF.
+    fn zipf_draws(keys: usize, draws: usize, seed: u64) -> Vec<u64> {
+        let mut cdf = Vec::with_capacity(keys);
+        let mut total = 0.0;
+        for rank in 1..=keys {
+            total += 1.0 / rank as f64;
+            cdf.push(total);
+        }
+        let mut gen = proptest::Gen::new(seed);
+        (0..draws)
+            .map(|_| {
+                let u = (gen.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
+                cdf.partition_point(|&c| c < u).min(keys - 1) as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zipf_heavy_hitters_are_tracked_within_the_bound() {
+        const N: usize = 400_000;
+        let draws = zipf_draws(100_000, N, 7);
+        let mut exact: HashMap<u64, u64> = HashMap::new();
+        let mut summary = TrafficStats::new();
+        for &rank in &draws {
+            *exact.entry(rank).or_default() += 1;
+            summary.record(Key(rank));
+        }
+        assert!(summary.len() <= TrafficStats::CAPACITY);
+        let slack = (N / (TrafficStats::CAPACITY + 1)) as u64;
+        let mut top: Vec<(u64, u64)> = exact.iter().map(|(k, c)| (*c, *k)).collect();
+        top.sort_unstable_by(|a, b| b.cmp(a));
+        for &(count, rank) in &top[..10] {
+            let kept = summary.count(Key(rank));
+            assert!(kept > 0, "rank {rank} ({count} tuples) dropped");
+            assert!(
+                kept <= count && count - kept <= slack,
+                "rank {rank}: kept {kept} of {count}, slack {slack}"
+            );
+        }
+        // Every kept count is an underestimate, however cold the key.
+        for (key, count) in &summary.counts {
+            assert!(count / ONE <= exact[&key.0]);
+        }
+    }
+
+    #[test]
+    fn merged_summaries_keep_the_heavy_keys_of_both() {
+        let mut a = TrafficStats::new();
+        let mut b = TrafficStats::new();
+        for k in 0..5_000u64 {
+            a.record(Key(k));
+            b.record(Key(1_000_000 + k));
+        }
+        for _ in 0..500 {
+            a.record(Key(7));
+            b.record(Key(1_000_007));
+        }
+        a.merge(&b);
+        assert!(a.len() <= TrafficStats::CAPACITY);
+        assert!(a.count(Key(7)) > 0 && a.count(Key(1_000_007)) > 0);
+    }
+
+    #[test]
+    fn an_oversized_map_decodes_as_a_summary() {
+        let wide = TrafficStats {
+            counts: (0..3 * TrafficStats::CAPACITY as u64)
+                .map(|k| (Key(k), ONE * (1 + k % 3)))
+                .collect(),
+        };
+        let back: TrafficStats = bincode::deserialize(&bincode::serialize(&wide).unwrap()).unwrap();
+        assert!(back.len() <= TrafficStats::CAPACITY);
+        assert!(
+            back.counts.values().all(|c| *c == ONE),
+            "the cut was 2 tuples"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn no_mix_of_steps_grows_past_the_capacity(
+            steps in proptest::collection::vec(0u64..1_000, 20..120),
+        ) {
+            let mut log = TrafficLog::default();
+            let mut other = TrafficStats::new();
+            let mut key = 0u64;
+            for step in steps {
+                match step % 10 {
+                    0 => log.decay(),
+                    1 => {
+                        let _ = log.take_ops();
+                    }
+                    2 => other.merge(&log.current()),
+                    3 => other.apply(&TrafficOp::Add(log.current())),
+                    4 => log.restore(other.clone()),
+                    _ => {
+                        // A burst of fresh keys and a few repeated ones.
+                        for _ in 0..step * 2 {
+                            key += 1;
+                            log.record(Key(if key.is_multiple_of(5) { key % 13 } else { key }));
+                        }
+                    }
+                }
+                proptest::prop_assert!(log.current().len() <= TrafficStats::CAPACITY);
+                proptest::prop_assert!(other.len() <= TrafficStats::CAPACITY);
+            }
+        }
     }
 
     #[test]

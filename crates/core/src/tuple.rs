@@ -4,12 +4,26 @@
 //! logical timestamp `τ` assigned by the emitting operator's monotonically
 //! increasing [`crate::clock::LogicalClock`], a key field `k` used to
 //! partition state and streams, and an opaque payload `p`.
+//!
+//! Payloads and state entries are `bincode` encodings made by
+//! [`encode_bytes`], one exact-size allocation each, and decoding borrows:
+//! [`Tuple::decode`] can lend a `&str` out of the payload.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
+
+/// Encode `value` with `bincode` into one block of exactly its size: the
+/// encoding is measured, written into a buffer allocated at that length,
+/// and the buffer becomes the [`Bytes`] without a copy. Every payload and
+/// state entry built from a typed value is made here.
+pub fn encode_bytes<T: Serialize + ?Sized>(value: &T) -> crate::Result<Bytes> {
+    let mut buf = BytesMut::zeroed(bincode::serialized_size(value)? as usize);
+    bincode::serialize_into_slice(&mut buf, value)?;
+    Ok(buf.freeze())
+}
 
 /// Logical timestamp assigned by the emitting operator's logical clock.
 ///
@@ -130,14 +144,18 @@ impl Tuple {
         }
     }
 
-    /// Create a tuple by serialising a typed payload with `bincode`.
-    pub fn encode<T: Serialize>(ts: Timestamp, key: Key, value: &T) -> crate::Result<Self> {
-        let bytes = bincode::serialize(value)?;
-        Ok(Tuple::new(ts, key, bytes))
+    /// Create a tuple by serialising a typed payload ([`encode_bytes`]).
+    pub fn encode<T: Serialize + ?Sized>(
+        ts: Timestamp,
+        key: Key,
+        value: &T,
+    ) -> crate::Result<Self> {
+        Ok(Tuple::new(ts, key, encode_bytes(value)?))
     }
 
-    /// Decode the payload back into a typed value.
-    pub fn decode<T: for<'de> Deserialize<'de>>(&self) -> crate::Result<T> {
+    /// Decode the payload into a typed value, which may borrow from it: a
+    /// `&str` payload decodes without allocating.
+    pub fn decode<'a, T: Deserialize<'a>>(&'a self) -> crate::Result<T> {
         Ok(bincode::deserialize(&self.payload)?)
     }
 

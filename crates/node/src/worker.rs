@@ -39,7 +39,6 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use seep_core::{LogicalOpId, OperatorId, RoutingState};
@@ -315,11 +314,8 @@ impl NodeState {
                 None => Self::missing(op),
                 Some(core) => {
                     let state = core.operator().get_processing_state();
-                    match bincode::serialize(&state) {
-                        Ok(bytes) => NodeMsg::StateBytes {
-                            op,
-                            bytes: Bytes::from(bytes),
-                        },
+                    match seep_core::encode_bytes(&state) {
+                        Ok(bytes) => NodeMsg::StateBytes { op, bytes },
                         Err(e) => NodeMsg::Error {
                             what: format!("state serialisation failed: {e}"),
                         },

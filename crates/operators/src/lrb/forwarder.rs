@@ -6,7 +6,8 @@
 //! are re-keyed by vehicle so they reach the toll-assessment partition that
 //! owns that vehicle's account. The forwarder itself is stateless — it was the
 //! second-most partitioned operator in the paper's deployment purely because
-//! of its per-tuple deserialisation cost.
+//! of its per-tuple deserialisation cost. Only the key changes, so the output
+//! carries the input's payload bytes: a forwarded record allocates nothing.
 
 use seep_core::{OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple};
 
@@ -52,10 +53,8 @@ impl StatefulOperator for Forwarder {
                 return;
             }
         };
-        if let Ok(t) = OutputTuple::encode(key, &record) {
-            out.push(t);
-            self.forwarded += 1;
-        }
+        out.push(OutputTuple::new(key, tuple.payload.clone()));
+        self.forwarded += 1;
     }
 
     fn get_processing_state(&self) -> ProcessingState {
@@ -126,5 +125,73 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(op.dropped(), 1);
         assert!(!op.is_stateful());
+    }
+
+    /// A record of each variant with field values drawn from `gen`.
+    fn records(gen: &mut proptest::Gen) -> Vec<LrbRecord> {
+        use super::super::types::{
+            AccidentAlert, BalanceQuery, BalanceResponse, PositionReport, TollNotification,
+        };
+        let mut n = || gen.next_u64();
+        vec![
+            LrbRecord::Position(PositionReport {
+                time: n() as u32,
+                vid: n() as u32,
+                speed: n() as u8,
+                xway: n() as u16,
+                lane: n() as u8,
+                dir: n() as u8,
+                seg: n() as u16,
+                pos: n() as u32,
+            }),
+            LrbRecord::Balance(BalanceQuery {
+                time: n() as u32,
+                vid: n() as u32,
+                qid: n() as u32,
+            }),
+            LrbRecord::Toll(TollNotification {
+                vid: n() as u32,
+                time: n() as u32,
+                xway: n() as u16,
+                seg: n() as u16,
+                lav: n() as u8,
+                toll: n() as u32,
+            }),
+            LrbRecord::Accident(AccidentAlert {
+                vid: n() as u32,
+                time: n() as u32,
+                xway: n() as u16,
+                seg: n() as u16,
+            }),
+            LrbRecord::BalanceResponse(BalanceResponse {
+                vid: n() as u32,
+                qid: n() as u32,
+                time: n() as u32,
+                balance: n() >> (n() % 64),
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_forwarded_payload_equals_a_fresh_encode() {
+        let mut gen = proptest::Gen::new(11);
+        for _ in 0..256 {
+            for record in records(&mut gen) {
+                let mut op = Forwarder::new();
+                let input = Tuple::encode(1, Key(0), &record).unwrap();
+                let mut out = Vec::new();
+                op.process(StreamId(0), &input, &mut out);
+                match record {
+                    LrbRecord::Position(p) => assert_eq!(out[0].key, p.segment_key()),
+                    LrbRecord::Balance(b) => assert_eq!(out[0].key, b.vehicle_key()),
+                    _ => {
+                        assert!(out.is_empty(), "{record:?} is not forwarded");
+                        continue;
+                    }
+                }
+                let fresh = OutputTuple::encode(out[0].key, &record).unwrap();
+                assert_eq!(out, vec![fresh], "{record:?}");
+            }
+        }
     }
 }

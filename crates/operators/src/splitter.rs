@@ -12,10 +12,48 @@
 //! compiler fuses the chain back into one unit, so the fused arm matches
 //! the monolithic splitter's cost while the unfused arm pays two extra
 //! channel hops per word.
+//!
+//! **Allocation budget.** Every stage reads its input as a `&str` lent out
+//! of the payload, so decoding allocates nothing. A word costs one
+//! exact-size payload allocation: the tokenizer's (or, in
+//! [`WordSplitter`], the output's). After that a stage that passes a value
+//! on unchanged passes its bytes on: the filter forwards its input payload,
+//! and so does the keyer when the word is already lower case (ASCII with no
+//! upper-case letter). Any other word is lower-cased with
+//! [`str::to_lowercase`] and encoded afresh. `tests/alloc_budget.rs` holds
+//! these counts.
+
+use std::borrow::Cow;
 
 use seep_core::{
     BatchOutput, Key, OutputTuple, ProcessingState, StatefulOperator, StreamId, Tuple,
 };
+
+/// Whether `word` is its own lower case by the ASCII check: no byte is
+/// non-ASCII or an upper-case letter.
+fn is_lower_ascii(word: &str) -> bool {
+    word.bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+}
+
+/// One output per word: the lower-cased word, keyed by itself. A word that
+/// [`is_lower_ascii`] is encoded as it is, any other lower-cased with
+/// [`str::to_lowercase`] first.
+fn keyed_word(word: &str) -> Option<OutputTuple> {
+    let word = if is_lower_ascii(word) {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
+    };
+    OutputTuple::encode(Key::from_str_key(&word), word.as_ref()).ok()
+}
+
+/// The alphanumeric words of `sentence`, in order.
+fn words(sentence: &str) -> impl Iterator<Item = &str> {
+    sentence
+        .split(|c: char| !c.is_alphanumeric())
+        .filter(|w| !w.is_empty())
+}
 
 /// Stateless word splitter: input payloads are `bincode`-encoded `String`s
 /// (sentence fragments); each output tuple carries one lower-cased word, keyed
@@ -41,19 +79,12 @@ impl WordSplitter {
 
 impl StatefulOperator for WordSplitter {
     fn process(&mut self, _stream: StreamId, tuple: &Tuple, out: &mut Vec<OutputTuple>) {
-        let Ok(sentence) = tuple.decode::<String>() else {
+        let Ok(sentence) = tuple.decode::<&str>() else {
             return;
         };
-        for word in sentence
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|w| !w.is_empty())
-        {
-            let word = word.to_lowercase();
-            let key = Key::from_str_key(&word);
-            if let Ok(out_tuple) = OutputTuple::encode(key, &word) {
-                out.push(out_tuple);
-                self.emitted += 1;
-            }
+        for out_tuple in words(sentence).filter_map(keyed_word) {
+            out.push(out_tuple);
+            self.emitted += 1;
         }
     }
 
@@ -61,20 +92,13 @@ impl StatefulOperator for WordSplitter {
     // set, skipping the per-tuple scratch vector the default would drain.
     fn process_batch(&mut self, _stream: StreamId, tuples: &[Tuple], out: &mut BatchOutput) {
         for (index, tuple) in tuples.iter().enumerate() {
-            let Ok(sentence) = tuple.decode::<String>() else {
+            let Ok(sentence) = tuple.decode::<&str>() else {
                 continue;
             };
             out.set_source(index);
-            for word in sentence
-                .split(|c: char| !c.is_alphanumeric())
-                .filter(|w| !w.is_empty())
-            {
-                let word = word.to_lowercase();
-                let key = Key::from_str_key(&word);
-                if let Ok(out_tuple) = OutputTuple::encode(key, &word) {
-                    out.push(out_tuple);
-                    self.emitted += 1;
-                }
+            for out_tuple in words(sentence).filter_map(keyed_word) {
+                out.push(out_tuple);
+                self.emitted += 1;
             }
         }
     }
@@ -109,11 +133,11 @@ impl SentenceTokenizer {
     }
 
     fn tokenize(tuple: &Tuple, mut emit: impl FnMut(OutputTuple)) {
-        let Ok(sentence) = tuple.decode::<String>() else {
+        let Ok(sentence) = tuple.decode::<&str>() else {
             return;
         };
         for segment in sentence.split(|c: char| !c.is_alphanumeric()) {
-            if let Ok(out_tuple) = OutputTuple::encode(tuple.key, &segment) {
+            if let Ok(out_tuple) = OutputTuple::encode(tuple.key, segment) {
                 emit(out_tuple);
             }
         }
@@ -160,7 +184,7 @@ impl EmptyTokenFilter {
     }
 
     fn keeps(tuple: &Tuple) -> bool {
-        matches!(tuple.decode::<String>(), Ok(segment) if !segment.is_empty())
+        matches!(tuple.decode::<&str>(), Ok(segment) if !segment.is_empty())
     }
 }
 
@@ -197,7 +221,8 @@ impl StatefulOperator for EmptyTokenFilter {
 
 /// Stage 3 of the decomposed splitter chain: lower-case the surviving token
 /// and key the output by the word, exactly as [`WordSplitter`] keys its
-/// outputs — downstream partitioned counters see the identical stream.
+/// outputs — downstream partitioned counters see the identical stream. A
+/// word that is already lower case keeps its input payload.
 #[derive(Debug, Default)]
 pub struct WordKeyer;
 
@@ -208,9 +233,14 @@ impl WordKeyer {
     }
 
     fn rekey(tuple: &Tuple) -> Option<OutputTuple> {
-        let word = tuple.decode::<String>().ok()?.to_lowercase();
-        let key = Key::from_str_key(&word);
-        OutputTuple::encode(key, &word).ok()
+        let word = tuple.decode::<&str>().ok()?;
+        if is_lower_ascii(word) {
+            return Some(OutputTuple::new(
+                Key::from_str_key(word),
+                tuple.payload.clone(),
+            ));
+        }
+        keyed_word(word)
     }
 }
 
@@ -348,6 +378,88 @@ mod tests {
                 })
                 .collect();
             assert_eq!(chain(sentence), expected, "sentence {sentence:?}");
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The fast paths emit exactly what lower-casing and encoding afresh does.
+    // -----------------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use proptest::Gen;
+
+    /// Sentences over an alphabet of separators, ASCII of both cases, letters
+    /// whose lower case is context-dependent (`Σ`), longer (`İ`) or a
+    /// different letter (`ǅ`), lower-case non-ASCII, and any other `char`.
+    struct AnySentence;
+
+    impl Strategy for AnySentence {
+        type Value = String;
+
+        fn generate(&self, gen: &mut Gen) -> String {
+            const ALPHABET: [char; 16] = [
+                'a', 'z', 'Q', '7', ' ', ',', '-', 'Σ', 'σ', 'ς', 'İ', 'ǅ', 'é', 'ß', 'Ω', 'ﬀ',
+            ];
+            let len = gen.next_u64() % 24;
+            (0..len)
+                .map(|_| match gen.next_u64() % 8 {
+                    0 => char::from_u32((gen.next_u64() % 0x3_0000) as u32).unwrap_or('x'),
+                    _ => ALPHABET[(gen.next_u64() % ALPHABET.len() as u64) as usize],
+                })
+                .collect()
+        }
+    }
+
+    /// The reference: every word lower-cased with `str::to_lowercase`, keyed
+    /// by itself and encoded afresh.
+    fn reference(sentence: &str) -> Vec<(Key, Vec<u8>)> {
+        words(sentence)
+            .map(|w| {
+                let lower = w.to_lowercase();
+                (
+                    Key::from_str_key(&lower),
+                    bincode::serialize(&lower).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    fn raw(outputs: impl IntoIterator<Item = OutputTuple>) -> Vec<(Key, Vec<u8>)> {
+        outputs
+            .into_iter()
+            .map(|o| (o.key, o.payload.to_vec()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_path_emits_the_reference_bytes(sentence in AnySentence) {
+            let expected = reference(&sentence);
+            let input = Tuple::encode(1, Key(42), &sentence).unwrap();
+
+            let mut out = Vec::new();
+            WordSplitter::new().process(StreamId(0), &input, &mut out);
+            prop_assert_eq!(raw(out), expected.clone(), "splitter on {:?}", sentence);
+
+            let mut batch = BatchOutput::new();
+            WordSplitter::new().process_batch(StreamId(0), std::slice::from_ref(&input), &mut batch);
+            let batched = raw(batch.into_items().into_iter().map(|(_, o)| o));
+            prop_assert_eq!(batched, expected.clone(), "batched splitter on {:?}", sentence);
+
+            let mut keyed = Vec::new();
+            for word in words(&sentence) {
+                let t = Tuple::encode(1, Key(42), word).unwrap();
+                WordKeyer::new().process(StreamId(0), &t, &mut keyed);
+            }
+            prop_assert_eq!(raw(keyed), expected.clone(), "keyer on {:?}", sentence);
+
+            let chained: Vec<(Key, Vec<u8>)> = chain(&sentence)
+                .into_iter()
+                .map(|(key, word)| (key, bincode::serialize(&word).unwrap()))
+                .collect();
+            prop_assert_eq!(chained, expected, "chain on {:?}", sentence);
         }
     }
 

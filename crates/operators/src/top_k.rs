@@ -64,9 +64,8 @@ impl TopKReducer {
     }
 
     fn interval_meta(&self) -> bytes::Bytes {
-        bincode::serialize(&(self.last_emit_ms, self.interval_seq))
+        seep_core::encode_bytes(&(self.last_emit_ms, self.interval_seq))
             .expect("interval metadata serialises")
-            .into()
     }
 
     /// Number of distinct items tracked in the current interval.

@@ -88,9 +88,8 @@ impl WindowedWordCount {
     }
 
     fn window_meta(&self) -> bytes::Bytes {
-        bincode::serialize(&(self.last_window_close_ms, self.window_seq))
+        seep_core::encode_bytes(&(self.last_window_close_ms, self.window_seq))
             .expect("window metadata serialises")
-            .into()
     }
 }
 

@@ -143,7 +143,7 @@ impl JobHandle {
         key: Key,
         value: &T,
     ) -> seep_core::Result<()> {
-        let payload = bincode::serialize(value)?;
+        let payload = seep_core::encode_bytes(value)?;
         self.inject(source, key, payload);
         Ok(())
     }

@@ -1018,7 +1018,7 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn inject_sentence(h: &mut Harness, sentence: &str) {
-        let payload = bincode::serialize(&sentence.to_string()).unwrap();
+        let payload = seep_core::encode_bytes(sentence).unwrap();
         h.runtime
             .inject(h.src, Key::from_str_key(sentence), payload);
     }

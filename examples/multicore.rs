@@ -46,7 +46,7 @@ fn main() {
     // 3. Stream sentences through the parallel plane.
     for sequence in 0u64..5_000 {
         let sentence = format!("word{} word{}", sequence % 23, (sequence * 7) % 23);
-        let payload = bincode::serialize(&sentence).expect("serialise");
+        let payload = seep::core::encode_bytes(&sentence).expect("serialise");
         handle.inject("data_feeder", Key::from_str_key(&sentence), payload);
     }
     handle.drain();

@@ -89,9 +89,9 @@ fn main() {
     println!("window results at the sink: {}", top.join(" "));
 }
 
-fn bincode_payload(sentence: &str) -> Vec<u8> {
+fn bincode_payload(sentence: &str) -> bytes::Bytes {
     // Payloads are opaque bytes; the word splitter expects a bincode String.
-    bincode::serialize(&sentence.to_string()).expect("serialise")
+    seep::core::encode_bytes(sentence).expect("serialise")
 }
 
 fn counts_line(handle: &JobHandle) -> String {

@@ -48,7 +48,7 @@ fn main() {
     // Feed 20 000 synthetic page views (Zipf-distributed languages).
     let mut generator = WikiTraceGenerator::new(WikiConfig::default());
     for view in generator.next_batch(0, 20_000) {
-        let payload = bincode::serialize(&view).expect("serialise");
+        let payload = seep::core::encode_bytes(&view).expect("serialise");
         handle.inject("sources", Key::from_str_key(&view[1]), payload);
     }
     handle.drain();
@@ -68,7 +68,7 @@ fn main() {
 
     // Keep streaming: another 20 000 page views now spread across partitions.
     for view in generator.next_batch(1, 20_000) {
-        let payload = bincode::serialize(&view).expect("serialise");
+        let payload = seep::core::encode_bytes(&view).expect("serialise");
         handle.inject("sources", Key::from_str_key(&view[1]), payload);
     }
     handle.drain();

@@ -5,13 +5,17 @@
 //! Layout per value: one tag byte, then a fixed- or length-prefixed body.
 //! Integers are encoded as LEB128 varints (signed ones zigzagged first),
 //! lengths likewise; a record carries its field names, a variant its name.
-//! Encoding appends to the caller's `Vec<u8>`; decoding reads off the input
-//! slice. The decoder validates every tag, checks every length against the
-//! remaining input before it allocates, limits nesting to 128 levels,
-//! rejects invalid UTF-8, out-of-range integers, overlong varints, unknown
-//! variants and trailing bytes, so truncated or corrupt inputs reliably
-//! error.
+//! Encoding appends to the caller's `Vec<u8>` or fills a slice measured with
+//! [`serialized_size`]; decoding reads off the input slice, and lends strings
+//! and blobs out of it to the serde shim's borrowed pulls. The decoder
+//! validates every tag, checks every length against the remaining input
+//! before it allocates, limits nesting to 128 levels, rejects invalid UTF-8,
+//! out-of-range integers, overlong varints, unknown variants and trailing
+//! bytes, so truncated or corrupt inputs reliably error.
 
+#![forbid(unsafe_code)]
+
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::de::value::{ByteSeqAccess, StrDeserializer, UnitDeserializer};
@@ -99,6 +103,32 @@ impl Sink for Vec<u8> {
 
 /// Counts the bytes an encoding takes, so the output is allocated once.
 struct Count(usize);
+
+/// Fills a slice from its start; `at` counts every byte offered, so a
+/// slice of the wrong size shows as `at != buf.len()` afterwards.
+struct Fill<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl Sink for Fill<'_> {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        if let Some(slot) = self.buf.get_mut(self.at) {
+            *slot = byte;
+        }
+        self.at += 1;
+    }
+
+    #[inline]
+    fn put_all(&mut self, bytes: &[u8]) {
+        let end = self.at + bytes.len();
+        if let Some(dst) = self.buf.get_mut(self.at..end) {
+            dst.copy_from_slice(bytes);
+        }
+        self.at = end;
+    }
+}
 
 impl Sink for Count {
     #[inline]
@@ -507,18 +537,27 @@ impl<'de> serde::Deserializer<'de> for &mut Decoder<'de> {
     }
 
     fn deserialize_string(self) -> Result<String> {
+        self.deserialize_borrowed_str().map(Cow::into_owned)
+    }
+
+    fn deserialize_byte_buf(self) -> Result<Vec<u8>> {
+        self.deserialize_borrowed_bytes().map(Cow::into_owned)
+    }
+
+    fn deserialize_borrowed_str(self) -> Result<Cow<'de, str>> {
         match self.tag()? {
-            TAG_STR => self.str().map(str::to_owned),
+            TAG_STR => self.str().map(Cow::Borrowed),
             tag => Err(Decoder::invalid_type("string", tag)),
         }
     }
 
-    fn deserialize_byte_buf(self) -> Result<Vec<u8>> {
+    /// A blob is lent; a sequence of bytes is gathered.
+    fn deserialize_borrowed_bytes(self) -> Result<Cow<'de, [u8]>> {
         if self.peek()? == TAG_BYTES {
             self.tag()?;
-            return Ok(self.blob()?.to_vec());
+            return self.blob().map(Cow::Borrowed);
         }
-        Vec::<u8>::deserialize(self)
+        Vec::<u8>::deserialize(self).map(Cow::Owned)
     }
 
     fn deserialize_unit(self) -> Result<()> {
@@ -756,6 +795,22 @@ pub fn serialize_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Re
     value.serialize(&mut Encoder { out })
 }
 
+/// Serialise a value into `buf`, which must be exactly
+/// [`serialized_size`] bytes long: with [`serialized_size`] this encodes
+/// into a buffer allocated once at its final size.
+pub fn serialize_into_slice<T: Serialize + ?Sized>(buf: &mut [u8], value: &T) -> Result<()> {
+    let mut fill = Fill { buf, at: 0 };
+    value.serialize(&mut Encoder { out: &mut fill })?;
+    if fill.at != fill.buf.len() {
+        return Err(Error(format!(
+            "encoding takes {} bytes, the buffer holds {}",
+            fill.at,
+            fill.buf.len()
+        )));
+    }
+    Ok(())
+}
+
 /// The number of bytes `serialize` would produce.
 pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
     let mut count = Count(0);
@@ -933,6 +988,44 @@ mod tests {
         // truncated
         let bytes = serialize(&"a long enough string".to_string()).unwrap();
         assert!(deserialize::<String>(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn a_slice_of_the_measured_size_takes_the_encoding_exactly() {
+        let v = (7u32, "naïve".to_string(), vec![1i64, -2]);
+        let expected = serialize(&v).unwrap();
+        let mut buf = vec![0; serialized_size(&v).unwrap() as usize];
+        serialize_into_slice(&mut buf, &v).unwrap();
+        assert_eq!(buf, expected);
+        for len in [0, expected.len() - 1, expected.len() + 1] {
+            let err = serialize_into_slice(&mut vec![0; len], &v).unwrap_err();
+            assert!(err.0.contains("the buffer holds"), "{err}");
+        }
+    }
+
+    #[test]
+    fn strings_and_blobs_are_lent_out_of_the_input() {
+        let bytes = serialize(&"lent").unwrap();
+        let s: &str = deserialize(&bytes).unwrap();
+        assert_eq!(s, "lent");
+        assert!(std::ptr::eq(s.as_bytes(), &bytes[2..]));
+        let mut d = Decoder {
+            rest: &[TAG_BYTES, 2, 8, 9],
+            depth: 0,
+        };
+        let blob = serde::Deserializer::deserialize_borrowed_bytes(&mut d).unwrap();
+        assert!(matches!(blob, Cow::Borrowed(&[8, 9])));
+        // A sequence of byte-sized integers has no blob to lend.
+        let mut d = Decoder {
+            rest: &[TAG_SEQ, 1, TAG_U64, 8],
+            depth: 0,
+        };
+        let seq = serde::Deserializer::deserialize_borrowed_bytes(&mut d).unwrap();
+        assert!(matches!(seq, Cow::Owned(ref v) if v == &[8]));
+        // A borrowed string checks its tag and its UTF-8 like an owned one.
+        assert!(deserialize::<&str>(&[TAG_BYTES, 1, b'a']).is_err());
+        assert!(deserialize::<&str>(&[TAG_STR, 1, 0xff]).is_err());
+        assert!(deserialize::<&str>(&[TAG_STR, 2, b'a']).is_err());
     }
 
     #[test]

@@ -22,15 +22,26 @@
 //! [`Value`] ([`Deserializer::take_value`]) and answers from it, so a format
 //! only has to produce a [`Value`] to work.
 //!
+//! **Borrowed pulls.** [`Deserializer::deserialize_borrowed_str`] and
+//! [`Deserializer::deserialize_borrowed_bytes`] let a format that holds its
+//! input in memory lend a string or blob out of it for `'de`: `&'de str`
+//! decodes without allocating, and a byte buffer with a single copy. A
+//! format that cannot lend (the [`Value`] path) answers them with an owned
+//! value, so `&'de str` is an error there and everything else works as
+//! before.
+//!
 //! The derive macros come from the sibling `serde_derive` shim and support
 //! the attributes this workspace uses: `#[serde(default)]` and
 //! `#[serde(with = "path")]`.
+
+#![forbid(unsafe_code)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
 // Lets the derive macros' `::serde::` paths resolve inside this crate's tests.
 extern crate self as serde;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
@@ -236,6 +247,18 @@ pub trait Deserializer<'de>: Sized {
     /// A byte blob, or a sequence of integers that fit a byte.
     fn deserialize_byte_buf(self) -> Result<Vec<u8>, Self::Error> {
         via_value(self, ValueDeserializer::deserialize_byte_buf)
+    }
+
+    /// A string lent out of the input for `'de` when the format can, else
+    /// an owned one ([`deserialize_string`](Self::deserialize_string)).
+    fn deserialize_borrowed_str(self) -> Result<Cow<'de, str>, Self::Error> {
+        self.deserialize_string().map(Cow::Owned)
+    }
+
+    /// A byte blob lent out of the input for `'de` when the format can,
+    /// else an owned one ([`deserialize_byte_buf`](Self::deserialize_byte_buf)).
+    fn deserialize_borrowed_bytes(self) -> Result<Cow<'de, [u8]>, Self::Error> {
+        self.deserialize_byte_buf().map(Cow::Owned)
     }
 
     /// The unit value.
@@ -1121,6 +1144,16 @@ impl Serialize for String {
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         d.deserialize_string()
+    }
+}
+
+/// Lent out of the input; a format that cannot lend rejects it.
+impl<'de> Deserialize<'de> for &'de str {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        match d.deserialize_borrowed_str()? {
+            Cow::Borrowed(s) => Ok(s),
+            Cow::Owned(_) => Err(Error::custom("this format cannot lend a string").into()),
+        }
     }
 }
 

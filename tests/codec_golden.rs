@@ -6,7 +6,8 @@
 //! before the serde shim streamed. Every encoding must still come out the
 //! same and decode back to the same value, the store must reopen, and no
 //! corruption of a golden encoding may panic or make the decoder allocate
-//! past what the input can justify.
+//! past what the input can justify — nor of a string or blob read through
+//! the borrowed pulls.
 
 #[path = "codec/values.rs"]
 mod values;
@@ -17,6 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::path::Path;
 
+use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -73,18 +75,27 @@ static ALLOCATOR: Watch = Watch;
 /// the input.
 const ALLOC_FLOOR: usize = 16 * 1024;
 
-/// Decode `bytes` as `T`, returning whether it succeeded and the largest
+/// Run `decode` on `bytes`, returning whether it succeeded and the largest
 /// allocation made on the way.
-fn decode_watched<T: DeserializeOwned>(bytes: &[u8]) -> (bool, usize) {
+fn decode_watched(bytes: &[u8], decode: impl FnOnce(&[u8]) -> bool) -> (bool, usize) {
     LARGEST.with(|l| l.set(0));
     ARMED.with(|a| a.set(true));
-    let ok = bincode::deserialize::<T>(bytes).is_ok();
+    let ok = decode(bytes);
     ARMED.with(|a| a.set(false));
     (ok, LARGEST.with(Cell::get))
 }
 
 fn assert_bounded<T: DeserializeOwned>(name: &str, bytes: &[u8], what: &str) -> bool {
-    let (ok, largest) = decode_watched::<T>(bytes);
+    assert_bounded_by(name, bytes, what, |b| bincode::deserialize::<T>(b).is_ok())
+}
+
+fn assert_bounded_by(
+    name: &str,
+    bytes: &[u8],
+    what: &str,
+    decode: impl FnOnce(&[u8]) -> bool,
+) -> bool {
+    let (ok, largest) = decode_watched(bytes, decode);
     assert!(
         largest <= bytes.len().max(ALLOC_FLOOR),
         "{name}: {what}: allocated {largest} bytes from a {}-byte input",
@@ -348,4 +359,116 @@ fn each_decoder_check_rejects_its_corruption() {
     trailing.extend_from_slice(&[0, 0]);
     let err = bincode::deserialize::<Checkpoint>(&trailing).unwrap_err();
     assert!(err.0.contains("trailing garbage"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// The borrowed pulls: `&str` lent out of the input, `Bytes` copied once.
+// ---------------------------------------------------------------------------
+
+fn decodes_str(bytes: &[u8]) -> bool {
+    bincode::deserialize::<&str>(bytes).is_ok()
+}
+
+fn decodes_bytes(bytes: &[u8]) -> bool {
+    bincode::deserialize::<Bytes>(bytes).is_ok()
+}
+
+/// Every truncation, trailing garbage and every tag but the right one are
+/// rejected; every bit flip decodes or fails without over-allocating.
+fn sweep_by(name: &str, bytes: &[u8], right_tag: u8, decode: fn(&[u8]) -> bool) {
+    assert!(assert_bounded_by(
+        name,
+        bytes,
+        "the encoding itself",
+        decode
+    ));
+    for cut in 0..bytes.len() {
+        let what = format!("truncated at {cut}");
+        assert!(
+            !assert_bounded_by(name, &bytes[..cut], &what, decode),
+            "{name}: {what}"
+        );
+    }
+    let mut trailing = bytes.to_vec();
+    trailing.push(0);
+    assert!(!assert_bounded_by(
+        name,
+        &trailing,
+        "trailing garbage",
+        decode
+    ));
+    for tag in (0..=u8::MAX).filter(|&t| t != right_tag) {
+        let mut wrong = bytes.to_vec();
+        wrong[0] = tag;
+        let what = format!("tag {tag:#04x}");
+        assert!(
+            !assert_bounded_by(name, &wrong, &what, decode),
+            "{name}: {what}"
+        );
+    }
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1 << bit;
+            assert_bounded_by(name, &flipped, &format!("byte {at} bit {bit}"), decode);
+        }
+    }
+}
+
+#[test]
+fn corrupt_strings_and_blobs_fail_cleanly_through_the_borrowed_pulls() {
+    let text = bincode::serialize("naïve words, lent").unwrap();
+    assert_eq!(
+        bincode::deserialize::<&str>(&text).unwrap(),
+        "naïve words, lent"
+    );
+    sweep_by("str", &text, text[0], decodes_str);
+    // `ï` is c3 af: a lone continuation byte is not UTF-8.
+    let at = text.iter().position(|&b| b == 0xc3).unwrap();
+    let mut broken = text.clone();
+    broken[at] = 0xff;
+    assert!(!assert_bounded_by(
+        "str",
+        &broken,
+        "invalid UTF-8",
+        decodes_str
+    ));
+    assert!(bincode::deserialize::<String>(&broken).is_err());
+
+    let blob = Bytes::from((0..=255u8).cycle().take(600).collect::<Vec<_>>());
+    let encoded = bincode::serialize(&blob).unwrap();
+    assert_eq!(bincode::deserialize::<Bytes>(&encoded).unwrap(), blob);
+    sweep_by("bytes", &encoded, encoded[0], decodes_bytes);
+    // A blob length past the input is refused before anything is allocated.
+    let mut long = vec![encoded[0]];
+    long.extend(varint(u32::MAX.into()));
+    long.extend_from_slice(&encoded[3..]);
+    assert!(!assert_bounded_by(
+        "bytes",
+        &long,
+        "blob longer than input",
+        decodes_bytes
+    ));
+}
+
+#[test]
+fn the_value_path_still_decodes_strings_and_blobs() {
+    use serde::Value;
+
+    let owned: String = serde::from_value(Value::Str("tree".into())).unwrap();
+    assert_eq!(owned, "tree");
+    let blob: Bytes = serde::from_value(Value::Bytes(vec![1, 2, 3])).unwrap();
+    assert_eq!(blob, Bytes::from(vec![1, 2, 3]));
+    let ints = Value::Seq(vec![Value::U64(4), Value::U64(5)]);
+    assert_eq!(
+        serde::from_value::<Bytes>(ints).unwrap(),
+        Bytes::from(vec![4, 5])
+    );
+    // A tree owns its strings, so it has none to lend.
+    assert!(serde::from_value::<&str>(Value::Str("tree".into())).is_err());
+
+    let json = serde_json::to_string(&(String::from("jsön"), Bytes::from(vec![0, 255]))).unwrap();
+    let (text, bytes): (String, Bytes) = serde_json::from_str(&json).unwrap();
+    assert_eq!((text.as_str(), &bytes[..]), ("jsön", &[0, 255][..]));
+    assert!(serde_json::from_str::<&str>("\"json\"").is_err());
 }
