@@ -5,6 +5,8 @@
 //! is split into π sub-intervals (Algorithm 2, lines 1–2), either evenly
 //! (hash partitioning) or guided by the observed key distribution.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
@@ -244,6 +246,63 @@ pub(crate) fn weighted_multiset_sample(entries: &[(Key, u64)], max: usize) -> Ve
     }
     out.truncate(max);
     out
+}
+
+/// Move the entries of a key-ordered map into one map per range, without
+/// copying a key or a value: each entry goes to the **first** range in
+/// `ranges` that contains its key, and entries no range covers are dropped.
+///
+/// The first-range rule turns any list of ranges (unsorted, overlapping)
+/// into disjoint key segments, each owned by one range. The map is cut at
+/// the segment boundaries with [`BTreeMap::split_off`], so the cost is a
+/// tree cut per segment — O(segments · log n) node work and a tree height of
+/// allocations per cut — however many keys the map holds.
+pub(crate) fn split_map_by_ranges<V>(
+    mut map: BTreeMap<Key, V>,
+    ranges: &[KeyRange],
+) -> Vec<BTreeMap<Key, V>> {
+    let mut parts: Vec<BTreeMap<Key, V>> = ranges.iter().map(|_| BTreeMap::new()).collect();
+    // Highest segment first: every cut leaves `map` holding only keys below
+    // the segment just taken.
+    for (segment, owner) in first_range_segments(ranges).into_iter().rev() {
+        if segment.hi < u64::MAX {
+            // Keys above the segment that the higher segments did not take
+            // lie in a gap no range covers.
+            drop(map.split_off(&Key(segment.hi + 1)));
+        }
+        let mut piece = map.split_off(&Key(segment.lo));
+        // A move when the part is still empty (the usual case: one segment
+        // per range); a merge of two sorted runs otherwise.
+        parts[owner].append(&mut piece);
+    }
+    parts
+}
+
+/// The disjoint key segments `ranges` cover, in ascending key order, each
+/// paired with the index of the first range containing it. Adjacent
+/// segments with the same owner are joined.
+fn first_range_segments(ranges: &[KeyRange]) -> Vec<(KeyRange, usize)> {
+    // Every range starts at a boundary and ends just before one, so between
+    // two consecutive boundaries each range either covers all keys or none.
+    let mut bounds: Vec<u128> = ranges
+        .iter()
+        .flat_map(|r| [u128::from(r.lo), u128::from(r.hi) + 1])
+        .collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut segments: Vec<(KeyRange, usize)> = Vec::new();
+    for pair in bounds.windows(2) {
+        // Both bounds fit a u64 here: only the last can be 2^64.
+        let (lo, hi) = (pair[0] as u64, (pair[1] - 1) as u64);
+        let Some(owner) = ranges.iter().position(|r| r.contains(Key(lo))) else {
+            continue;
+        };
+        match segments.last_mut() {
+            Some((last, o)) if *o == owner && last.hi.checked_add(1) == Some(lo) => last.hi = hi,
+            _ => segments.push((KeyRange::new(lo, hi), owner)),
+        }
+    }
+    segments
 }
 
 impl std::fmt::Display for KeyRange {

@@ -18,9 +18,9 @@
 //!   operator instance,
 //! * [`primitives::replay_buffer_state`] — replay unprocessed tuples from an
 //!   upstream output buffer to bring restored state up to date,
-//! * [`primitives::partition_checkpoint`] — split a checkpoint's processing
+//! * [`primitives::split_checkpoint`] — split a checkpoint's processing
 //!   and buffer state across new partitioned operators for scale out
-//!   (Algorithm 2 of the paper),
+//!   (Algorithm 2 of the paper), moving its entries rather than copying them,
 //! * [`merge::merge_checkpoints`] — the scale-in counterpart (§3.3): combine
 //!   two adjacent partitions' checkpoints so one VM can be released.
 //!

@@ -12,9 +12,15 @@
 //! | `restore-state(o, θ, τ, β, ρ)` | [`restore_state`] |
 //! | `replay-buffer-state(u, o)` | [`replay_buffer_state`] |
 //! | `trim(o, τ)` | [`BufferState::trim`] |
-//! | `partition-processing-state(o, π)` (Algorithm 2) | [`partition_checkpoint`] |
+//! | `partition-processing-state(o, π)` (Algorithm 2) | [`split_checkpoint`] (by value; [`partition_checkpoint`] splits a copy) |
 //! | `partition-routing-state(u, o, π)` | [`RoutingState::repartition`] |
 //! | `partition-buffer-state(u)` | [`BufferState::repartition`] |
+//!
+//! Algorithm 2's line 5 moves entries rather than copying them:
+//! [`split_checkpoint`] consumes the captured checkpoint and cuts its
+//! key-ordered entry map at the range boundaries. Recovery and scale in (one
+//! range) hand the whole state over unchanged, and a scale out costs a tree
+//! cut per new partition, whatever the number of keys.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::{Error, Result};
@@ -95,26 +101,30 @@ pub fn replay_buffer_state(
 }
 
 /// Partition a checkpoint into π partitions (Algorithm 2,
-/// `partition-processing-state(o, π)`):
+/// `partition-processing-state(o, π)`), consuming it:
 ///
-/// * the processing state is split by key range (line 5),
+/// * the processing state is split by key range (line 5); its entries move
+///   into the partitions, so no key or value is copied and the cost grows
+///   with π, not with the number of keys,
 /// * the timestamp vector is copied to every partition (line 6),
 /// * the buffer state goes to the first partition, the rest start empty
 ///   (line 7).
 ///
 /// `new_operators` pairs each new partitioned operator with the key range it
-/// owns and must have the same length as the number of partitions.
-pub fn partition_checkpoint(
-    checkpoint: &Checkpoint,
+/// owns and must have the same length as the number of partitions. With one
+/// range covering the whole state (recovery, scale in) the checkpoint simply
+/// moves to the new operator.
+pub fn split_checkpoint(
+    checkpoint: Checkpoint,
     new_operators: &[(OperatorId, KeyRange)],
 ) -> Result<Vec<Checkpoint>> {
     if new_operators.is_empty() {
         return Err(Error::InvalidParallelism(0));
     }
     let ranges: Vec<KeyRange> = new_operators.iter().map(|(_, r)| *r).collect();
-    let states = checkpoint.processing.partition_by_ranges(&ranges);
+    let states = checkpoint.processing.split_by_ranges(&ranges);
     let buffers = checkpoint.buffer.assign_to_first(new_operators.len());
-    let traffic = checkpoint.traffic.partition_by_ranges(&ranges);
+    let traffic = checkpoint.traffic.split_by_ranges(&ranges);
     Ok(new_operators
         .iter()
         .zip(states)
@@ -124,6 +134,14 @@ pub fn partition_checkpoint(
             Checkpoint::new(*op, 0, processing, buffer).with_traffic(traffic)
         })
         .collect())
+}
+
+/// [`split_checkpoint`] of a copy, for callers that keep the checkpoint.
+pub fn partition_checkpoint(
+    checkpoint: &Checkpoint,
+    new_operators: &[(OperatorId, KeyRange)],
+) -> Result<Vec<Checkpoint>> {
+    split_checkpoint(checkpoint.clone(), new_operators)
 }
 
 #[cfg(test)]

@@ -126,9 +126,9 @@ impl BufferState {
     /// range receives all buffered tuples and the remaining partitions start
     /// with empty buffers (Algorithm 2, line 7: `β_1 ← β`, `β_i ← ∅` for
     /// `i ≠ 1`). Returns one buffer state per partition.
-    pub fn assign_to_first(&self, partitions: usize) -> Vec<BufferState> {
+    pub fn assign_to_first(self, partitions: usize) -> Vec<BufferState> {
         let mut out = Vec::with_capacity(partitions);
-        out.push(self.clone());
+        out.push(self);
         for _ in 1..partitions {
             out.push(BufferState::new());
         }

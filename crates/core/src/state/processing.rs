@@ -20,7 +20,7 @@ use crate::tuple::{Key, StreamId, Timestamp, TimestampVec};
 /// The key/value structure is what makes state **partitionable**: to scale an
 /// operator out, the SPS splits the key space into intervals and moves each
 /// key's entry to the partition owning its interval
-/// ([`ProcessingState::partition_by_ranges`]).
+/// ([`ProcessingState::split_by_ranges`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProcessingState {
     entries: BTreeMap<Key, Bytes>,
@@ -142,37 +142,41 @@ impl ProcessingState {
     }
 
     /// Split the state into one `ProcessingState` per key range
-    /// (Algorithm 2, line 5: `θ_i ← {(k, v) ∈ θ : k_i ≤ k < k_{i+1}}`).
+    /// (Algorithm 2, line 5: `θ_i ← {(k, v) ∈ θ : k_i ≤ k < k_{i+1}}`),
+    /// moving the entries rather than copying them.
     ///
     /// Every entry is assigned to the **first** range that contains its key;
     /// entries whose key is covered by none of the ranges are dropped (the
     /// caller is expected to pass ranges covering the operator's whole key
     /// interval). The timestamp vector is copied into every partition
     /// (Algorithm 2, line 6), because each partition's state reflects input
-    /// tuples up to the same point.
-    pub fn partition_by_ranges(&self, ranges: &[KeyRange]) -> Vec<ProcessingState> {
-        let mut parts: Vec<ProcessingState> = ranges
-            .iter()
-            .map(|_| ProcessingState {
-                entries: BTreeMap::new(),
-                ts: self.ts.clone(),
+    /// tuples up to the same point. The entry map is cut at the range
+    /// boundaries, so the cost grows with the number of ranges, not of keys.
+    pub fn split_by_ranges(self, ranges: &[KeyRange]) -> Vec<ProcessingState> {
+        let ProcessingState { entries, ts } = self;
+        crate::key::split_map_by_ranges(entries, ranges)
+            .into_iter()
+            .map(|entries| ProcessingState {
+                entries,
+                ts: ts.clone(),
             })
-            .collect();
-        for (key, value) in &self.entries {
-            if let Some(idx) = ranges.iter().position(|r| r.contains(*key)) {
-                parts[idx].entries.insert(*key, value.clone());
-            }
-        }
-        parts
+            .collect()
+    }
+
+    /// [`split_by_ranges`](Self::split_by_ranges) of a copy, for callers
+    /// that keep the state.
+    pub fn partition_by_ranges(&self, ranges: &[KeyRange]) -> Vec<ProcessingState> {
+        self.clone().split_by_ranges(ranges)
     }
 
     /// Merge another state into this one (used for scale in, §3.3). Entries
     /// present in both keep `other`'s value — in practice merged partitions
     /// have disjoint key ranges so no collision occurs; the timestamp vectors
-    /// are merged by maximum.
+    /// are merged by maximum. The entry maps are joined in one bulk build
+    /// (a move when either side is empty), not key by key.
     pub fn merge(&mut self, other: ProcessingState) {
-        let ProcessingState { entries, ts } = other;
-        self.entries.extend(entries);
+        let ProcessingState { mut entries, ts } = other;
+        self.entries.append(&mut entries);
         self.ts.merge_max(&ts);
     }
 
@@ -267,6 +271,58 @@ mod tests {
         }
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, st.len());
+    }
+
+    /// The per-key model the by-value split must equal: every entry is
+    /// copied to the first range containing its key, uncovered keys are
+    /// dropped and the timestamp vector is copied to every part.
+    fn split_per_key(st: &ProcessingState, ranges: &[KeyRange]) -> Vec<ProcessingState> {
+        let mut parts: Vec<ProcessingState> = ranges
+            .iter()
+            .map(|_| ProcessingState {
+                entries: BTreeMap::new(),
+                ts: st.ts.clone(),
+            })
+            .collect();
+        for (key, value) in &st.entries {
+            if let Some(idx) = ranges.iter().position(|r| r.contains(*key)) {
+                parts[idx].entries.insert(*key, value.clone());
+            }
+        }
+        parts
+    }
+
+    /// Key-space points that put range bounds and keys on 0, `u64::MAX` and
+    /// their neighbours as often as in the middle of the key space.
+    fn anchor(i: u64) -> u64 {
+        match i % 20 {
+            0 => 0,
+            1 => 1,
+            18 => u64::MAX - 1,
+            19 => u64::MAX,
+            n => n * (u64::MAX / 18),
+        }
+    }
+
+    #[test]
+    fn split_moves_entries_for_sorted_unsorted_and_overlapping_ranges() {
+        let st = state_with(&[0, 1, 5, 10, 15, 20, u64::MAX - 1, u64::MAX]);
+        let lists: [&[KeyRange]; 5] = [
+            &[KeyRange::new(0, 9), KeyRange::new(10, u64::MAX)],
+            &[KeyRange::new(10, u64::MAX), KeyRange::new(0, 9)],
+            &[KeyRange::new(5, 15), KeyRange::full(), KeyRange::new(0, 3)],
+            &[KeyRange::new(1, 1), KeyRange::new(u64::MAX, u64::MAX)],
+            &[KeyRange::full()],
+        ];
+        for ranges in lists {
+            assert_eq!(
+                st.clone().split_by_ranges(ranges),
+                split_per_key(&st, ranges),
+                "{ranges:?}"
+            );
+        }
+        // One range over all of it hands the state over unchanged.
+        assert_eq!(st.clone().split_by_ranges(&[KeyRange::full()]), vec![st]);
     }
 
     #[test]
@@ -371,6 +427,45 @@ mod tests {
                     merged.get(Key(k)).map(|b| b.as_ref().to_vec()),
                     Some(k.to_le_bytes().to_vec())
                 );
+            }
+        }
+
+        /// The by-value split equals the per-key model for any list of
+        /// ranges: as drawn (unsorted, overlapping, with gaps), sorted by
+        /// lower bound, and an even split of the whole key space.
+        #[test]
+        fn prop_split_equals_the_per_key_model(
+            key_points in proptest::collection::vec(0u64..20, 0..60),
+            offsets in proptest::collection::vec(0u64..3, 60..61),
+            bounds in proptest::collection::vec(0u64..20, 2..13),
+            parts in 1usize..6,
+        ) {
+            let mut st = ProcessingState::empty();
+            for (i, p) in key_points.iter().enumerate() {
+                // Keys on, just below and just above each anchor.
+                let key = match offsets[i] {
+                    0 => anchor(*p),
+                    1 => anchor(*p).saturating_sub(1),
+                    _ => anchor(*p).saturating_add(1),
+                };
+                st.insert(Key(key), key.to_le_bytes().to_vec());
+            }
+            st.advance_ts(StreamId(3), 77);
+            let mut drawn: Vec<KeyRange> = bounds
+                .chunks_exact(2)
+                .map(|b| {
+                    let (x, y) = (anchor(b[0]), anchor(b[1]));
+                    KeyRange::new(x.min(y), x.max(y))
+                })
+                .collect();
+            let even = KeyRange::full().split_even(parts).unwrap();
+            let mut lists = vec![drawn.clone(), even];
+            drawn.sort_by_key(|r| r.lo);
+            lists.push(drawn);
+            for ranges in &lists {
+                let split = st.clone().split_by_ranges(ranges);
+                prop_assert_eq!(&split, &split_per_key(&st, ranges));
+                prop_assert_eq!(split, st.partition_by_ranges(ranges));
             }
         }
 

@@ -132,13 +132,15 @@ impl TrafficStats {
     }
 
     /// Split the counters into one `TrafficStats` per key range, mirroring
-    /// [`crate::state::ProcessingState::partition_by_ranges`]: each key goes
-    /// to the first range containing it, keys covered by none are dropped.
-    pub fn partition_by_ranges(&self, ranges: &[KeyRange]) -> Vec<TrafficStats> {
+    /// [`crate::state::ProcessingState::split_by_ranges`]: each key goes to
+    /// the first range containing it, keys covered by none are dropped. The
+    /// summary holds at most [`CAPACITY`](Self::CAPACITY) keys, so this
+    /// costs a bounded amount whatever the state's size.
+    pub fn split_by_ranges(self, ranges: &[KeyRange]) -> Vec<TrafficStats> {
         let mut parts: Vec<TrafficStats> = ranges.iter().map(|_| TrafficStats::new()).collect();
-        for (key, count) in &self.counts {
-            if let Some(idx) = ranges.iter().position(|r| r.contains(*key)) {
-                parts[idx].counts.insert(*key, *count);
+        for (key, count) in self.counts {
+            if let Some(idx) = ranges.iter().position(|r| r.contains(key)) {
+                parts[idx].counts.insert(key, count);
             }
         }
         parts
@@ -350,7 +352,7 @@ mod tests {
     #[test]
     fn partition_respects_ranges_and_drops_uncovered() {
         let t = stats_with(&[(1, 1), (50, 2), (200, 3)]);
-        let parts = t.partition_by_ranges(&[KeyRange::new(0, 9), KeyRange::new(10, 99)]);
+        let parts = t.split_by_ranges(&[KeyRange::new(0, 9), KeyRange::new(10, 99)]);
         assert_eq!(parts[0].count(Key(1)), 1);
         assert_eq!(parts[1].count(Key(50)), 2);
         assert_eq!(parts[0].len() + parts[1].len(), 2, "key 200 dropped");

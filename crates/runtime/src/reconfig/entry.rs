@@ -495,7 +495,7 @@ mod tests {
         // must report: instances replaced, parallelism afterwards (every
         // partition is new in each of these), VMs released.
         let table = [
-            (JournalKind::ScaleOut, 1, 1, 2, 0),
+            (JournalKind::ScaleOut, 1, 1, 2, 1),
             (JournalKind::ScaleIn, 2, 2, 1, 1),
             (JournalKind::Rebalance, 2, 2, 2, 0),
             (JournalKind::Consolidate, 4, 4, 4, 2),

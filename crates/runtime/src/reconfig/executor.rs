@@ -53,7 +53,7 @@ use std::time::Instant;
 use seep_cloud::VmId;
 use seep_core::graph::OperatorInstance;
 use seep_core::merge::merge_checkpoints;
-use seep_core::primitives::partition_checkpoint;
+use seep_core::primitives::split_checkpoint;
 use seep_core::{
     Checkpoint, Error, KeyRange, LogicalOpId, OperatorId, Result, RoutingState, Timestamp,
     TimestampVec,
@@ -78,8 +78,9 @@ pub struct ReconfigOutcome {
     /// downstream up to date: the upstream replays, plus the restored output
     /// buffers the new instances re-sent when a replaced instance had failed.
     pub replayed_tuples: usize,
-    /// VMs released back to the provider, if the plan shrank the deployment
-    /// (one for a merge that empties the victim's VM, possibly several for a
+    /// VMs released back to the provider: every VM the plan emptied (a scale
+    /// out's target VM when its partitions land on fresh VMs, one for a
+    /// merge that empties the victim's VM, possibly several for a
     /// consolidation).
     pub released_vms: Vec<VmId>,
     /// Per-phase wall-clock cost and the key-split decision taken.
@@ -203,13 +204,11 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
     timing.rewrite_us = timer.lap();
 
     // Phase 5: transform the captured checkpoint (Algorithm 2; a merge is
-    // the single-range case and keeps the whole state).
+    // the single-range case and keeps the whole state). The split consumes
+    // the capture and moves its entries into the parts.
     let assignments: Vec<(OperatorId, KeyRange)> =
         new_instances.iter().map(|i| (i.id, i.key_range)).collect();
-    let mut parts = partition_checkpoint(&captured, &assignments)?;
-    // The parts hold all of it now; do not keep a second copy of the state
-    // alive through the restore.
-    drop(captured);
+    let mut parts = split_checkpoint(captured, &assignments)?;
     // Carry the captured emit clock into the parts stored as initial
     // backups: if a new instance's VM fails before its first periodic
     // checkpoint, a serial recovery resets the shared logical clock from the
@@ -319,16 +318,11 @@ pub(super) fn execute_plan<C: ClusterBackend + ?Sized>(
         migrate_third_party_backups(cluster.backup(), olds, *old, heir.id);
     }
     // Retire the replaced instances and release every VM the placement
-    // reports emptied. A scale out moves its target rather than shrinking
-    // the deployment, so only the other shapes report what they released.
-    let emptied = cluster.retire(olds);
-    for vm in &emptied {
+    // reports emptied; the outcome reports each of them, whatever the plan.
+    let released_vms = cluster.retire(olds);
+    for vm in &released_vms {
         cluster.release_vm(*vm);
     }
-    let released_vms = match plan.kind {
-        ReconfigKind::ScaleOut { .. } => Vec::new(),
-        _ => emptied,
-    };
     timing.commit_us = timer.lap();
 
     // Phase 8: replay. After a failure the new instances first re-send

@@ -66,6 +66,7 @@
 //! # Ok::<(), seep_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -10,7 +10,7 @@ use seep_core::checkpoint::{Checkpoint, IncrementalCheckpoint};
 use seep_core::key::KeyRange;
 use seep_core::merge::merge_checkpoints;
 use seep_core::operator::OperatorId;
-use seep_core::primitives::partition_checkpoint;
+use seep_core::primitives::split_checkpoint;
 use seep_core::Result;
 
 /// Outcome of a successful write ([`CheckpointStore::put`] or
@@ -207,8 +207,7 @@ pub trait CheckpointStore: Send + Sync {
         owner: OperatorId,
         assignments: &[(OperatorId, KeyRange)],
     ) -> Result<Vec<Checkpoint>> {
-        let checkpoint = self.latest(owner)?;
-        partition_checkpoint(&checkpoint, assignments)
+        split_checkpoint(self.latest(owner)?, assignments)
     }
 
     /// A load-weighted sample of at most `max` keys from the stored latest

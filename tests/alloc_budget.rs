@@ -14,9 +14,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use seep_core::primitives::split_checkpoint;
+use seep_core::state::{BufferState, ProcessingState};
 use seep_core::{
-    BatchOutput, FusedFactory, Key, OperatorFactory, OutputTuple, StatefulOperator, StreamId,
-    TrafficStats, Tuple,
+    BatchOutput, Checkpoint, FusedFactory, Key, KeyRange, OperatorFactory, OperatorId, OutputTuple,
+    StatefulOperator, StreamId, TrafficStats, Tuple,
 };
 use seep_operators::lrb::types::LrbRecord;
 use seep_operators::lrb::Forwarder;
@@ -230,5 +232,42 @@ fn the_traffic_summary_stays_bounded_and_stops_allocating() {
         if round > 0 {
             assert_eq!(n, 0, "round {round}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The reconfiguration split.
+// ---------------------------------------------------------------------------
+
+/// Splitting a captured checkpoint (Algorithm 2) moves its entries: each new
+/// part costs a tree cut and its own copy of the timestamp vector and the
+/// bounded traffic summary, never an allocation per key.
+#[test]
+fn splitting_a_checkpoint_costs_allocations_per_part_not_per_key() {
+    const KEYS: u64 = 200_000;
+    let checkpoint = || {
+        let mut state = ProcessingState::empty();
+        let mut traffic = TrafficStats::new();
+        for k in 0..KEYS {
+            let key = Key(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            state.insert(key, Bytes::from_static(b"counter"));
+            traffic.record(key);
+        }
+        state.advance_ts(StreamId(0), KEYS);
+        let owner = OperatorId::new(1);
+        Checkpoint::new(owner, 7, state, BufferState::new()).with_traffic(traffic)
+    };
+    for parts in [1usize, 2, 4] {
+        let ranges = KeyRange::full().split_even(parts).unwrap();
+        let assignments: Vec<(OperatorId, KeyRange)> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (OperatorId::new(10 + i as u64), *r))
+            .collect();
+        let captured = checkpoint();
+        let (split, n) = counted(|| split_checkpoint(captured, &assignments).unwrap());
+        let moved: usize = split.iter().map(|p| p.processing.len()).sum();
+        assert_eq!(moved, KEYS as usize);
+        assert!(n <= 32 * parts as u64, "{n} allocations for {parts} parts");
     }
 }
