@@ -96,7 +96,6 @@ fn bench_store_backends(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), store, |b, store| {
             b.iter(|| {
                 store.put(OperatorId::new(1), cp.clone()).unwrap();
-                store.prune(OperatorId::new(1), cp.meta.sequence);
                 store.latest(OperatorId::new(1)).unwrap()
             });
         });

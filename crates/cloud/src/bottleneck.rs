@@ -32,9 +32,6 @@ pub struct ScalingPolicy {
     pub consecutive_reports: usize,
     /// Report interval r in milliseconds.
     pub report_interval_ms: u64,
-    /// Additional partitions created per scale-out action (the paper scales
-    /// one bottleneck operator at a time, splitting it in two).
-    pub partitions_per_action: usize,
     /// Low-water utilisation threshold in `[0, 1]` below which a partition is
     /// a scale-in candidate. Must stay below `threshold`; the gap is the
     /// hysteresis band that keeps the system from flapping between scale out
@@ -65,15 +62,6 @@ pub struct ScalingPolicy {
     /// multi-slot placement. Off by default.
     #[serde(default)]
     pub consolidate: bool,
-    /// Inbound queue depth (tuples) at or above which an operator reports
-    /// [`seep_core::HealthState::Backpressured`] through the ops plane. A
-    /// health watermark only — it does not trigger any scaling action.
-    #[serde(default = "default_backpressure_queue")]
-    pub backpressure_queue: usize,
-}
-
-fn default_backpressure_queue() -> usize {
-    10_000
 }
 
 impl Default for ScalingPolicy {
@@ -82,13 +70,11 @@ impl Default for ScalingPolicy {
             threshold: 0.70,
             consecutive_reports: 2,
             report_interval_ms: 5_000,
-            partitions_per_action: 2,
             low_threshold: 0.20,
             scale_in_reports: 3,
             scale_in: false,
             rebalance: false,
             consolidate: false,
-            backpressure_queue: default_backpressure_queue(),
         }
     }
 }
@@ -119,13 +105,6 @@ impl ScalingPolicy {
     /// `pool.slots_per_vm >= 2`).
     pub fn with_consolidate(mut self) -> Self {
         self.consolidate = true;
-        self
-    }
-
-    /// A policy with a different backpressure health watermark (inbound
-    /// queue depth in tuples).
-    pub fn with_backpressure_queue(mut self, queued: usize) -> Self {
-        self.backpressure_queue = queued.max(1);
         self
     }
 
@@ -197,9 +176,6 @@ mod tests {
         assert!(p.with_consolidate().consolidate);
         assert!(p.low_threshold < p.threshold);
         assert!(p.scale_in_reports > p.consecutive_reports);
-        assert_eq!(p.backpressure_queue, 10_000);
-        assert_eq!(p.with_backpressure_queue(0).backpressure_queue, 1);
-        assert_eq!(p.with_backpressure_queue(64).backpressure_queue, 64);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 pub mod billing;
 pub mod bottleneck;
-pub mod failure;
 pub mod monitor;
 pub mod pool;
 pub mod provider;
@@ -28,7 +27,6 @@ pub mod vm;
 
 pub use billing::BillingLedger;
 pub use bottleneck::ScalingPolicy;
-pub use failure::FailureInjector;
 pub use monitor::{CpuMonitor, UtilizationReport};
 pub use pool::{PoolStats, VmPool, VmPoolConfig};
 pub use provider::{CloudProvider, ProviderConfig};

@@ -38,7 +38,6 @@
 pub mod backup;
 pub mod batch;
 pub mod checkpoint;
-pub mod clock;
 pub mod dedup;
 pub mod error;
 pub mod fused;
@@ -56,7 +55,6 @@ pub mod tuple;
 pub use backup::select_backup_operator;
 pub use batch::{BatchOutput, TupleBatch};
 pub use checkpoint::{Checkpoint, CheckpointMeta, IncrementalCheckpoint};
-pub use clock::LogicalClock;
 pub use dedup::{BatchAdmission, DuplicateFilter};
 pub use error::{Error, Result};
 pub use fused::{FusedFactory, FusedOperator, FusionStageStats};

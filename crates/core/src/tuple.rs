@@ -2,7 +2,7 @@
 //!
 //! A stream is an infinite series of tuples. A tuple `t = (τ, k, p)` carries a
 //! logical timestamp `τ` assigned by the emitting operator's monotonically
-//! increasing [`crate::clock::LogicalClock`], a key field `k` used to
+//! increasing output clock, a key field `k` used to
 //! partition state and streams, and an opaque payload `p`.
 //!
 //! Payloads and state entries are `bincode` encodings made by

@@ -15,8 +15,6 @@
 //! * the [`network::Network`] registry models node-granularity connectivity:
 //!   a failed VM's endpoints are disconnected, and sends to them fail exactly
 //!   like a broken TCP connection would,
-//! * [`latency::LatencyModel`] provides the transfer-time model the
-//!   discrete-event simulator uses for the same messages,
 //! * the [`transport::Transport`] trait plus [`tcp`] put the same wire
 //!   encoding on real sockets: operators with remote routes are reached
 //!   through length-prefixed [`frame`]s, a batch to a frame, so a
@@ -27,7 +25,6 @@
 
 pub mod channel;
 pub mod frame;
-pub mod latency;
 pub mod message;
 pub mod network;
 pub mod tcp;
@@ -38,8 +35,7 @@ pub use channel::{DataChannel, DataReceiver, DataSender, TransportStats};
 pub use frame::{
     build_frame, read_frame, write_frame, FrameReader, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-pub use latency::LatencyModel;
 pub use message::{Envelope, Message};
-pub use network::{Network, SendError};
+pub use network::{Network, SendError, CHANNEL_CAPACITY};
 pub use tcp::{IngressServer, TcpIngress, TcpTransport};
 pub use transport::{ConnectionStats, RemoteRoute, Transport};

@@ -34,6 +34,10 @@ pub enum SendError {
     Backpressure(OperatorId),
 }
 
+/// Inbound channel capacity (messages) of the runtime's and each node
+/// worker's network.
+pub const CHANNEL_CAPACITY: usize = 262_144;
+
 /// Registry of operator endpoints.
 #[derive(Clone, Default)]
 pub struct Network {

@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use seep_core::{LogicalOpId, OperatorId, RoutingState};
 use seep_net::{
     wire, ConnectionStats, Envelope, FrameReader, IngressServer, Network, SendError, TcpTransport,
-    Transport,
+    Transport, CHANNEL_CAPACITY,
 };
 use seep_runtime::worker::SharedClock;
 use seep_runtime::{Metrics, WorkerCore, STEP_BUDGET};
@@ -402,7 +402,7 @@ fn event_loop(
 /// connection drops).
 pub fn run_worker(config: WorkerConfig) -> Result<(), WorkerError> {
     let (events_tx, events) = mpsc::channel();
-    let network = Network::new(262_144);
+    let network = Network::new(CHANNEL_CAPACITY);
     let received = Arc::new(EdgeCounts::default());
     let ingress = {
         let (network, received, wake) = (network.clone(), received.clone(), events_tx.clone());

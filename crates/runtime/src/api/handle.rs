@@ -353,8 +353,8 @@ impl JobHandle {
 
     /// Derived per-operator health: `Failed` > `Recovering` /
     /// `Reconfiguring` (a plan committed at the current virtual instant) >
-    /// `Backpressured` (inbound queue at or above
-    /// [`crate::ScalingPolicy::backpressure_queue`]) > `Ok`.
+    /// `Backpressured` (inbound queue at or above the runtime's
+    /// `BACKPRESSURE_QUEUE` of 10 000 tuples) > `Ok`.
     pub fn health(&self) -> Vec<OperatorHealth> {
         self.runtime.health()
     }

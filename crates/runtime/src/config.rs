@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use seep_cloud::{ProviderConfig, ScalingPolicy, VmPoolConfig};
+use seep_cloud::{ScalingPolicy, VmPoolConfig};
 use seep_core::LogicalOpId;
 use seep_store::StoreConfig;
 
@@ -63,35 +63,16 @@ impl BatchConfig {
     }
 }
 
-/// Where scale-out plans place the new partitions they create.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPreference {
-    /// Draw a fresh VM from the pool for every new partition — the paper's
-    /// one-operator-per-VM deployment and the seed behaviour.
-    #[default]
-    FreshVm,
-    /// Fill partially occupied VM slots before drawing fresh VMs: a new
-    /// partition lands on an existing VM with a free slot when one exists,
-    /// spreading the query over fewer machines.
-    Pack,
-}
-
 /// Configuration of the SPS runtime.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// Checkpointing interval `c` in milliseconds (§3.2). The paper's default
     /// for the recovery experiments is 5 s.
     pub checkpoint_interval_ms: u64,
-    /// Interval at which windowed operators are ticked, in milliseconds.
-    pub tick_interval_ms: u64,
-    /// Capacity (in messages) of each operator's inbound channel.
-    pub channel_capacity: usize,
     /// Fault-tolerance strategy (R+SM, upstream backup or source replay).
     pub strategy: RecoveryStrategy,
     /// Scaling policy for the bottleneck detector (§5.1).
     pub scaling_policy: ScalingPolicy,
-    /// Cloud provider behaviour (provisioning delay, VM limits).
-    pub provider: ProviderConfig,
     /// VM pool configuration (§5.2).
     pub pool: VmPoolConfig,
     /// Record end-to-end latency samples at stateful operators as well as at
@@ -121,37 +102,20 @@ pub struct RuntimeConfig {
     /// plans, utilisation reports). The loop is the same either way.
     #[serde(default)]
     pub worker_threads: usize,
-    /// Record one end-to-end latency sample per this many eligible tuples.
-    /// 0 and 1 both stamp every tuple (the seed behaviour); larger values
-    /// thin the histogram's input without shifting its quantiles. Thinning
-    /// happens **at the stamp site**: tuples the sampler will discard skip
-    /// the timestamp acquisition entirely (emit time 0) and every latency
-    /// probe downstream records exactly the tuples that carry a stamp.
-    #[serde(default)]
-    pub latency_sample_every: u32,
-    /// Where scale-out plans place new partitions: fresh VMs (the default,
-    /// the seed behaviour) or packed onto partially filled VM slots.
-    #[serde(default)]
-    pub placement: PlacementPreference,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             checkpoint_interval_ms: 5_000,
-            tick_interval_ms: 1_000,
-            channel_capacity: 262_144,
             strategy: RecoveryStrategy::StateManagement,
             scaling_policy: ScalingPolicy::default(),
-            provider: ProviderConfig::instant(),
             pool: VmPoolConfig::default(),
             latency_probe_at_stateful: false,
             store: StoreConfig::default(),
             split: SplitPolicy::default(),
             batch: BatchConfig::default(),
             worker_threads: 1,
-            latency_sample_every: 1,
-            placement: PlacementPreference::FreshVm,
         }
     }
 }
@@ -195,19 +159,6 @@ impl RuntimeConfig {
         self.worker_threads = threads;
         self
     }
-
-    /// A configuration recording one latency sample per `every` eligible
-    /// tuples (1 = stamp every tuple, the seed behaviour).
-    pub fn with_latency_sampling(mut self, every: u32) -> Self {
-        self.latency_sample_every = every;
-        self
-    }
-
-    /// A configuration using the given scale-out placement preference.
-    pub fn with_placement(mut self, placement: PlacementPreference) -> Self {
-        self.placement = placement;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +170,6 @@ mod tests {
         let c = RuntimeConfig::default();
         assert_eq!(c.checkpoint_interval_ms, 5_000);
         assert_eq!(c.strategy, RecoveryStrategy::StateManagement);
-        assert!(c.channel_capacity > 1_000);
         assert_eq!(c.store.backend, seep_store::StoreBackendKind::Mem);
         // Seed behaviour: even splits unless skew-awareness is opted into.
         assert_eq!(c.split, SplitPolicy::Even);
@@ -267,23 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn placement_defaults_to_fresh_vms() {
-        let c = RuntimeConfig::default();
-        assert_eq!(c.placement, PlacementPreference::FreshVm);
-        let c = c.with_placement(PlacementPreference::Pack);
-        assert_eq!(c.placement, PlacementPreference::Pack);
-    }
-
-    #[test]
-    fn parallelism_and_sampling_default_to_seed_behaviour() {
-        let c = RuntimeConfig::default();
-        assert_eq!(c.worker_threads, 1, "one thread by default");
-        assert_eq!(c.latency_sample_every, 1, "full stamping by default");
-
-        let c = RuntimeConfig::default()
-            .with_worker_threads(4)
-            .with_latency_sampling(16);
+    fn worker_threads_default_to_one() {
+        assert_eq!(RuntimeConfig::default().worker_threads, 1);
+        let c = RuntimeConfig::default().with_worker_threads(4);
         assert_eq!(c.worker_threads, 4);
-        assert_eq!(c.latency_sample_every, 16);
     }
 }

@@ -44,7 +44,7 @@ pub mod runtime;
 pub mod worker;
 
 pub use api::{Job, JobBuilder, JobHandle, SinkCollector};
-pub use config::{BatchConfig, PlacementPreference, RuntimeConfig};
+pub use config::{BatchConfig, RuntimeConfig};
 pub use metrics::{
     Metrics, MetricsSnapshot, ReconfigRecord, ReconfigTiming, SplitKind, StoreIoRecord,
 };
@@ -56,7 +56,7 @@ pub use placement::Placement;
 pub use plan::{FusionPolicy, PhysicalPlan, PlanManifest};
 pub use reconfig::{ReconfigKind, ReconfigOutcome, ReconfigPlan, SplitPolicy};
 pub use recovery::RecoveryStrategy;
-pub use runtime::Runtime;
+pub use runtime::{Runtime, TICK_INTERVAL_MS};
 pub use worker::{WorkerCore, STEP_BUDGET};
 
 // Re-exported so experiment drivers can configure the checkpoint-store

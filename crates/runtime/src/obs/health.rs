@@ -2,8 +2,8 @@
 //!
 //! The runtime does not store a health state anywhere — health is *derived*
 //! on demand from facts it already tracks: worker failure flags, inbound
-//! queue depth against the [`crate::ScalingPolicy::backpressure_queue`]
-//! watermark, the latest CPU utilisation report, and whether a
+//! queue depth against the runtime's `BACKPRESSURE_QUEUE` watermark
+//! (10 000 tuples), the latest CPU utilisation report, and whether a
 //! reconfiguration plan committed at the current virtual instant. That keeps
 //! the state machine impossible to desynchronise from reality.
 //!

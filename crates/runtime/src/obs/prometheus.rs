@@ -16,34 +16,21 @@ use seep_core::{HistogramSnapshot, LatencyHistogram};
 
 use seep_cloud::PoolStats;
 
-use crate::metrics::{Metrics, MetricsSnapshot, ReconfigRecord, StoreIoRecord};
+use crate::metrics::{Metrics, MetricsSnapshot, ReconfigRecord, ReconfigTiming, StoreIoRecord};
 use crate::obs::health::{HealthReport, OperatorHealth};
 use crate::obs::journal::JournalKind;
 
 /// Per-phase reconfiguration cost summed over all executed plans of one
 /// kind, feeding the `seep_reconfig_phase_seconds_total` family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconfigPhaseTotals {
     /// Plan kind; its label is the `kind` label of the exported series.
     pub kind: JournalKind,
     /// Number of plans of this kind.
     pub count: u64,
-    /// Summed drain phase cost (µs).
-    pub drain_us: u64,
-    /// Summed state-capture phase cost (µs).
-    pub checkpoint_us: u64,
-    /// Summed graph-rewrite phase cost (µs).
-    pub rewrite_us: u64,
-    /// Summed checkpoint split/merge phase cost (µs).
-    pub transform_us: u64,
-    /// Summed worker-creation and state-restore phase cost (µs).
-    pub restore_us: u64,
-    /// Summed commit phase cost (µs).
-    pub commit_us: u64,
-    /// Summed routing-update and replay phase cost (µs).
-    pub replay_us: u64,
-    /// Summed end-to-end plan cost (µs).
-    pub total_us: u64,
+    /// The plans' phase costs (µs), summed phase by phase. The split fields
+    /// are left at their defaults.
+    pub timing: ReconfigTiming,
 }
 
 impl ReconfigPhaseTotals {
@@ -55,24 +42,18 @@ impl ReconfigPhaseTotals {
             let totals = by_kind.entry(r.kind).or_insert(ReconfigPhaseTotals {
                 kind: r.kind,
                 count: 0,
-                drain_us: 0,
-                checkpoint_us: 0,
-                rewrite_us: 0,
-                transform_us: 0,
-                restore_us: 0,
-                commit_us: 0,
-                replay_us: 0,
-                total_us: 0,
+                timing: ReconfigTiming::default(),
             });
             totals.count += 1;
-            totals.drain_us += r.timing.drain_us;
-            totals.checkpoint_us += r.timing.checkpoint_us;
-            totals.rewrite_us += r.timing.rewrite_us;
-            totals.transform_us += r.timing.transform_us;
-            totals.restore_us += r.timing.restore_us;
-            totals.commit_us += r.timing.commit_us;
-            totals.replay_us += r.timing.replay_us;
-            totals.total_us += r.timing.total_us;
+            let (sum, t) = (&mut totals.timing, &r.timing);
+            sum.drain_us += t.drain_us;
+            sum.checkpoint_us += t.checkpoint_us;
+            sum.rewrite_us += t.rewrite_us;
+            sum.transform_us += t.transform_us;
+            sum.restore_us += t.restore_us;
+            sum.commit_us += t.commit_us;
+            sum.replay_us += t.replay_us;
+            sum.total_us += t.total_us;
         }
         by_kind.into_values().collect()
     }
@@ -380,15 +361,16 @@ pub fn render_prometheus(s: &ObsSnapshot) -> String {
         "Wall-clock time spent in each reconfiguration phase, by plan kind.",
     );
     for p in &s.reconfig_phases {
+        let t = &p.timing;
         for (phase, us) in [
-            ("drain", p.drain_us),
-            ("checkpoint", p.checkpoint_us),
-            ("rewrite", p.rewrite_us),
-            ("transform", p.transform_us),
-            ("restore", p.restore_us),
-            ("commit", p.commit_us),
-            ("replay", p.replay_us),
-            ("total", p.total_us),
+            ("drain", t.drain_us),
+            ("checkpoint", t.checkpoint_us),
+            ("rewrite", t.rewrite_us),
+            ("transform", t.transform_us),
+            ("restore", t.restore_us),
+            ("commit", t.commit_us),
+            ("replay", t.replay_us),
+            ("total", t.total_us),
         ] {
             w.sample(
                 "seep_reconfig_phase_seconds_total",
@@ -1043,14 +1025,17 @@ mod tests {
         s.reconfig_phases = vec![ReconfigPhaseTotals {
             kind: JournalKind::ScaleOut,
             count: 2,
-            drain_us: 10,
-            checkpoint_us: 20,
-            rewrite_us: 30,
-            transform_us: 40,
-            restore_us: 50,
-            commit_us: 60,
-            replay_us: 70,
-            total_us: 280,
+            timing: ReconfigTiming {
+                drain_us: 10,
+                checkpoint_us: 20,
+                rewrite_us: 30,
+                transform_us: 40,
+                restore_us: 50,
+                commit_us: 60,
+                replay_us: 70,
+                total_us: 280,
+                ..ReconfigTiming::default()
+            },
         }];
         s.health = vec![
             OperatorHealth {

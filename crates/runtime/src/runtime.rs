@@ -14,12 +14,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use seep_cloud::{CloudProvider, CpuMonitor, UtilizationReport, VmPool};
+use seep_cloud::{CloudProvider, CpuMonitor, ProviderConfig, UtilizationReport, VmPool};
 use seep_core::operator::OperatorFactory;
 use seep_core::{
     Error, ExecutionGraph, Key, LogicalOpId, OperatorId, OperatorKind, QueryGraph, Result,
 };
-use seep_net::Network;
+use seep_net::{Network, CHANNEL_CAPACITY};
 use seep_store::{BackupCoordinator, StoreStats};
 
 use crate::config::RuntimeConfig;
@@ -31,6 +31,24 @@ use crate::obs::{
 use crate::placement::Placement;
 use crate::reconfig::{ClusterBackend, InstanceStep, PlanContext, StepReply};
 use crate::worker::{SharedClock, WorkerCore};
+
+/// The label of the checkpoint store an instance hosts, and of its directory
+/// for on-disk backends.
+fn store_label(id: OperatorId) -> String {
+    format!("op-{}", id.raw())
+}
+
+/// Interval at which windowed operators are ticked, in milliseconds.
+pub const TICK_INTERVAL_MS: u64 = 1_000;
+
+/// Partitions the control loop splits a bottleneck into (the paper scales one
+/// bottleneck operator at a time, splitting it in two).
+const SCALE_OUT_PARTITIONS: usize = 2;
+
+/// Inbound queue depth (tuples) at or above which an operator reports
+/// `Backpressured` through the ops plane. A health watermark only: it
+/// triggers no scaling action.
+pub(crate) const BACKPRESSURE_QUEUE: usize = 10_000;
 
 /// The stream processing system.
 pub struct Runtime {
@@ -81,10 +99,10 @@ impl Runtime {
     /// Create a runtime with the given configuration. The query is deployed
     /// separately with [`deploy`](Self::deploy).
     pub fn new(config: RuntimeConfig) -> Self {
-        let provider = Arc::new(CloudProvider::new(config.provider.clone()));
+        let provider = Arc::new(CloudProvider::new(ProviderConfig::instant()));
         let pool = VmPool::new(provider.clone(), config.pool.clone(), 0);
         Runtime {
-            network: Network::new(config.channel_capacity),
+            network: Network::new(CHANNEL_CAPACITY),
             graph: None,
             factories: HashMap::new(),
             workers: BTreeMap::new(),
@@ -248,20 +266,6 @@ impl Runtime {
         &mut self,
         instance: &seep_core::graph::OperatorInstance,
     ) -> Result<()> {
-        // Under the Pack placement preference, fill a partially occupied VM
-        // slot before drawing a fresh machine. The retiring partitions of an
-        // in-flight plan still occupy their slots at this point, so only
-        // genuinely free capacity is packed.
-        if self.config.placement == crate::config::PlacementPreference::Pack {
-            let packed = self
-                .placement
-                .occupied_vms()
-                .into_iter()
-                .find(|vm| self.placement.free_slots(*vm, &[]) > 0);
-            if let Some(vm) = packed {
-                return self.create_worker_on(instance, vm, &[]);
-            }
-        }
         let vm = self
             .pool
             .acquire(self.now_ms)
@@ -317,13 +321,9 @@ impl Runtime {
             worker.latency_probe = true;
         }
         worker.out_batch = self.config.batch.size_for(instance.logical);
-        worker.latency_sample_every = u64::from(self.config.latency_sample_every.max(1));
         // Every VM hosts one checkpoint store of the configured backend for
         // the downstream operators that back up to it.
-        let store = self
-            .config
-            .store
-            .build(&format!("op-{}", instance.id.raw()))?;
+        let store = self.config.store.build(&store_label(instance.id))?;
         self.backup.register_store(instance.id, store);
         self.workers.insert(instance.id, worker);
         self.placement.assign(instance.id, vm, outgoing)?;
@@ -409,7 +409,7 @@ impl Runtime {
         self.activity.retain(|_, (_, at)| *at >= now_ms);
 
         // Window ticks.
-        if now_ms.saturating_sub(self.last_tick_ms) >= self.config.tick_interval_ms {
+        if now_ms.saturating_sub(self.last_tick_ms) >= TICK_INTERVAL_MS {
             self.last_tick_ms = now_ms;
             let network = self.network.clone();
             let metrics = self.metrics.clone();
@@ -503,7 +503,6 @@ impl Runtime {
                 };
                 let policy = self.config.scaling_policy;
                 let bottlenecks = policy.bottlenecks(&self.monitor, &candidates);
-                let pi = policy.partitions_per_action;
                 for op in bottlenecks {
                     // A hot partition whose siblings are cold enough that the
                     // operator's aggregate CPU is fine does not need a fresh
@@ -522,7 +521,7 @@ impl Runtime {
                             }
                         }
                     }
-                    let _ = self.scale_out(op, pi);
+                    let _ = self.scale_out(op, SCALE_OUT_PARTITIONS);
                 }
                 // Scale in: consolidate the partitions of logical operators
                 // whose partitions have been under the low watermark (pack
@@ -718,7 +717,7 @@ impl Runtime {
     }
 
     /// Derive per-operator health from worker flags, queue depth against
-    /// [`crate::ScalingPolicy::backpressure_queue`], the latest utilisation
+    /// the `BACKPRESSURE_QUEUE` watermark, the latest utilisation
     /// report and any plan committed at the current virtual instant.
     /// Precedence: `Failed` > `Recovering`/`Reconfiguring` > `Backpressured`
     /// > `Ok`.
@@ -729,7 +728,6 @@ impl Runtime {
     /// shared instance), with `name` and `processed` attributed to the
     /// individual logical operators from the chain's per-stage counters.
     pub fn health(&self) -> Vec<OperatorHealth> {
-        let watermark = self.config.scaling_policy.backpressure_queue;
         let mut rows = Vec::with_capacity(self.workers.len());
         for (id, w) in &self.workers {
             let active = self
@@ -741,7 +739,7 @@ impl Runtime {
                 seep_core::HealthState::Failed
             } else if let Some(busy) = active {
                 busy
-            } else if w.queued() >= watermark {
+            } else if w.queued() >= BACKPRESSURE_QUEUE {
                 seep_core::HealthState::Backpressured
             } else {
                 seep_core::HealthState::Ok
@@ -896,6 +894,10 @@ impl ClusterBackend for Runtime {
             self.network.disconnect(*old);
             self.workers.remove(old);
             self.backup.unregister_store(*old);
+            // The plan has moved every backup out of the store: its on-disk
+            // directory goes too. Found by label, since a failed instance's
+            // store was unregistered when it failed.
+            self.config.store.remove(&store_label(*old));
             self.backup.clear_backup_of(*old);
             if let Some((vm, empty)) = self.placement.release(*old) {
                 if empty {
@@ -1712,14 +1714,8 @@ pub(crate) mod tests {
         fn latest(&self, owner: OperatorId) -> Result<seep_core::Checkpoint> {
             self.inner.latest(owner)
         }
-        fn get(&self, owner: OperatorId, sequence: u64) -> Result<seep_core::Checkpoint> {
-            self.inner.get(owner, sequence)
-        }
         fn latest_sequence(&self, owner: OperatorId) -> Option<u64> {
             self.inner.latest_sequence(owner)
-        }
-        fn prune(&self, owner: OperatorId, before_sequence: u64) -> usize {
-            self.inner.prune(owner, before_sequence)
         }
         fn delete(&self, owner: OperatorId) -> bool {
             self.inner.delete(owner)
@@ -1923,15 +1919,15 @@ pub(crate) mod tests {
 
     #[test]
     fn health_reports_backpressure_from_queue_depth() {
-        let config = RuntimeConfig {
-            scaling_policy: crate::ScalingPolicy::default().with_backpressure_queue(1),
-            ..RuntimeConfig::default()
-        };
-        let mut h = word_count_harness(config);
-        // Inject without draining: the splitter's inbound queue holds the
-        // tuple, at or above the (tiny) watermark.
-        inject_sentence(&mut h, "queued");
+        let mut h = word_count_harness(RuntimeConfig::default());
         let splitter = h.runtime.partitions(h.split)[0];
+        // Inject without draining: the splitter's inbound queue fills up to
+        // one tuple short of the watermark, then reaches it.
+        for _ in 1..BACKPRESSURE_QUEUE {
+            inject_sentence(&mut h, "queued");
+        }
+        assert_eq!(health_of(&h, splitter), seep_core::HealthState::Ok);
+        inject_sentence(&mut h, "queued");
         assert_eq!(
             health_of(&h, splitter),
             seep_core::HealthState::Backpressured

@@ -120,18 +120,6 @@ pub struct WorkerCore {
     /// reconfiguration pauses the worker). At 1 (the default) every output
     /// ships the moment it is produced, as a batch of one.
     pub out_batch: usize,
-    /// Stamp a source emit time onto one in this many emitted tuples.
-    /// 1 — the default — stamps every tuple; larger
-    /// values thin the sampling **at the stamp site**: unsampled tuples
-    /// never acquire a timestamp at all (emit time 0), so they skip both
-    /// `Instant::now` reads — the one here and the one the probe would have
-    /// paid — and every probe downstream records exactly the tuples that
-    /// carry a stamp.
-    pub latency_sample_every: u64,
-    /// Position in the 1-in-N stamping sequence; advances once per emitted
-    /// source or tick output. Persistent across steps and ticks: hit counts
-    /// stay exact (⌈eligible/N⌉), not probabilistic.
-    latency_seq: u64,
     operator: Box<dyn StatefulOperator>,
     receiver: DataReceiver,
     buffer: BufferState,
@@ -185,8 +173,6 @@ impl WorkerCore {
             stateful,
             keep_buffers,
             out_batch: 1,
-            latency_sample_every: 1,
-            latency_seq: 0,
             operator,
             receiver,
             buffer,
@@ -298,17 +284,6 @@ impl WorkerCore {
     /// The worker's decayed per-key traffic counters.
     pub fn traffic(&self) -> TrafficStats {
         self.traffic.current()
-    }
-
-    /// Advance the 1-in-N stamping sequence and report whether this emitted
-    /// tuple should carry a source emit time (and hence be latency-probed
-    /// downstream).
-    fn stamp_gate(&mut self) -> bool {
-        let hit = self
-            .latency_seq
-            .is_multiple_of(self.latency_sample_every.max(1));
-        self.latency_seq = self.latency_seq.wrapping_add(1);
-        hit
     }
 
     /// CPU utilisation since the previous report: busy time divided by the
@@ -435,15 +410,7 @@ impl WorkerCore {
         if self.failed {
             return;
         }
-        // The stamp site of 1-in-N latency sampling: tuples the sampler will
-        // discard skip the `epoch.elapsed()` acquisition entirely and travel
-        // with emit time 0, which every probe downstream ignores. At N=1 the
-        // gate always hits.
-        let emitted_at_us = if self.stamp_gate() {
-            epoch.elapsed().as_micros() as u64
-        } else {
-            0
-        };
+        let emitted_at_us = epoch.elapsed().as_micros() as u64;
         let output = OutputTuple::new(key, payload);
         self.emit([(output, emitted_at_us)], network, metrics);
     }
@@ -460,13 +427,10 @@ impl WorkerCore {
         self.busy += started.elapsed();
         if !out.is_empty() {
             // Window emissions are stamp sites too: the clock is read once
-            // per tick and the 1-in-N gate runs per output, so sampled tick
-            // emissions stay exactly ⌈emitted/N⌉.
+            // per tick and stamps every output.
             let now_us = epoch.elapsed().as_micros() as u64;
-            let outputs: Vec<(OutputTuple, u64)> = out
-                .into_iter()
-                .map(|output| (output, if self.stamp_gate() { now_us } else { 0 }))
-                .collect();
+            let outputs: Vec<(OutputTuple, u64)> =
+                out.into_iter().map(|output| (output, now_us)).collect();
             self.emit(outputs, network, metrics);
         }
         // Window emissions must not linger in partial batches until the next
@@ -1221,29 +1185,21 @@ mod tests {
     }
 
     #[test]
-    fn latency_sampling_thins_at_the_stamp_site() {
+    fn every_source_emit_carries_a_stamp() {
         let net = network();
         let metrics = Metrics::new();
         let (mut source, downstream_rx) = worker_with_downstream(&net, 1, 2);
-        source.latency_sample_every = 3;
         // Backdated so even the first stamp lands on a non-zero microsecond.
         let epoch = Instant::now() - Duration::from_millis(1);
         for n in 1..=7u64 {
             source.emit_source(Key(n), vec![n as u8], &net, &metrics, epoch);
         }
-        // Stamps land on injection positions 0, 3 and 6: ceil(7 / 3). The
-        // other four tuples travel with emit time 0 — they never acquired a
-        // timestamp at all.
         let emits: Vec<bool> = downstream_rx
             .drain()
             .into_iter()
             .map(|env| env.message.batch.emitted_at_us[0] > 0)
             .collect();
-        assert_eq!(
-            emits,
-            vec![true, false, false, true, false, false, true],
-            "exactly every third injected tuple carries a stamp"
-        );
+        assert_eq!(emits, vec![true; 7]);
     }
 
     #[test]
@@ -1261,10 +1217,10 @@ mod tests {
             true,
             true,
         );
-        sink.latency_sample_every = 3;
         let epoch = Instant::now();
         let mut batch = TupleBatch::new();
-        // Pre-thinned upstream: positions 0, 3 and 6 stamped, the rest 0.
+        // Positions 0, 3 and 6 stamped; the rest travel unstamped (emit time
+        // 0), as replayed tuples do.
         for ts in 1..=7u64 {
             let emit = if (ts - 1).is_multiple_of(3) { 1 } else { 0 };
             batch.push(Tuple::new(ts, Key(ts), vec![]), emit);
@@ -1276,8 +1232,7 @@ mod tests {
         ))
         .unwrap();
         sink.step(&net, &metrics, epoch, 4);
-        // Thinning already happened at the stamp site: the probe records all
-        // three stamped arrivals (a second 1-in-N gate would record one).
+        // The probe records the three stamped arrivals and skips the rest.
         assert_eq!(metrics.latency_samples(), 3);
     }
 

@@ -82,9 +82,8 @@ pub struct SimConfig {
     /// The query pipeline.
     pub query: QuerySpec,
     /// Scaling policy (threshold δ, k, r) — the runtime's struct. The engine
-    /// steps in seconds, so `report_interval_ms` is used in whole seconds;
-    /// it always splits a bottleneck in two and derives no health states, so
-    /// `partitions_per_action` and `backpressure_queue` are not read.
+    /// steps in seconds, so `report_interval_ms` is used in whole seconds.
+    /// Like the runtime, it splits a bottleneck in two.
     pub policy: ScalingPolicy,
     /// Whether the bottleneck detector may scale stages out at runtime.
     /// When false, the initial parallelism is kept (manual allocation).

@@ -4,11 +4,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::ser::SerializeRecord;
+use serde::{Deserialize, Serialize, Serializer};
 
 use seep_core::error::{Error, Result};
 
-use crate::file::{FileStore, FileStoreConfig};
+use crate::file::{FileStore, FileStoreConfig, SEGMENT_TARGET_BYTES};
 use crate::mem::MemStore;
 use crate::tiered::TieredStore;
 use crate::traits::CheckpointStore;
@@ -35,18 +36,17 @@ impl StoreBackendKind {
     }
 }
 
+/// Byte budget of each `TieredStore`'s in-memory hot tier.
+const HOT_BYTES_BUDGET: usize = 64 * 1024 * 1024;
+
 /// Configuration of the checkpoint-store subsystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct StoreConfig {
     /// Backend to build.
     pub backend: StoreBackendKind,
     /// Base directory for on-disk backends; each store gets a subdirectory
     /// named after the VM/operator hosting it. Required for `File`/`Tiered`.
     pub dir: Option<PathBuf>,
-    /// `FileStore`: roll the active segment past this size.
-    pub segment_target_bytes: u64,
-    /// `TieredStore`: byte budget of the in-memory hot tier per store.
-    pub hot_bytes_budget: usize,
     /// `FileStore`: fsync appended records.
     pub fsync: bool,
     /// `FileStore`: with `fsync` on, coalesce to one `sync_data` per this
@@ -59,8 +59,6 @@ impl Default for StoreConfig {
         StoreConfig {
             backend: StoreBackendKind::Mem,
             dir: None,
-            segment_target_bytes: 8 * 1024 * 1024,
-            hot_bytes_budget: 64 * 1024 * 1024,
             fsync: false,
             sync_every_n_frames: 1,
         }
@@ -114,10 +112,9 @@ impl StoreConfig {
             ))
         })?;
         Ok(FileStoreConfig {
-            dir: dir.join(label),
-            segment_target_bytes: self.segment_target_bytes,
             fsync: self.fsync,
             sync_every_n_frames: self.sync_every_n_frames,
+            ..FileStoreConfig::new(dir.join(label))
         })
     }
 
@@ -129,9 +126,35 @@ impl StoreConfig {
             StoreBackendKind::File => Arc::new(FileStore::open(self.file_config(label)?)?),
             StoreBackendKind::Tiered => Arc::new(TieredStore::open(
                 self.file_config(label)?,
-                self.hot_bytes_budget,
+                HOT_BYTES_BUDGET,
             )?),
         })
+    }
+
+    /// Remove what [`build`](Self::build) left on disk for `label`, best
+    /// effort. Call it once nothing reads that store any more.
+    pub fn remove(&self, label: &str) {
+        if let (StoreBackendKind::File | StoreBackendKind::Tiered, Some(dir)) =
+            (self.backend, &self.dir)
+        {
+            let _ = std::fs::remove_dir_all(dir.join(label));
+        }
+    }
+}
+
+/// The encoding still carries the segment size and the hot-tier budget, now
+/// constants, so it stays byte for byte what it was when both were fields;
+/// decoding skips them.
+impl Serialize for StoreConfig {
+    fn serialize<S: Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
+        let mut record = s.serialize_record(6)?;
+        record.serialize_field("backend", &self.backend)?;
+        record.serialize_field("dir", &self.dir)?;
+        record.serialize_field("segment_target_bytes", &SEGMENT_TARGET_BYTES)?;
+        record.serialize_field("hot_bytes_budget", &HOT_BYTES_BUDGET)?;
+        record.serialize_field("fsync", &self.fsync)?;
+        record.serialize_field("sync_every_n_frames", &self.sync_every_n_frames)?;
+        record.end()
     }
 }
 

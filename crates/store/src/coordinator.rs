@@ -121,9 +121,9 @@ impl BackupCoordinator {
 
     /// `backup-state(o)` (Algorithm 1): store `checkpoint` at the upstream
     /// operator selected by hashing, release the previous backup if the
-    /// selection changed, prune superseded sequences, and return the chosen
-    /// backup operator together with the timestamp vector up to which
-    /// upstream output buffers may now be trimmed (line 4).
+    /// selection changed, and return the chosen backup operator together with
+    /// the timestamp vector up to which upstream output buffers may now be
+    /// trimmed (line 4).
     pub fn backup_state(
         &self,
         operator: OperatorId,
@@ -135,7 +135,6 @@ impl BackupCoordinator {
         let trim_to = checkpoint.processing.timestamps().clone();
         let store = self.store_of(chosen)?;
         let put = store.put(operator, checkpoint)?;
-        store.prune(operator, put.sequence);
 
         let previous = {
             let mut assignments = self.assignments.lock();
@@ -194,7 +193,6 @@ impl BackupCoordinator {
         }
         let store = self.store_of(chosen)?;
         let put = store.apply_incremental(operator, inc)?;
-        store.prune(operator, put.sequence);
         Ok(BackupOutcome {
             backup_operator: chosen,
             trim_to: inc.timestamps.clone(),

@@ -56,6 +56,9 @@ const FRAME_HEADER: usize = 8;
 /// Size of the fixed part of a payload: kind, owner, sequence, base sequence.
 const RECORD_HEADER: usize = 1 + 3 * 8;
 
+/// Default [`FileStoreConfig::segment_target_bytes`].
+pub(crate) const SEGMENT_TARGET_BYTES: u64 = 8 * 1024 * 1024;
+
 /// Configuration of a [`FileStore`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FileStoreConfig {
@@ -79,7 +82,7 @@ impl FileStoreConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         FileStoreConfig {
             dir: dir.into(),
-            segment_target_bytes: 8 * 1024 * 1024,
+            segment_target_bytes: SEGMENT_TARGET_BYTES,
             fsync: false,
             sync_every_n_frames: 1,
         }
@@ -781,29 +784,12 @@ impl CheckpointStore for FileStore {
         Ok(checkpoint)
     }
 
-    fn get(&self, owner: OperatorId, sequence: u64) -> Result<Checkpoint> {
-        let checkpoint = self.latest(owner)?;
-        if checkpoint.meta.sequence != sequence {
-            return Err(Error::NoBackup(owner));
-        }
-        Ok(checkpoint)
-    }
-
     fn latest_sequence(&self, owner: OperatorId) -> Option<u64> {
         self.inner
             .lock()
             .index
             .get(&owner)
             .map(|e| e.latest_sequence)
-    }
-
-    fn prune(&self, owner: OperatorId, _before_sequence: u64) -> usize {
-        // The log keeps exactly one live chain per owner (last full record
-        // plus the deltas extending it); superseded records are garbage
-        // already and are reclaimed by compaction, so there is no history to
-        // prune. Chain length is bounded by the base-rewrite rule.
-        let _ = owner;
-        0
     }
 
     fn delete(&self, owner: OperatorId) -> bool {
@@ -1107,21 +1093,6 @@ mod tests {
         assert!(store.latest(OperatorId::new(9)).is_err());
         assert!(store.latest(OperatorId::new(4)).is_ok());
         assert_eq!(store.owners(), vec![OperatorId::new(4)]);
-    }
-
-    #[test]
-    fn prune_never_touches_the_live_chain() {
-        let dir = temp_dir("prune");
-        let store = FileStore::open_dir(&dir).unwrap();
-        let base = checkpoint(3, 1, 10);
-        store.put(OperatorId::new(3), base.clone()).unwrap();
-        let mut next = base.clone();
-        next.meta.sequence = 2;
-        next.processing.insert(Key(50), vec![5; 8]);
-        let inc = IncrementalCheckpoint::diff(&base, &next);
-        store.apply_incremental(OperatorId::new(3), &inc).unwrap();
-        assert_eq!(store.prune(OperatorId::new(3), 2), 0);
-        assert_eq!(store.latest(OperatorId::new(3)).unwrap().meta.sequence, 2);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //!
 //! * [`CheckpointStore`] — the trait every backend implements: `put` a full
 //!   checkpoint, `apply_incremental` a delta on top of the stored base,
-//!   `latest`/`get` for restore, `prune` old sequences, and the two
+//!   `latest` for restore, and the two
 //!   elasticity hooks run against the stored copies:
 //!   `partition_for_scale_out` (Algorithm 2) and its inverse
 //!   `merge_for_scale_in` (the §3.3 merge primitive).
 //! * [`MemStore`] — the in-memory backend, extracted from the seed's
-//!   `InMemoryBackupStore` and extended with sequence history.
+//!   `InMemoryBackupStore`: one checkpoint per owner.
 //! * [`FileStore`] — a log-structured on-disk backend: length+CRC-framed
 //!   append-only segments, incremental-checkpoint delta records whose
 //!   chain never outgrows its base, reclamation of dead segments and
 //!   crash-safe recovery by log scan.
-//! * [`TieredStore`] — hot latest checkpoint in memory, older/every sequence
+//! * [`TieredStore`] — hot latest checkpoint in memory, every checkpoint
 //!   durable on disk, with the eviction decision delegated to the
 //!   [`seep_core::spill::SpillPolicy`] hooks.
 //! * [`BackupCoordinator`] — Algorithm 1 (`backup-state(o)`): selects the

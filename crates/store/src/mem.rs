@@ -1,7 +1,7 @@
 //! The in-memory backend, extracted from the seed's `InMemoryBackupStore`
-//! (`seep-core`'s `backup.rs`) and extended with per-owner sequence history.
+//! (`seep-core`'s `backup.rs`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use parking_lot::RwLock;
@@ -12,14 +12,10 @@ use seep_core::operator::OperatorId;
 
 use crate::traits::{CheckpointStore, PutOutcome, StoreMetrics, StoreStats};
 
-/// A thread-safe in-memory checkpoint store.
-///
-/// Sequences accumulate until [`CheckpointStore::prune`] is called; the
-/// runtime prunes to the latest sequence after every successful backup so the
-/// memory footprint matches the seed's latest-only behaviour.
+/// A thread-safe in-memory checkpoint store holding one checkpoint per owner.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    inner: RwLock<HashMap<OperatorId, BTreeMap<u64, Checkpoint>>>,
+    inner: RwLock<HashMap<OperatorId, Checkpoint>>,
     metrics: StoreMetrics,
 }
 
@@ -49,11 +45,7 @@ impl CheckpointStore for MemStore {
         let started = Instant::now();
         let sequence = checkpoint.meta.sequence;
         let bytes = checkpoint.size_bytes();
-        self.inner
-            .write()
-            .entry(owner)
-            .or_default()
-            .insert(sequence, checkpoint);
+        self.inner.write().insert(owner, checkpoint);
         self.metrics.record_put(bytes, started);
         Ok(PutOutcome {
             sequence,
@@ -70,22 +62,17 @@ impl CheckpointStore for MemStore {
         let started = Instant::now();
         let bytes = inc.size_bytes();
         let mut map = self.inner.write();
-        let versions = map.get_mut(&owner).ok_or(Error::NoBackup(owner))?;
-        let base = versions.last_entry().ok_or(Error::NoBackup(owner))?;
-        if base.get().meta.sequence != inc.base_sequence {
+        let base = map.get_mut(&owner).ok_or(Error::NoBackup(owner))?;
+        if base.meta.sequence != inc.base_sequence {
             return Err(Error::Invariant(format!(
                 "incremental checkpoint base {} does not match stored sequence {}",
-                inc.base_sequence,
-                base.get().meta.sequence
+                inc.base_sequence, base.meta.sequence
             )));
         }
-        // The base becomes the new version in place: applying a delta costs
-        // what the delta holds, and the superseded sequence is the one the
-        // coordinator would prune next anyway.
-        let mut next = base.remove();
-        next.apply_increment(inc);
-        let sequence = next.meta.sequence;
-        versions.insert(sequence, next);
+        // The base becomes the new checkpoint in place: applying a delta
+        // costs what the delta holds.
+        base.apply_increment(inc);
+        let sequence = base.meta.sequence;
         drop(map);
         self.metrics.record_increment(bytes, started);
         Ok(PutOutcome {
@@ -101,43 +88,14 @@ impl CheckpointStore for MemStore {
             .inner
             .read()
             .get(&owner)
-            .and_then(|v| v.values().next_back().cloned())
-            .ok_or(Error::NoBackup(owner))?;
-        self.metrics.record_restore(cp.size_bytes(), started);
-        Ok(cp)
-    }
-
-    fn get(&self, owner: OperatorId, sequence: u64) -> Result<Checkpoint> {
-        let started = Instant::now();
-        let cp = self
-            .inner
-            .read()
-            .get(&owner)
-            .and_then(|v| v.get(&sequence).cloned())
+            .cloned()
             .ok_or(Error::NoBackup(owner))?;
         self.metrics.record_restore(cp.size_bytes(), started);
         Ok(cp)
     }
 
     fn latest_sequence(&self, owner: OperatorId) -> Option<u64> {
-        self.inner
-            .read()
-            .get(&owner)
-            .and_then(|v| v.keys().next_back().copied())
-    }
-
-    fn prune(&self, owner: OperatorId, before_sequence: u64) -> usize {
-        let mut map = self.inner.write();
-        let Some(versions) = map.get_mut(&owner) else {
-            return 0;
-        };
-        let keep = versions.split_off(&before_sequence);
-        let dropped = versions.len();
-        *versions = keep;
-        if versions.is_empty() {
-            map.remove(&owner);
-        }
-        dropped
+        self.inner.read().get(&owner).map(|cp| cp.meta.sequence)
     }
 
     fn delete(&self, owner: OperatorId) -> bool {
@@ -151,12 +109,7 @@ impl CheckpointStore for MemStore {
     }
 
     fn size_bytes(&self) -> usize {
-        self.inner
-            .read()
-            .values()
-            .flat_map(|v| v.values())
-            .map(Checkpoint::size_bytes)
-            .sum()
+        self.inner.read().values().map(Checkpoint::size_bytes).sum()
     }
 
     fn stats(&self) -> StoreStats {
@@ -185,7 +138,6 @@ mod tests {
         store.put(OperatorId::new(7), cp.clone()).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.latest(OperatorId::new(7)).unwrap(), cp);
-        assert_eq!(store.get(OperatorId::new(7), 1).unwrap(), cp);
         assert!(store.size_bytes() > 0);
         assert_eq!(store.owners(), vec![OperatorId::new(7)]);
         assert!(store.delete(OperatorId::new(7)));
@@ -197,20 +149,21 @@ mod tests {
     }
 
     #[test]
-    fn newer_checkpoint_becomes_latest_and_prune_drops_history() {
+    fn a_put_replaces_the_stored_checkpoint() {
         let store = MemStore::new();
-        store.put(OperatorId::new(7), checkpoint(7, 1)).unwrap();
-        store.put(OperatorId::new(7), checkpoint(7, 2)).unwrap();
-        assert_eq!(store.latest(OperatorId::new(7)).unwrap().meta.sequence, 2);
-        assert_eq!(store.latest_sequence(OperatorId::new(7)), Some(2));
-        // Both sequences retrievable until pruned.
-        assert!(store.get(OperatorId::new(7), 1).is_ok());
-        assert_eq!(store.prune(OperatorId::new(7), 2), 1);
-        assert!(store.get(OperatorId::new(7), 1).is_err());
-        assert!(store.latest(OperatorId::new(7)).is_ok());
-        // Pruning everything removes the owner.
-        assert_eq!(store.prune(OperatorId::new(7), u64::MAX), 1);
-        assert!(store.owners().is_empty());
+        let owner = OperatorId::new(7);
+        store.put(owner, checkpoint(7, 1)).unwrap();
+        let one = store.size_bytes();
+        store.put(owner, checkpoint(7, 2)).unwrap();
+        assert_eq!(store.latest(owner).unwrap().meta.sequence, 2);
+        assert_eq!(store.latest_sequence(owner), Some(2));
+        // No history accumulates: the footprint is one checkpoint's however
+        // many rounds are stored.
+        for seq in 3..1_003 {
+            store.put(owner, checkpoint(7, seq)).unwrap();
+            assert_eq!(store.size_bytes(), one);
+        }
+        assert_eq!(store.owners(), vec![owner]);
     }
 
     #[test]

@@ -222,25 +222,8 @@ impl CheckpointStore for TieredStore {
         Ok(cp)
     }
 
-    fn get(&self, owner: OperatorId, sequence: u64) -> Result<Checkpoint> {
-        {
-            let hot = self.hot.lock();
-            if let Some((cp, _)) = hot.entries.get(&owner) {
-                if cp.meta.sequence == sequence {
-                    self.metrics.record_hot_hit();
-                    return Ok(cp.clone());
-                }
-            }
-        }
-        self.cold.get(owner, sequence)
-    }
-
     fn latest_sequence(&self, owner: OperatorId) -> Option<u64> {
         self.cold.latest_sequence(owner)
-    }
-
-    fn prune(&self, owner: OperatorId, before_sequence: u64) -> usize {
-        self.cold.prune(owner, before_sequence)
     }
 
     fn delete(&self, owner: OperatorId) -> bool {

@@ -153,8 +153,8 @@ impl StoreMetrics {
 /// One logical store exists per *backup operator* (the upstream VM holding
 /// the checkpoints of its downstream operators, §3.2). Keys are the operator
 /// whose state is stored, so a single upstream can hold backups for several
-/// downstream partitions. Backends may retain multiple sequences per owner;
-/// [`CheckpointStore::prune`] bounds that history.
+/// downstream partitions. Every backend holds one checkpoint per owner: a
+/// put replaces it.
 pub trait CheckpointStore: Send + Sync {
     /// Short backend label ("mem", "file", "tiered") used in metrics.
     fn backend(&self) -> &'static str;
@@ -173,17 +173,8 @@ pub trait CheckpointStore: Send + Sync {
     /// The most recent checkpoint of `owner`.
     fn latest(&self, owner: OperatorId) -> Result<Checkpoint>;
 
-    /// A specific stored sequence of `owner` (for backends that keep
-    /// history; backends that only retain the latest return it when the
-    /// sequence matches and an error otherwise).
-    fn get(&self, owner: OperatorId, sequence: u64) -> Result<Checkpoint>;
-
     /// The latest stored sequence number of `owner`, if any.
     fn latest_sequence(&self, owner: OperatorId) -> Option<u64>;
-
-    /// Drop stored sequences of `owner` strictly older than
-    /// `before_sequence`. Returns how many sequences were dropped.
-    fn prune(&self, owner: OperatorId, before_sequence: u64) -> usize;
 
     /// Delete everything stored for `owner` (e.g. when the backup operator
     /// changes after repartitioning — Algorithm 1, lines 5–6). Returns
@@ -208,16 +199,6 @@ pub trait CheckpointStore: Send + Sync {
         assignments: &[(OperatorId, KeyRange)],
     ) -> Result<Vec<Checkpoint>> {
         split_checkpoint(self.latest(owner)?, assignments)
-    }
-
-    /// A load-weighted sample of at most `max` keys from the stored latest
-    /// checkpoint of `owner`, used to pick distribution-guided key splits
-    /// during reconfiguration. Restoring through [`latest`](Self::latest)
-    /// means a `FileStore`/`TieredStore` owner backed up as a full record
-    /// plus a delta chain is materialised before sampling, so the sample
-    /// reflects every applied increment.
-    fn sample_keys(&self, owner: OperatorId, max: usize) -> Result<Vec<seep_core::Key>> {
-        Ok(self.latest(owner)?.sample_keys(max))
     }
 
     /// Merge the stored latest checkpoints of two adjacent partitions into a

@@ -119,10 +119,9 @@ proptest! {
     }
 }
 
-/// Key sampling through a `FileStore` delta chain: the default
-/// `CheckpointStore::sample_keys` materialises the full record plus every
-/// applied increment before sampling, so keys added (or fattened) by deltas
-/// are visible to distribution-guided splits.
+/// Key sampling through a `FileStore` delta chain: `latest` materialises the
+/// full record plus every applied increment before sampling, so keys added
+/// (or fattened) by deltas are visible to distribution-guided splits.
 #[test]
 fn sample_keys_sees_keys_added_by_the_delta_chain() {
     let dir = fresh_dir();
@@ -138,7 +137,7 @@ fn sample_keys_sees_keys_added_by_the_delta_chain() {
     let inc = IncrementalCheckpoint::diff(&base, &next);
     store.apply_incremental(owner, &inc).unwrap();
 
-    let sample = store.sample_keys(owner, 64).unwrap();
+    let sample = store.latest(owner).unwrap().sample_keys(64);
     let hot = sample.iter().filter(|k| **k == Key(500)).count();
     assert!(hot > 0, "delta-added key missing from the sample");
     assert!(

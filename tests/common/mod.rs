@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use seep::runtime::RuntimeConfig;
+use seep::runtime::TICK_INTERVAL_MS;
 
 /// Virtual time the suites advance per injected chunk.
 pub const STEP_MS: u64 = 500;
@@ -107,7 +107,6 @@ impl Oracle {
     /// window when `window_ms` have passed since the previous close, emptying
     /// the counts into results stamped with the window's sequence number.
     pub fn fold(chunks: &[Vec<String>], window_ms: u64) -> Oracle {
-        let tick_ms = RuntimeConfig::default().tick_interval_ms;
         let mut oracle = Oracle {
             sentences: 0,
             segments: 0,
@@ -118,7 +117,7 @@ impl Oracle {
         let mut open: BTreeMap<String, u64> = BTreeMap::new();
         let (mut now, mut last_tick, mut last_close, mut window) = (0u64, 0u64, 0u64, 0u64);
         let mut advance = |now: u64, open: &mut BTreeMap<String, u64>, oracle: &mut Oracle| {
-            if now - last_tick < tick_ms {
+            if now - last_tick < TICK_INTERVAL_MS {
                 return;
             }
             last_tick = now;

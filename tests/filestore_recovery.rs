@@ -4,9 +4,9 @@
 //! totals must equal those of a run that never failed or reconfigured.
 //! Reopened from disk, the log must verify record by record, and the backup
 //! written for the recovered instance must be the state it was restored
-//! with.
+//! with. A retired instance's store directory goes with it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use seep::core::{Checkpoint, Key, OperatorId};
@@ -138,5 +138,33 @@ fn filestore_recovery_and_reconfiguration_match_the_never_failed_run() {
         }
     }
     let _ = std::fs::remove_dir_all(&baseline_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recoveries_leave_only_the_live_instances_store_directories() {
+    let dir = temp_dir("retired");
+    let mut harness = deploy(StoreConfig::file(&dir).with_fsync_every(1));
+    for _ in 0..4 {
+        // Cross a checkpoint boundary so every victim has a backup on disk.
+        harness.run_for(6, RATE);
+        harness.fail_and_recover(1);
+    }
+    let live: BTreeSet<String> = [
+        harness.source,
+        harness.splitter,
+        harness.counter,
+        harness.sink,
+    ]
+    .into_iter()
+    .flat_map(|op| harness.handle.partitions(op))
+    .map(|id| format!("op-{}", id.raw()))
+    .collect();
+    let on_disk: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("store directory exists")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(on_disk, live);
     let _ = std::fs::remove_dir_all(&dir);
 }
